@@ -38,7 +38,7 @@ use crate::breaker::{BreakerConfig, BreakerState};
 use crate::coproc::CoProcessor;
 use crate::dispatch;
 use crate::engine::{Engine, EngineConfig};
-use crate::error::CoreError;
+use crate::error::{check_ledger, CoreError, Ledger};
 use crate::fault::{FaultConfig, JobError};
 use crate::router::{self, Route, RouteParams};
 
@@ -200,6 +200,18 @@ impl ClusterStats {
     /// breaker rejection or one observed card failure.
     pub fn reconciled(&self) -> bool {
         self.failovers + self.hedges == self.breaker_rejections + self.card_failures
+    }
+
+    /// [`ClusterStats::accounted`] then [`ClusterStats::reconciled`] as
+    /// always-on checks.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::LedgerImbalance`] naming [`Ledger::Cluster`] or
+    /// [`Ledger::ClusterRedirections`], whichever fails first.
+    pub fn check(&self) -> Result<(), CoreError> {
+        check_ledger(self.accounted(), Ledger::Cluster, self)?;
+        check_ledger(self.reconciled(), Ledger::ClusterRedirections, self)
     }
 
     /// Fraction of submitted jobs with a surviving in-time result.
@@ -557,11 +569,7 @@ impl Cluster {
                 busy: card_busy[c],
             });
         }
-        debug_assert!(
-            stats.accounted(),
-            "cluster ledger out of balance: {stats:?}"
-        );
-        debug_assert!(stats.reconciled(), "redirections unreconciled: {stats:?}");
+        stats.check()?;
 
         let trace = self.assemble_trace(&timelines, horizon, &outcome.events);
         Ok(ClusterResult {
@@ -699,5 +707,56 @@ impl Cluster {
             flips: Vec::new(),
             trace: self.assemble_trace(timelines, horizon, &[]),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unbalanced_cluster_job_ledger_is_a_typed_error() {
+        let s = ClusterStats {
+            submitted: 4,
+            completed: 2,
+            lost_unrecoverable: 1,
+            ..ClusterStats::default()
+        };
+        assert!(matches!(
+            s.check(),
+            Err(CoreError::LedgerImbalance {
+                ledger: Ledger::Cluster,
+                ..
+            })
+        ));
+        assert_eq!(ClusterStats { completed: 3, ..s }.check(), Ok(()));
+    }
+
+    #[test]
+    fn unreconciled_redirections_are_a_typed_error() {
+        let s = ClusterStats {
+            submitted: 2,
+            completed: 2,
+            failovers: 2,
+            hedges: 1,
+            breaker_rejections: 2,
+            ..ClusterStats::default()
+        };
+        assert!(s.accounted());
+        assert!(matches!(
+            s.check(),
+            Err(CoreError::LedgerImbalance {
+                ledger: Ledger::ClusterRedirections,
+                ..
+            })
+        ));
+        assert_eq!(
+            ClusterStats {
+                card_failures: 1,
+                ..s
+            }
+            .check(),
+            Ok(())
+        );
     }
 }

@@ -1207,10 +1207,9 @@ impl Engine {
             latency.push(t);
             total_service_time += t;
         }
-        debug_assert!(
-            overload.is_none() || overload_stats.accounted(),
-            "job conservation violated: {overload_stats:?}"
-        );
+        if overload.is_some() {
+            overload_stats.check()?;
+        }
         // Per-tenant outcome totals: classify every submission by its
         // terminal map. Only meaningful for overload runs over a
         // tenant-tagged workload.
@@ -1247,10 +1246,9 @@ impl Engine {
                         ts.completed += 1;
                     }
                 }
-                debug_assert!(
-                    tenants.iter().all(TenantStats::accounted),
-                    "tenant conservation violated: {tenants:?}"
-                );
+                for t in &tenants {
+                    t.check()?;
+                }
             }
         }
         let input_bytes = requests.iter().map(|r| r.input_len as u64).sum();

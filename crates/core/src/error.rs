@@ -21,6 +21,56 @@ pub enum CoreError {
         /// Index of the request in the workload.
         index: usize,
     },
+    /// A conservation identity failed at the end of a run: some job
+    /// or redirection was counted twice or not at all.
+    LedgerImbalance {
+        /// The identity that failed.
+        ledger: Ledger,
+        /// The counters as they stood.
+        detail: String,
+    },
+}
+
+/// The conservation identities checked at the end of every run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Ledger {
+    /// Engine job conservation, [`OverloadStats::accounted`](crate::OverloadStats::accounted).
+    Overload,
+    /// Per-tenant job conservation, [`TenantStats::accounted`](crate::TenantStats::accounted).
+    Tenant,
+    /// Fleet job conservation, [`ClusterStats::accounted`](crate::ClusterStats::accounted).
+    Cluster,
+    /// Fleet redirections against breaker timelines,
+    /// [`ClusterStats::reconciled`](crate::ClusterStats::reconciled).
+    ClusterRedirections,
+}
+
+impl fmt::Display for Ledger {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Ledger::Overload => "overload job",
+            Ledger::Tenant => "tenant job",
+            Ledger::Cluster => "cluster job",
+            Ledger::ClusterRedirections => "cluster redirection",
+        })
+    }
+}
+
+/// `Ok` when the identity `holds`, otherwise a
+/// [`CoreError::LedgerImbalance`] naming `ledger` and showing `state`.
+pub(crate) fn check_ledger(
+    holds: bool,
+    ledger: Ledger,
+    state: &impl fmt::Debug,
+) -> Result<(), CoreError> {
+    if holds {
+        Ok(())
+    } else {
+        Err(CoreError::LedgerImbalance {
+            ledger,
+            detail: format!("{state:?}"),
+        })
+    }
 }
 
 impl fmt::Display for CoreError {
@@ -32,6 +82,9 @@ impl fmt::Display for CoreError {
                 f,
                 "hardware output for algorithm {algo_id} diverged from software at request {index}"
             ),
+            CoreError::LedgerImbalance { ledger, detail } => {
+                write!(f, "{ledger} ledger out of balance: {detail}")
+            }
         }
     }
 }

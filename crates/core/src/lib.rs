@@ -55,7 +55,7 @@ pub use cluster::{CardHealth, Cluster, ClusterConfig, ClusterResult, ClusterStat
 pub use coproc::{CoProcessor, CoProcessorBuilder, HostReport, PciRecovery};
 pub use dispatch::DispatchStats;
 pub use engine::{Engine, EngineConfig, EngineResult, ShardPolicy};
-pub use error::CoreError;
+pub use error::{CoreError, Ledger};
 pub use fault::{FaultConfig, FaultStats, JobError};
 pub use overload::{
     DeadlinePolicy, FairnessConfig, OverloadConfig, OverloadStats, TenantStats, WatchdogConfig,

@@ -21,6 +21,7 @@
 //! `shed` (they are sheds) and in `fair_shed` (their cause).
 
 use crate::breaker::BreakerConfig;
+use crate::error::{check_ledger, CoreError, Ledger};
 use aaod_sim::SimTime;
 
 /// How each job's deadline is derived.
@@ -251,6 +252,15 @@ impl OverloadStats {
             && self.fair_shed <= self.shed
     }
 
+    /// [`OverloadStats::accounted`] as an always-on check.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::LedgerImbalance`] naming [`Ledger::Overload`].
+    pub fn check(&self) -> Result<(), CoreError> {
+        check_ledger(self.accounted(), Ledger::Overload, self)
+    }
+
     /// Fraction of submitted jobs that completed in time — the
     /// goodput ratio against offered load.
     pub fn goodput(&self) -> f64 {
@@ -324,6 +334,15 @@ impl TenantStats {
             == self.submitted
     }
 
+    /// [`TenantStats::accounted`] as an always-on check.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::LedgerImbalance`] naming [`Ledger::Tenant`].
+    pub fn check(&self) -> Result<(), CoreError> {
+        check_ledger(self.accounted(), Ledger::Tenant, self)
+    }
+
     /// The tenant's goodput ratio.
     pub fn goodput(&self) -> f64 {
         if self.submitted == 0 {
@@ -376,6 +395,42 @@ mod tests {
         // fair sheds are a sub-population of sheds, never extra mass
         let leaky = OverloadStats { fair_shed: 4, ..s };
         assert!(!leaky.accounted());
+    }
+
+    #[test]
+    fn unbalanced_overload_ledger_is_a_typed_error() {
+        let s = OverloadStats {
+            submitted: 3,
+            completed: 2,
+            ..OverloadStats::default()
+        };
+        assert!(matches!(
+            s.check(),
+            Err(CoreError::LedgerImbalance {
+                ledger: Ledger::Overload,
+                ..
+            })
+        ));
+        assert_eq!(OverloadStats { completed: 3, ..s }.check(), Ok(()));
+    }
+
+    #[test]
+    fn unbalanced_tenant_ledger_is_a_typed_error() {
+        let t = TenantStats {
+            submitted: 5,
+            shed: 2,
+            ..TenantStats::default()
+        };
+        let err = t.check().unwrap_err();
+        assert!(matches!(
+            err,
+            CoreError::LedgerImbalance {
+                ledger: Ledger::Tenant,
+                ..
+            }
+        ));
+        assert!(err.to_string().contains("tenant job ledger"), "{err}");
+        assert_eq!(TenantStats { completed: 3, ..t }.check(), Ok(()));
     }
 
     #[test]

@@ -5,12 +5,20 @@
 //! which algorithm owns which frame — that bookkeeping (free-frame
 //! list, replacement table) belongs to the microcontroller's mini-OS,
 //! as in the paper.
+//!
+//! Every frame also carries a write stamp drawn from a monotonic
+//! mutation clock, so a caller that decoded a region can tell cheaply
+//! whether any of its bytes changed since (see [`Device::stamp`]).
 
 use crate::error::FabricError;
 use crate::geometry::{DeviceGeometry, FrameAddress};
 use crate::image::FunctionImage;
 
 /// A partially reconfigurable device's configuration plane.
+///
+/// Equality compares the geometry and the frame bytes only: two
+/// devices holding the same configuration are equal whatever their
+/// write history.
 ///
 /// # Examples
 ///
@@ -23,13 +31,25 @@ use crate::image::FunctionImage;
 /// dev.write_frame(FrameAddress(5), &frame).unwrap();
 /// assert_eq!(dev.read_frame(FrameAddress(5)).unwrap(), &frame[..]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Device {
     geometry: DeviceGeometry,
     frames: Vec<Vec<u8>>,
+    /// Per-frame value of `clock` at the frame's last mutation.
+    stamps: Vec<u64>,
+    /// Mutation clock: advanced once per mutating call.
+    clock: u64,
     frame_writes: u64,
     full_configs: u64,
 }
+
+impl PartialEq for Device {
+    fn eq(&self, other: &Self) -> bool {
+        self.geometry == other.geometry && self.frames == other.frames
+    }
+}
+
+impl Eq for Device {}
 
 impl Device {
     /// Creates a blank (all-zero) device.
@@ -38,6 +58,8 @@ impl Device {
         Device {
             geometry,
             frames: vec![vec![0u8; fb]; geometry.frames()],
+            stamps: vec![0; geometry.frames()],
+            clock: 0,
             frame_writes: 0,
             full_configs: 0,
         }
@@ -64,6 +86,7 @@ impl Device {
             });
         }
         self.frames[addr.index()].copy_from_slice(bytes);
+        self.touch(addr.index());
         self.frame_writes += 1;
         Ok(())
     }
@@ -86,6 +109,7 @@ impl Device {
     pub fn clear_frame(&mut self, addr: FrameAddress) -> Result<(), FabricError> {
         self.geometry.check(addr)?;
         self.frames[addr.index()].fill(0);
+        self.touch(addr.index());
         self.frame_writes += 1;
         Ok(())
     }
@@ -122,6 +146,8 @@ impl Device {
         for (i, frame) in frames.iter().enumerate() {
             self.frames[i].copy_from_slice(frame);
         }
+        self.clock += 1;
+        self.stamps.fill(self.clock);
         self.full_configs += 1;
         Ok(())
     }
@@ -197,7 +223,35 @@ impl Device {
         assert!(byte < self.geometry.frame_bytes(), "byte offset {byte}");
         assert!(bit < 8, "bit index {bit}");
         self.frames[addr.index()][byte] ^= 1 << bit;
+        self.touch(addr.index());
         Ok(())
+    }
+
+    /// Advances the mutation clock and stamps frame `index` with it.
+    fn touch(&mut self, index: usize) {
+        self.clock += 1;
+        self.stamps[index] = self.clock;
+    }
+
+    /// The mutation clock: how many mutating calls (frame writes,
+    /// clears, bit flips, full configurations) have succeeded so far.
+    /// A blank device reads 0.
+    pub fn clock(&self) -> u64 {
+        self.clock
+    }
+
+    /// The latest write stamp over `addrs`: the [`Device::clock`] value
+    /// at the most recent mutation of any of those frames (0 if none
+    /// was ever mutated, or `addrs` is empty). If a region was decoded
+    /// when the clock read `c` and `stamp(region) <= c` now, none of its
+    /// bytes changed in between. An out-of-range address reads
+    /// `u64::MAX`, so it never passes that test.
+    pub fn stamp(&self, addrs: &[FrameAddress]) -> u64 {
+        addrs
+            .iter()
+            .map(|a| self.stamps.get(a.index()).copied().unwrap_or(u64::MAX))
+            .max()
+            .unwrap_or(0)
     }
 
     /// Number of single-frame writes performed so far.
@@ -355,6 +409,107 @@ mod tests {
             .iter()
             .all(|&b| b == 0));
         assert!(dev.flip_bit(FrameAddress(99), 0, 0).is_err());
+    }
+
+    /// Every frame's stamp, in address order.
+    fn stamps(dev: &Device) -> Vec<u64> {
+        (0..dev.geometry().frames() as u16)
+            .map(|i| dev.stamp(&[FrameAddress(i)]))
+            .collect()
+    }
+
+    /// Asserts that exactly the frames in `touched` moved to a stamp
+    /// above every stamp in `before`, and all others kept theirs.
+    fn assert_advanced(dev: &Device, before: &[u64], touched: &[usize]) {
+        let old_max = before.iter().copied().max().unwrap_or(0);
+        for (i, (&b, a)) in before.iter().zip(stamps(dev)).enumerate() {
+            if touched.contains(&i) {
+                assert!(a > old_max, "frame {i} not advanced: {b} -> {a}");
+                assert!(a <= dev.clock(), "frame {i} stamp ahead of the clock");
+            } else {
+                assert_eq!(a, b, "frame {i} stamp moved");
+            }
+        }
+    }
+
+    #[test]
+    fn blank_device_stamps_read_zero() {
+        let dev = Device::new(geom());
+        assert_eq!(dev.clock(), 0);
+        assert!(stamps(&dev).iter().all(|&s| s == 0));
+        assert_eq!(dev.stamp(&[]), 0);
+        assert_eq!(dev.stamp(&[FrameAddress(8)]), u64::MAX, "out of range");
+    }
+
+    #[test]
+    fn each_mutator_advances_exactly_the_frames_it_touched() {
+        let g = geom();
+        let mut dev = Device::new(g);
+        let before = stamps(&dev);
+        dev.write_frame(FrameAddress(3), &vec![0x5A; g.frame_bytes()])
+            .unwrap();
+        assert_advanced(&dev, &before, &[3]);
+
+        let before = stamps(&dev);
+        dev.clear_frame(FrameAddress(6)).unwrap();
+        assert_advanced(&dev, &before, &[6]);
+
+        let before = stamps(&dev);
+        dev.flip_bit(FrameAddress(1), 4, 2).unwrap();
+        assert_advanced(&dev, &before, &[1]);
+
+        // a rewrite of an already-written frame still advances it
+        let before = stamps(&dev);
+        dev.write_frame(FrameAddress(3), &vec![0x5A; g.frame_bytes()])
+            .unwrap();
+        assert_advanced(&dev, &before, &[3]);
+
+        // a full configuration erases (touches) every frame
+        let before = stamps(&dev);
+        dev.full_configure(&[vec![0x11; g.frame_bytes()]]).unwrap();
+        assert_advanced(&dev, &before, &(0..8).collect::<Vec<_>>());
+
+        assert_eq!(
+            dev.stamp(&[FrameAddress(0), FrameAddress(5)]),
+            dev.clock(),
+            "stamp is the max over the region"
+        );
+    }
+
+    #[test]
+    fn rejected_mutations_leave_stamps_unchanged() {
+        let g = geom();
+        let mut dev = Device::new(g);
+        dev.write_frame(FrameAddress(2), &vec![1; g.frame_bytes()])
+            .unwrap();
+        let before = stamps(&dev);
+        let clock = dev.clock();
+        let frame = vec![0; g.frame_bytes()];
+        assert!(dev.write_frame(FrameAddress(8), &frame).is_err());
+        assert!(dev.write_frame(FrameAddress(2), &[1, 2, 3]).is_err());
+        assert!(dev.clear_frame(FrameAddress(9)).is_err());
+        assert!(dev.flip_bit(FrameAddress(99), 0, 0).is_err());
+        assert!(dev.full_configure(&vec![frame.clone(); 9]).is_err());
+        assert!(dev.full_configure(&[frame.clone(), vec![0; 3]]).is_err());
+        assert_eq!(stamps(&dev), before);
+        assert_eq!(dev.clock(), clock);
+    }
+
+    #[test]
+    fn equality_ignores_write_history() {
+        let g = geom();
+        let frame = vec![0x77; g.frame_bytes()];
+        let mut once = Device::new(g);
+        once.write_frame(FrameAddress(4), &frame).unwrap();
+        let mut churned = Device::new(g);
+        churned.write_frame(FrameAddress(4), &frame).unwrap();
+        churned.flip_bit(FrameAddress(0), 0, 0).unwrap();
+        churned.flip_bit(FrameAddress(0), 0, 0).unwrap();
+        churned.clear_frame(FrameAddress(7)).unwrap();
+        assert_ne!(once.clock(), churned.clock());
+        assert_eq!(once, churned);
+        churned.flip_bit(FrameAddress(0), 0, 0).unwrap();
+        assert_ne!(once, churned);
     }
 
     #[test]

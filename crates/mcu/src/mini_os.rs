@@ -34,6 +34,8 @@ use aaod_fabric::{
 };
 use aaod_mem::{FunctionRecord, LocalRam, MemError, MemTiming, RecordFields, Rom, RECORD_BYTES};
 use aaod_sim::{Clock, SimTime, SplitMix64};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// How the controller reconfigures the device on a miss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -165,6 +167,17 @@ struct ResidencyOutcome {
     reconfig_time: SimTime,
 }
 
+/// A resident function's decoded payload, memoized against the frame
+/// write stamps: it stands for the configured bits only while none of
+/// the function's frames has been mutated since the device clock read
+/// `clock`. A function only ever comes to occupy frames by having them
+/// configured, which advances their stamps, so a move to other frames
+/// invalidates the entry too.
+struct ResidentDecode {
+    clock: u64,
+    kind: Arc<FunctionKind>,
+}
+
 /// The outcome of one scrub pass over the resident functions.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ScrubReport {
@@ -208,6 +221,9 @@ pub struct MiniOs {
     batch_scratch: BatchScratch,
     /// Reusable flat buffer for frame readback decode.
     frame_flat: Vec<u8>,
+    /// Last successful frame decode per function; see
+    /// [`ResidentDecode`].
+    resident_decodes: BTreeMap<u16, ResidentDecode>,
 }
 
 impl std::fmt::Debug for MiniOs {
@@ -256,6 +272,7 @@ impl MiniOs {
             last_invoked: None,
             batch_scratch: BatchScratch::default(),
             frame_flat: Vec::new(),
+            resident_decodes: BTreeMap::new(),
         }
     }
 
@@ -361,27 +378,44 @@ impl MiniOs {
         // 2. residency — once per batch
         let outcome = self.ensure_resident(&record)?;
 
-        // 3. decode the configured bits back into an image — once
+        // 3. decode the configured bits back into an executable payload
+        // — once per batch, and only if a frame changed since the last
+        // decode. Any mutation (reconfiguration, SEU, tear, patch)
+        // advances the frames' stamps and forces the full readback,
+        // digest check and parse again.
         let frames = &self
             .table
             .get(algo_id)
             .expect("function resident at this point")
             .frames;
-        let image = self
-            .device
-            .decode_function_with(frames, &mut self.frame_flat)?;
-        if image.algo_id() != algo_id {
-            return Err(McuError::RecordMismatch(format!(
-                "frames decode to algorithm {}, record says {algo_id}",
-                image.algo_id()
-            )));
-        }
+        let kind = match self.resident_decodes.get(&algo_id) {
+            Some(memo) if self.device.stamp(frames) <= memo.clock => Arc::clone(&memo.kind),
+            _ => {
+                let image = self
+                    .device
+                    .decode_function_with(frames, &mut self.frame_flat)?;
+                if image.algo_id() != algo_id {
+                    return Err(McuError::RecordMismatch(format!(
+                        "frames decode to algorithm {}, record says {algo_id}",
+                        image.algo_id()
+                    )));
+                }
+                let kind = Arc::new(image.kind()?);
+                self.resident_decodes.insert(
+                    algo_id,
+                    ResidentDecode {
+                        clock: self.device.clock(),
+                        kind: Arc::clone(&kind),
+                    },
+                );
+                kind
+            }
+        };
 
-        // 4. decode the payload once for the whole batch; netlist
-        // functions evaluate every input bit-sliced in one pass (64
-        // lanes per netlist walk) before the per-input staging loop.
-        let kind = image.kind()?;
-        let mut sliced_outputs = match &kind {
+        // 4. netlist functions evaluate every input bit-sliced in one
+        // pass (64 lanes per netlist walk) before the per-input
+        // staging loop.
+        let mut sliced_outputs = match kind.as_ref() {
             FunctionKind::Netlist { netlist, mode } => Some(run_decoded_netlist_batch(
                 netlist,
                 *mode,
@@ -892,6 +926,9 @@ impl MiniOs {
     pub fn reset(&mut self) -> SimTime {
         let geom = self.device.geometry();
         self.device = Device::new(geom);
+        // the fresh device's mutation clock restarts at zero, so no
+        // earlier decode can be validated against its stamps
+        self.resident_decodes.clear();
         self.free.reset();
         self.table = ReplacementTable::new();
         // The watchdog ledger restarts from zero: drop the decoded
@@ -1248,6 +1285,7 @@ impl MiniOs {
 mod tests {
     use super::*;
     use aaod_algos::ids;
+    use aaod_fabric::FabricError;
 
     fn small_os(frames: u16, policy: Box<dyn ReplacementPolicy>) -> MiniOs {
         MiniOs::new(MiniOsConfig {
@@ -2026,6 +2064,150 @@ mod tests {
         untraced.invoke(ids::CRC32, b"123456789").unwrap();
         untraced.invoke(ids::CRC32, b"123456789").unwrap();
         assert_eq!(os.now(), untraced.now());
+    }
+
+    /// What an uncached decode of `algo`'s current frames computes on
+    /// `input` — the reference a memoized invoke must agree with,
+    /// errors included.
+    fn uncached(os: &MiniOs, algo: u16, input: &[u8]) -> Result<Vec<u8>, McuError> {
+        let frames = &os.table().get(algo).expect("resident").frames;
+        let image = os.device().decode_function(frames)?;
+        if image.algo_id() != algo {
+            return Err(McuError::RecordMismatch(format!(
+                "frames decode to algorithm {}, record says {algo}",
+                image.algo_id()
+            )));
+        }
+        Ok(match image.kind()? {
+            FunctionKind::Netlist { netlist, mode } => run_decoded_netlist(&netlist, mode, input)?,
+            FunctionKind::Behavioral { params } => os
+                .bank()
+                .kernel(algo)
+                .expect("bank kernel")
+                .execute(&params, input)?,
+        })
+    }
+
+    /// Invokes `algo` and checks the result against [`uncached`].
+    fn invoke_checked(os: &mut MiniOs, algo: u16, input: &[u8]) -> Result<Vec<u8>, McuError> {
+        let got = os.invoke(algo, input).map(|(out, _)| out);
+        assert_eq!(got, uncached(os, algo, input), "memoized decode went stale");
+        got
+    }
+
+    #[test]
+    fn seu_between_hits_surfaces_digest_mismatch() {
+        let mut os = os_with(&[ids::SHA1]);
+        let good = invoke_checked(&mut os, ids::SHA1, b"abc").unwrap();
+        assert_eq!(invoke_checked(&mut os, ids::SHA1, b"abc").unwrap(), good);
+        // seed 3 lands the flip inside the digest-covered descriptor
+        assert!(os.inject_seu(ids::SHA1, &mut SplitMix64::new(3)));
+        let err = invoke_checked(&mut os, ids::SHA1, b"abc").unwrap_err();
+        assert!(
+            matches!(err, McuError::Fabric(FabricError::DigestMismatch { .. })),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn torn_configuration_is_never_served_from_the_memo() {
+        let mut os = os_with(&[ids::XTEA]);
+        invoke_checked(&mut os, ids::XTEA, &[7; 8]).unwrap();
+        assert!(os.inject_torn(ids::XTEA));
+        assert!(invoke_checked(&mut os, ids::XTEA, &[7; 8]).is_err());
+    }
+
+    #[test]
+    fn patched_frames_change_behaviour_on_the_next_hit() {
+        // Rewrite CRC8's frame with a *valid* image for the same id
+        // whose netlist XOR-folds the stream instead: the digest
+        // passes, so only a fresh decode can notice the new function.
+        let mut os = os_with(&[ids::CRC8]);
+        assert_eq!(
+            invoke_checked(&mut os, ids::CRC8, b"123456789").unwrap(),
+            vec![0xF4]
+        );
+        let mut b = aaod_fabric::NetlistBuilder::new();
+        let ins = b.inputs(16); // 8 data bits + 8 state bits
+        for i in 0..8 {
+            let x = b.xor2(ins[i], ins[8 + i]);
+            b.output(x);
+        }
+        let image = aaod_fabric::FunctionImage::from_netlist(
+            ids::CRC8,
+            b.finish().unwrap(),
+            aaod_fabric::NetlistMode::Streaming,
+            1,
+            1,
+        );
+        let encoded = image.encode(os.geometry());
+        let frames = os.table().get(ids::CRC8).unwrap().frames.clone();
+        assert_eq!(encoded.len(), frames.len());
+        for (addr, frame) in frames.iter().zip(&encoded) {
+            os.device_mut().write_frame(*addr, frame).unwrap();
+        }
+        let xor_fold = b"123456789".iter().fold(0u8, |acc, b| acc ^ b);
+        assert_eq!(
+            invoke_checked(&mut os, ids::CRC8, b"123456789").unwrap(),
+            vec![xor_fold]
+        );
+    }
+
+    #[test]
+    fn reconfiguration_into_other_frames_decodes_afresh() {
+        let mut os = os_with(&[ids::CRC32, ids::XTEA]);
+        let want = invoke_checked(&mut os, ids::XTEA, &[1; 8]).unwrap();
+        let before = os.table().get(ids::XTEA).unwrap().frames.clone();
+        os.evict(ids::XTEA).unwrap();
+        // CRC32 takes the lowest freed frames, pushing XTEA elsewhere
+        invoke_checked(&mut os, ids::CRC32, b"x").unwrap();
+        assert_eq!(invoke_checked(&mut os, ids::XTEA, &[1; 8]).unwrap(), want);
+        assert_ne!(os.table().get(ids::XTEA).unwrap().frames, before);
+        assert_eq!(invoke_checked(&mut os, ids::XTEA, &[1; 8]).unwrap(), want);
+    }
+
+    #[test]
+    fn prefetched_function_decodes_its_new_frames() {
+        let mut os = os_with(&[ids::SHA256, ids::CRC8]);
+        let want = invoke_checked(&mut os, ids::SHA256, b"abc").unwrap();
+        os.evict(ids::SHA256).unwrap();
+        invoke_checked(&mut os, ids::CRC8, b"y").unwrap();
+        assert!(os.prefetch_hint(ids::SHA256));
+        let (out, report) = os.invoke(ids::SHA256, b"abc").unwrap();
+        assert!(report.hit);
+        assert_eq!(out, want);
+        assert_eq!(Ok(out), uncached(&os, ids::SHA256, b"abc"));
+    }
+
+    #[test]
+    fn scrub_repair_restores_the_memoized_function() {
+        let mut os = os_with(&[ids::SHA256]);
+        let want = invoke_checked(&mut os, ids::SHA256, b"abc").unwrap();
+        os.inject_seu(ids::SHA256, &mut SplitMix64::new(11));
+        assert_eq!(os.scrub().unwrap().repaired, vec![ids::SHA256]);
+        assert_eq!(invoke_checked(&mut os, ids::SHA256, b"abc").unwrap(), want);
+        // and a fresh upset after the repair is caught again
+        os.inject_seu(ids::SHA256, &mut SplitMix64::new(11));
+        assert!(invoke_checked(&mut os, ids::SHA256, b"abc").is_err());
+    }
+
+    #[test]
+    fn reset_drops_decodes_made_under_the_old_clock() {
+        // Run the old device's mutation clock far ahead, decode CRC32
+        // under it, then reset: the fresh device counts from zero, so
+        // a decode kept across the reset would outrank every later
+        // mutation and hide this upset.
+        let mut os = os_with(&[ids::CRC32]);
+        let spare = FrameAddress(os.geometry().frames() as u16 - 1);
+        for _ in 0..100 {
+            os.device_mut().clear_frame(spare).unwrap();
+        }
+        invoke_checked(&mut os, ids::CRC32, b"abc").unwrap();
+        os.reset();
+        invoke_checked(&mut os, ids::CRC32, b"abc").unwrap();
+        let frame = os.table().get(ids::CRC32).unwrap().frames[0];
+        os.device_mut().flip_bit(frame, 30, 0).unwrap();
+        assert!(invoke_checked(&mut os, ids::CRC32, b"abc").is_err());
     }
 
     #[test]

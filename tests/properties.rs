@@ -2,10 +2,32 @@
 
 use aaod_bitstream::codec::{decompress_all, registry, CodecId};
 use aaod_bitstream::Bitstream;
-use aaod_fabric::{DeviceGeometry, FunctionImage, NetlistMode};
-use aaod_mcu::{DecodedCache, FreeFrameList, MiniOs, MiniOsConfig};
+use aaod_fabric::{run_decoded_netlist, DeviceGeometry, FunctionImage, FunctionKind, NetlistMode};
+use aaod_mcu::{DecodedCache, FreeFrameList, McuError, MiniOs, MiniOsConfig};
 use aaod_mem::{RecordFields, Rom};
 use proptest::prelude::*;
+
+/// Executes `algo` on `input` from a fresh, uncached decode of the
+/// frames it currently occupies: the oracle for the mini-OS's
+/// memoized resident decode.
+fn uncached_output(os: &MiniOs, algo: u16, input: &[u8]) -> Result<Vec<u8>, McuError> {
+    let frames = &os.table().get(algo).expect("resident").frames;
+    let image = os.device().decode_function(frames)?;
+    if image.algo_id() != algo {
+        return Err(McuError::RecordMismatch(format!(
+            "frames decode to algorithm {}, record says {algo}",
+            image.algo_id()
+        )));
+    }
+    Ok(match image.kind()? {
+        FunctionKind::Netlist { netlist, mode } => run_decoded_netlist(&netlist, mode, input)?,
+        FunctionKind::Behavioral { params } => os
+            .bank()
+            .kernel(algo)
+            .expect("bank kernel")
+            .execute(&params, input)?,
+    })
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -449,6 +471,51 @@ proptest! {
                 os.stats().evictions,
                 "trace and ledger eviction counts diverged"
             );
+        }
+    }
+
+    /// The memoized resident decode is invisible: under any
+    /// interleaving of invokes, SEUs, torn configurations, evictions,
+    /// scrubs, resets and prefetches, every invoke returns exactly what
+    /// a fresh decode of the function's current frames computes —
+    /// the same output, or the same error.
+    #[test]
+    fn memoized_decode_matches_uncached_decode(
+        ops in proptest::collection::vec((0u8..8, any::<u8>()), 1..48),
+        seed in any::<u64>(),
+    ) {
+        use aaod_algos::ids;
+        let algos = [ids::XTEA, ids::SHA1, ids::CRC8, ids::CRC32, ids::PARITY8];
+        let inputs: [&[u8]; 4] = [b"", b"abc", &[0x5A; 8], b"0123456789abcdef"];
+        // 26 frames: constant replacement pressure
+        let mut os = MiniOs::new(MiniOsConfig {
+            geometry: DeviceGeometry::new(26, 16),
+            ..MiniOsConfig::default()
+        });
+        for &id in &algos {
+            os.install(id).unwrap();
+        }
+        let mut rng = aaod_sim::SplitMix64::new(seed);
+        for (op, detail) in ops {
+            let algo = algos[(detail as usize) % algos.len()];
+            match op {
+                0..=2 => {
+                    let input = inputs[(detail as usize / algos.len()) % inputs.len()];
+                    let got = os.invoke(algo, input).map(|(out, _)| out);
+                    // a failed configuration leaves nothing resident
+                    // to decode; everything else is checked
+                    if os.table().contains(algo) {
+                        prop_assert_eq!(got, uncached_output(&os, algo, input));
+                    }
+                }
+                3 => { os.inject_seu(algo, &mut rng); }
+                4 => { os.inject_torn(algo); }
+                5 => { let _ = os.evict(algo); }
+                6 => {
+                    if detail % 4 == 0 { os.reset(); } else { let _ = os.scrub(); }
+                }
+                _ => { os.prefetch_hint(algo); }
+            }
         }
     }
 
