@@ -10,7 +10,8 @@
 //!   exact fixed-point rounding would just restate the kernel).
 //!   Edge shapes ride along: a 1×N partial record, a
 //!   non-power-of-two batch with a ragged tail, all-zero input and
-//!   the saturating worst case.
+//!   the saturating worst case. The nine behavioural standard kernels
+//!   ride along on the same three paths with pinned fingerprints.
 //! * **system identity** — serving the canonical E19 kernel mix
 //!   through the concurrent `Engine` (every sharding policy) and
 //!   through a healthy `Cluster` yields outputs byte-identical to a
@@ -229,6 +230,73 @@ fn golden_fingerprints_pin_all_kernels() {
         fnv1a(&mm),
         fnv1a(&cv),
         fnv1a(&ft)
+    );
+}
+
+/// Input sizes for the standard-bank fingerprints: a 16-byte-aligned
+/// buffer, a ragged tail that no block kernel divides, and the
+/// 1504 B MTU-sized packet the fleet workloads send.
+const STANDARD_SIZES: [usize; 3] = [256, 1501, 1504];
+
+/// Pinned golden fingerprints (FNV-1a 64) of the nine behavioural
+/// standard kernels over `seeded_bytes(len, 0xE12 + len)` at each of
+/// `STANDARD_SIZES`, taken through all three execution paths. They
+/// pin byte identity across any rewrite of a kernel's host
+/// implementation (the cipher kernels are table-driven; the values
+/// were recorded from the bit-serial originals).
+const GOLDEN_STANDARD: [(u16, [u64; 3]); 9] = [
+    (
+        ids::AES128,
+        [0xd3b82d2454c52d02, 0x8713872c6597f091, 0x87774e2da8f76ffd],
+    ),
+    (
+        ids::TDES,
+        [0x2985279da16d9d37, 0x610aadaae9c960e0, 0x99268d773e8a7676],
+    ),
+    (
+        ids::XTEA,
+        [0xaa74d952b77f381e, 0x2f92248e852d2205, 0x9ed4cea4acd67fde],
+    ),
+    (
+        ids::SHA1,
+        [0x6c215f527f52f42c, 0xa20671522ee0605e, 0x0a2bc3d2b87e98f1],
+    ),
+    (
+        ids::SHA256,
+        [0xd61d85b704a73071, 0x788efbe4172069fa, 0x2eb33ef70d3a21bc],
+    ),
+    (
+        ids::HMAC_SHA1,
+        [0xc4a6ddf7a6fc32aa, 0xec5f125f9cc0f6fa, 0xe03f0b9d6bcd3fce],
+    ),
+    (
+        ids::CRC32,
+        [0xf33e24faf5c586e1, 0xdf2291b26dc07a58, 0xc1c6bfc4a21a25ef],
+    ),
+    (
+        ids::FIR,
+        [0x995da0e6a69569dc, 0x910dcb47448dd205, 0x78c0e9cb2429708a],
+    ),
+    (
+        ids::MATMUL8,
+        [0xedd351b05b6cbd5e, 0x6a79dfa7c9ee3de3, 0x895dd294d65cffc7],
+    ),
+];
+
+#[test]
+fn golden_fingerprints_pin_standard_kernels() {
+    let got: Vec<(u16, [u64; 3])> = GOLDEN_STANDARD
+        .iter()
+        .map(|&(algo, _)| {
+            let prints = STANDARD_SIZES
+                .map(|len| fnv1a(&all_paths(algo, &seeded_bytes(len, 0xE12 + len as u64))));
+            (algo, prints)
+        })
+        .collect();
+    assert_eq!(
+        got, GOLDEN_STANDARD,
+        "standard kernel outputs drifted; got {:#018x?}",
+        got
     );
 }
 
