@@ -559,6 +559,19 @@ mod tests {
         assert_eq!(out, expected);
     }
 
+    /// Default-key 3DES pads a partial block and is deterministic.
+    #[test]
+    fn tdes_three_key_roundtrip_structure() {
+        let kernel = TripleDes;
+        let params = kernel.default_params();
+        let out = kernel.execute(&params, b"The qu1ck brown fox!").unwrap();
+        assert_eq!(out.len(), 24); // 20 bytes -> 3 blocks
+        assert_eq!(
+            out,
+            kernel.execute(&params, b"The qu1ck brown fox!").unwrap()
+        );
+    }
+
     #[test]
     fn kernel_rejects_bad_key() {
         assert!(TripleDes.execute(&[0; 8], b"x").is_err());
