@@ -6,7 +6,7 @@
 //! ROM contents differ: placement replicates hot algorithms across
 //! several cards and leaves cold ones resident on exactly one, so a
 //! card only installs (at bring-up) the algorithms routed to it. The
-//! [`router`](crate::router) walks the request stream against per-card
+//! `router` module walks the request stream against per-card
 //! virtual clocks and health breakers, failing over around dead or
 //! quarantined cards and hedging jobs stranded mid-service; the
 //! surviving assignment is then executed through the real card
@@ -56,8 +56,6 @@ pub struct ClusterConfig {
     pub replication: usize,
     /// Shards inside each card's engine.
     pub card_workers: usize,
-    /// Longest same-algorithm batch inside a card.
-    pub batch_max: usize,
     /// Modelled gap between consecutive job arrivals.
     pub interarrival: SimTime,
     /// Per-job latency budget from arrival; `None` disables deadline
@@ -101,7 +99,6 @@ impl Default for ClusterConfig {
             cards: 16,
             replication: 3,
             card_workers: 2,
-            batch_max: 16,
             interarrival: SimTime::from_us(2),
             deadline: None,
             max_failovers: 3,
@@ -135,7 +132,6 @@ impl ClusterConfig {
             self.replication
         );
         assert!(self.card_workers >= 1, "each card needs at least one shard");
-        assert!(self.batch_max >= 1, "batch_max must be at least 1");
         self.breaker.validate();
     }
 }
@@ -623,7 +619,6 @@ impl Cluster {
         });
         let engine_cfg = EngineConfig {
             workers: cfg.card_workers,
-            batch_max: cfg.batch_max,
             verify: cfg.verify,
             collect_outputs: cfg.collect_outputs,
             faults,

@@ -7,7 +7,7 @@ use aaod_fabric::DeviceGeometry;
 use aaod_mcu::{
     InvokeReport, LruPolicy, MiniOs, MiniOsConfig, OsStats, ReconfigMode, ReplacementPolicy,
 };
-use aaod_pci::{PciBus, PciConfig, PciError};
+use aaod_pci::{Direction, PciBus, PciConfig, PciError};
 use aaod_sim::trace::{DetailEvent, DetailLog};
 use aaod_sim::SimTime;
 
@@ -33,16 +33,6 @@ impl HostReport {
     pub fn hit(&self) -> bool {
         self.os.hit
     }
-}
-
-/// Driver-level PCI retry accounting from one resilient invocation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PciRecovery {
-    /// Transfers that aborted and were retried.
-    pub retries: u32,
-    /// Bus time burned by the aborted attempts (already folded into
-    /// the report's transfer times).
-    pub wasted: SimTime,
 }
 
 /// Builder for [`CoProcessor`].
@@ -205,43 +195,35 @@ impl CoProcessor {
     /// duplicates…).
     pub fn install(&mut self, algo_id: u16) -> Result<SimTime, CoreError> {
         let encoded = self.os.encode_bitstream(algo_id)?;
-        let pci = self.traced_write(encoded.len() as u64);
+        let pci = self.transfer(encoded.len() as u64, Direction::Write);
         let rom = self.os.download(&encoded)?;
         Ok(pci + rom)
     }
 
-    /// Performs a bus write, recording it as a burst detail when the
-    /// trace is on. Tracing only snapshots counters — it never adds
-    /// modelled time.
-    fn traced_write(&mut self, bytes: u64) -> SimTime {
-        if !self.details.enabled() {
-            return self.bus.write(bytes);
+    /// Moves one payload across the bus. An armed transient abort
+    /// (see [`PciBus::arm_transient_faults`]) is retried by the driver
+    /// until the transfer lands, and each aborted attempt's bus time is
+    /// folded into the returned transfer time. With the trace on, the
+    /// transfer (retries included) is recorded as one burst detail;
+    /// tracing only snapshots counters, it never adds modelled time.
+    fn transfer(&mut self, bytes: u64, dir: Direction) -> SimTime {
+        let before = self.details.enabled().then(|| self.bus.stats());
+        let mut aborted = SimTime::ZERO;
+        let time = loop {
+            match self.bus.try_transfer(bytes, dir) {
+                Ok(t) => break aborted + t,
+                Err(PciError::TransientAbort { wasted }) => aborted += wasted,
+            }
+        };
+        if let Some(before) = before {
+            let d = self.bus.stats().delta(&before);
+            self.details.push(DetailEvent::PciBurst {
+                write: dir == Direction::Write,
+                bytes: d.bytes_written + d.bytes_read,
+                transactions: d.transactions,
+            });
         }
-        let before = self.bus.stats();
-        let t = self.bus.write(bytes);
-        let d = self.bus.stats().delta(&before);
-        self.details.push(DetailEvent::PciBurst {
-            write: true,
-            bytes: d.bytes_written,
-            transactions: d.transactions,
-        });
-        t
-    }
-
-    /// Read counterpart of [`CoProcessor::traced_write`].
-    fn traced_read(&mut self, bytes: u64) -> SimTime {
-        if !self.details.enabled() {
-            return self.bus.read(bytes);
-        }
-        let before = self.bus.stats();
-        let t = self.bus.read(bytes);
-        let d = self.bus.stats().delta(&before);
-        self.details.push(DetailEvent::PciBurst {
-            write: false,
-            bytes: d.bytes_read,
-            transactions: d.transactions,
-        });
-        t
+        time
     }
 
     /// Moves the controller's buffered details into the card-level log
@@ -253,7 +235,8 @@ impl CoProcessor {
     }
 
     /// Invokes an installed function on `input`, returning the result
-    /// bytes and the host-level timing report.
+    /// bytes and the host-level timing report: a batch of one (see
+    /// [`CoProcessor::invoke_batch`]).
     ///
     /// # Errors
     ///
@@ -264,111 +247,24 @@ impl CoProcessor {
         algo_id: u16,
         input: &[u8],
     ) -> Result<(Vec<u8>, HostReport), CoreError> {
-        let pci_input_time = self.traced_write(input.len() as u64);
-        let (output, os_report) = self.os.invoke(algo_id, input)?;
-        self.absorb_os_details();
-        let pci_output_time = self.traced_read(output.len() as u64);
-        Ok((
-            output,
-            HostReport {
-                pci_input_time,
-                pci_output_time,
-                os: os_report,
-            },
-        ))
-    }
-
-    /// Invokes an installed function like [`CoProcessor::invoke`],
-    /// but rides the *fallible* PCI paths: an armed transient bus
-    /// abort (see [`PciBus::arm_transient_faults`]) is retried by the
-    /// driver until the transfer lands, with each aborted attempt's
-    /// bus time folded into the corresponding transfer time. The
-    /// returned [`PciRecovery`] reports how many retries happened.
-    ///
-    /// # Errors
-    ///
-    /// Propagates controller errors (PCI aborts never escape — the
-    /// driver always retries them).
-    pub fn invoke_resilient(
-        &mut self,
-        algo_id: u16,
-        input: &[u8],
-    ) -> Result<(Vec<u8>, HostReport, PciRecovery), CoreError> {
-        let mut recovery = PciRecovery::default();
-        let pci_input_time = self.write_with_retry(input.len() as u64, &mut recovery);
-        let (output, os_report) = self.os.invoke(algo_id, input)?;
-        self.absorb_os_details();
-        let pci_output_time = self.read_with_retry(output.len() as u64, &mut recovery);
-        Ok((
-            output,
-            HostReport {
-                pci_input_time,
-                pci_output_time,
-                os: os_report,
-            },
-            recovery,
-        ))
-    }
-
-    fn write_with_retry(&mut self, bytes: u64, recovery: &mut PciRecovery) -> SimTime {
-        let before = self.details.enabled().then(|| self.bus.stats());
-        let mut total = SimTime::ZERO;
-        loop {
-            match self.bus.try_write(bytes) {
-                Ok(t) => {
-                    if let Some(before) = before {
-                        let d = self.bus.stats().delta(&before);
-                        self.details.push(DetailEvent::PciBurst {
-                            write: true,
-                            bytes: d.bytes_written,
-                            transactions: d.transactions,
-                        });
-                    }
-                    return total + t;
-                }
-                Err(PciError::TransientAbort { wasted }) => {
-                    recovery.retries += 1;
-                    recovery.wasted += wasted;
-                    total += wasted;
-                }
-            }
-        }
-    }
-
-    fn read_with_retry(&mut self, bytes: u64, recovery: &mut PciRecovery) -> SimTime {
-        let before = self.details.enabled().then(|| self.bus.stats());
-        let mut total = SimTime::ZERO;
-        loop {
-            match self.bus.try_read(bytes) {
-                Ok(t) => {
-                    if let Some(before) = before {
-                        let d = self.bus.stats().delta(&before);
-                        self.details.push(DetailEvent::PciBurst {
-                            write: false,
-                            bytes: d.bytes_read,
-                            transactions: d.transactions,
-                        });
-                    }
-                    return total + t;
-                }
-                Err(PciError::TransientAbort { wasted }) => {
-                    recovery.retries += 1;
-                    recovery.wasted += wasted;
-                    total += wasted;
-                }
-            }
-        }
+        let mut results = self.invoke_batch(algo_id, &[input])?;
+        Ok(results.pop().expect("one input yields one result"))
     }
 
     /// Invokes an installed function on several inputs in one batch:
     /// the controller pays the record lookup and any (re)configuration
     /// once for the whole batch (see
     /// [`aaod_mcu::MiniOs::invoke_batch`]), while each input and
-    /// output still crosses the PCI bus individually.
+    /// output still crosses the PCI bus individually. Every transfer
+    /// rides the fallible bus path: an armed transient abort is
+    /// retried until it lands, and an armed slow transfer completes at
+    /// its degraded cost, both charged to that transfer's time. With
+    /// nothing armed the bus behaves exactly as its infallible path.
     ///
     /// # Errors
     ///
-    /// Propagates controller errors.
+    /// Propagates controller errors (PCI aborts never escape: the
+    /// driver always retries them).
     pub fn invoke_batch(
         &mut self,
         algo_id: u16,
@@ -376,13 +272,13 @@ impl CoProcessor {
     ) -> Result<Vec<(Vec<u8>, HostReport)>, CoreError> {
         let mut pci_input_times = Vec::with_capacity(inputs.len());
         for input in inputs {
-            pci_input_times.push(self.traced_write(input.len() as u64));
+            pci_input_times.push(self.transfer(input.len() as u64, Direction::Write));
         }
         let os_results = self.os.invoke_batch(algo_id, inputs)?;
         self.absorb_os_details();
         let mut results = Vec::with_capacity(os_results.len());
         for ((output, os_report), pci_input_time) in os_results.into_iter().zip(pci_input_times) {
-            let pci_output_time = self.traced_read(output.len() as u64);
+            let pci_output_time = self.transfer(output.len() as u64, Direction::Read);
             results.push((
                 output,
                 HostReport {
@@ -681,25 +577,40 @@ mod tests {
     }
 
     #[test]
+    fn invoke_is_a_batch_of_one() {
+        let mut single = CoProcessor::builder().trace(true).build();
+        let mut batched = CoProcessor::builder().trace(true).build();
+        single.install(ids::SHA1).unwrap();
+        batched.install(ids::SHA1).unwrap();
+        assert_eq!(single.take_details(), batched.take_details());
+        // first call misses, second hits
+        for _ in 0..2 {
+            let got = single.invoke(ids::SHA1, b"abc").unwrap();
+            let want = batched.invoke_batch(ids::SHA1, &[b"abc"]).unwrap();
+            assert_eq!(want.len(), 1);
+            assert_eq!(got, want[0]);
+            assert_eq!(single.take_details(), batched.take_details());
+            assert_eq!(single.pci_stats(), batched.pci_stats());
+        }
+        assert_eq!(single.stats(), batched.stats());
+    }
+
+    #[test]
     fn resilient_invoke_retries_armed_pci_faults() {
         let mut cp = CoProcessor::default();
         cp.install(ids::CRC32).unwrap();
         let (clean_out, clean_report) = cp.invoke(ids::CRC32, b"123456789").unwrap();
         cp.bus_mut().arm_transient_faults(1);
-        let (out, report, rec) = cp.invoke_resilient(ids::CRC32, b"123456789").unwrap();
+        let (out, report) = cp.invoke(ids::CRC32, b"123456789").unwrap();
         assert_eq!(out, clean_out);
-        assert_eq!(rec.retries, 1);
-        assert!(rec.wasted > SimTime::ZERO);
         assert_eq!(
             report.pci_input_time,
-            clean_report.pci_input_time + rec.wasted,
-            "aborted attempt's bus time is charged to the transfer"
+            clean_report.pci_input_time * 2,
+            "the aborted attempt's full bus time is charged to the transfer"
         );
-        assert_eq!(cp.bus().armed_faults(), 0);
+        assert_eq!(report.pci_output_time, clean_report.pci_output_time);
         assert_eq!(cp.pci_stats().faulted_transfers, 1);
-        // with nothing armed the resilient path matches the plain one
-        let (_, _, rec) = cp.invoke_resilient(ids::CRC32, b"123456789").unwrap();
-        assert_eq!(rec, PciRecovery::default());
+        assert_eq!(cp.bus().armed_faults(), 0);
     }
 
     #[test]

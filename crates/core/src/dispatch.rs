@@ -12,7 +12,7 @@
 //! front:
 //!
 //! * **run dealing** — consecutive same-algorithm requests are dealt
-//!   as one unit (capped at the engine's `batch_max`), so the miss
+//!   as one unit (capped at the engine's batch cap), so the miss
 //!   batching the workers rely on survives the dispatch: a run stays
 //!   contiguous in its shard's queue and coalesces into one
 //!   `invoke_batch` call;
@@ -50,6 +50,7 @@
 //! calibration depends only on the workload, so the plan stays pure.
 
 use crate::coproc::CoProcessor;
+use crate::engine::BATCH_MAX;
 use aaod_algos::AlgorithmBank;
 use aaod_workload::Workload;
 use std::collections::{BTreeMap, BTreeSet};
@@ -217,7 +218,7 @@ pub(crate) fn estimate(
 }
 
 /// A maximal batchable unit: consecutive same-algorithm requests,
-/// capped at the engine's `batch_max`.
+/// capped at the engine's [`BATCH_MAX`].
 #[derive(Debug, Clone, Copy)]
 struct Run {
     /// Submission index of the first member.
@@ -346,24 +347,54 @@ fn steal_epoch(
     }
 }
 
-/// Computes the dynamic dispatch plan for `workload` over `workers`
-/// shards with a default scratch card. Pure: same (workload, workers,
-/// batch_max) → same plan, bit for bit.
-pub(crate) fn plan(workload: &Workload, workers: usize, batch_max: usize) -> DispatchPlan {
-    plan_with(workload, workers, batch_max, &CoProcessor::default)
+/// Groups `workload` into batchable runs of up to [`BATCH_MAX`]
+/// consecutive same-algorithm requests, each carrying its members'
+/// summed service estimates (memoized per `(algo, len)`). Both
+/// planners deal this one segmentation.
+fn batch_runs(
+    workload: &Workload,
+    bank: &AlgorithmBank,
+    calibrated: &BTreeMap<u16, AlgoCost>,
+) -> Vec<Run> {
+    let mut memo: BTreeMap<(u16, usize), u64> = BTreeMap::new();
+    let mut runs: Vec<Run> = Vec::new();
+    for (i, r) in workload.requests().iter().enumerate() {
+        let cost = *memo
+            .entry((r.algo_id, r.input_len))
+            .or_insert_with(|| estimate(&calibrated[&r.algo_id], bank, r.algo_id, r.input_len));
+        match runs.last_mut() {
+            Some(run) if run.algo_id == r.algo_id && run.len < BATCH_MAX => {
+                run.len += 1;
+                run.cost += cost;
+            }
+            _ => runs.push(Run {
+                start: i,
+                len: 1,
+                algo_id: r.algo_id,
+                cost,
+            }),
+        }
+    }
+    runs
 }
 
 /// Computes the dynamic dispatch plan for `workload` over `workers`
-/// shards, dealing runs of up to `batch_max` same-algorithm requests
+/// shards with a default scratch card. Pure: same (workload, workers)
+/// → same plan, bit for bit.
+#[cfg(test)]
+pub(crate) fn plan(workload: &Workload, workers: usize) -> DispatchPlan {
+    plan_with(workload, workers, &CoProcessor::default)
+}
+
+/// Computes the dynamic dispatch plan for `workload` over `workers`
+/// shards, dealing runs of up to [`BATCH_MAX`] same-algorithm requests
 /// and calibrating costs on a scratch card built by `factory` (the
 /// engine passes its shard factory, so plans track the shards' codec
 /// and frame-store configuration). Pure for any pure factory: same
-/// (workload, workers, batch_max, factory-config) → same plan, bit
-/// for bit.
+/// (workload, workers, factory-config) → same plan, bit for bit.
 pub(crate) fn plan_with(
     workload: &Workload,
     workers: usize,
-    batch_max: usize,
     factory: &(dyn Fn() -> CoProcessor + Send + Sync),
 ) -> DispatchPlan {
     let requests = workload.requests();
@@ -375,34 +406,7 @@ pub(crate) fn plan_with(
         .map(|(&algo, c)| (algo, c.miss_ps))
         .collect();
 
-    // Per-request service estimates, memoized per (algo, len).
-    let mut memo: BTreeMap<(u16, usize), u64> = BTreeMap::new();
-    let costs: Vec<u64> = requests
-        .iter()
-        .map(|r| {
-            *memo
-                .entry((r.algo_id, r.input_len))
-                .or_insert_with(|| estimate(&calibrated[&r.algo_id], &bank, r.algo_id, r.input_len))
-        })
-        .collect();
-
-    // Group into batchable runs.
-    let batch_max = batch_max.max(1);
-    let mut runs: Vec<Run> = Vec::new();
-    for (i, req) in requests.iter().enumerate() {
-        match runs.last_mut() {
-            Some(run) if run.algo_id == req.algo_id && run.len < batch_max => {
-                run.len += 1;
-                run.cost += costs[i];
-            }
-            _ => runs.push(Run {
-                start: i,
-                len: 1,
-                algo_id: req.algo_id,
-                cost: costs[i],
-            }),
-        }
-    }
+    let runs = batch_runs(workload, &bank, &calibrated);
 
     let mut state = PoolState {
         clocks: vec![0; workers],
@@ -430,7 +434,7 @@ pub(crate) fn plan_with(
     let mut window_proxy = vec![0u64; workers];
     // proxy→picosecond conversion: the pool-average service rate
     let total_bytes: u64 = requests.iter().map(|r| r.input_len as u64 + 64).sum();
-    let total_cost: u64 = costs.iter().sum();
+    let total_cost: u64 = runs.iter().map(|r| r.cost).sum();
     let rate = |bytes: u64| -> u64 {
         (bytes as u128 * total_cost as u128 / total_bytes.max(1) as u128) as u64
     };
@@ -514,46 +518,19 @@ pub(crate) fn plan_with(
 /// load spreads without any work stealing or epoch machinery.
 /// Deterministic: bids are integer picoseconds, ties break on the
 /// lowest shard index, and the whole plan is a pure function of
-/// (workload, workers, batch_max, factory-config).
+/// (workload, workers, factory-config).
 pub(crate) fn plan_auction(
     workload: &Workload,
     workers: usize,
-    batch_max: usize,
     factory: &(dyn Fn() -> CoProcessor + Send + Sync),
 ) -> DispatchPlan {
     let requests = workload.requests();
     let n = requests.len();
     let bank = AlgorithmBank::standard();
     let calibrated = calibrate(workload, &bank, factory);
-
-    let mut memo: BTreeMap<(u16, usize), u64> = BTreeMap::new();
-    let costs: Vec<u64> = requests
-        .iter()
-        .map(|r| {
-            *memo
-                .entry((r.algo_id, r.input_len))
-                .or_insert_with(|| estimate(&calibrated[&r.algo_id], &bank, r.algo_id, r.input_len))
-        })
-        .collect();
-
-    // Group into batchable runs (same segmentation as `plan_with`, so
-    // the ablation compares policies, not batch shapes).
-    let batch_max = batch_max.max(1);
-    let mut runs: Vec<Run> = Vec::new();
-    for (i, req) in requests.iter().enumerate() {
-        match runs.last_mut() {
-            Some(run) if run.algo_id == req.algo_id && run.len < batch_max => {
-                run.len += 1;
-                run.cost += costs[i];
-            }
-            _ => runs.push(Run {
-                start: i,
-                len: 1,
-                algo_id: req.algo_id,
-                cost: costs[i],
-            }),
-        }
-    }
+    // same segmentation as `plan_with`, so the ablation compares
+    // policies, not batch shapes
+    let runs = batch_runs(workload, &bank, &calibrated);
 
     let mut clocks = vec![0u64; workers];
     let mut prices = vec![0u64; workers];
@@ -614,8 +591,6 @@ mod tests {
     use super::*;
     use aaod_algos::ids;
 
-    const BATCH: usize = 16;
-
     fn zipf_mix(n: usize, seed: u64) -> Workload {
         let algos = [ids::SHA1, ids::CRC32, ids::CRC8, ids::XTEA];
         Workload::zipf(&algos, n, 1.2, 256, seed)
@@ -624,8 +599,8 @@ mod tests {
     #[test]
     fn plan_is_deterministic() {
         let w = zipf_mix(200, 7);
-        let a = plan(&w, 4, BATCH);
-        let b = plan(&w, 4, BATCH);
+        let a = plan(&w, 4);
+        let b = plan(&w, 4);
         assert_eq!(a.assignment, b.assignment);
         assert_eq!(a.decisions, b.decisions);
         assert_eq!(a.steals, b.steals);
@@ -635,7 +610,7 @@ mod tests {
     #[test]
     fn plan_covers_every_job_exactly_once() {
         let w = zipf_mix(150, 3);
-        let p = plan(&w, 3, BATCH);
+        let p = plan(&w, 3);
         assert_eq!(p.assignment.len(), 150);
         assert_eq!(p.decisions.len(), 150);
         assert!(p.assignment.iter().all(|&s| s < 3));
@@ -646,7 +621,7 @@ mod tests {
     #[test]
     fn steals_chain_deal_to_final_assignment() {
         let w = zipf_mix(300, 11);
-        let p = plan(&w, 4, BATCH);
+        let p = plan(&w, 4);
         // replay: start from the deal target, apply steals in order,
         // land on the final assignment
         let mut shard: Vec<u32> = p.decisions.iter().map(|d| d.shard).collect();
@@ -668,7 +643,7 @@ mod tests {
     #[test]
     fn single_worker_degenerates_to_serial() {
         let w = zipf_mix(64, 5);
-        let p = plan(&w, 1, BATCH);
+        let p = plan(&w, 1);
         assert!(p.assignment.iter().all(|&s| s == 0));
         assert_eq!(p.stats.steals, 0);
     }
@@ -676,7 +651,7 @@ mod tests {
     #[test]
     fn runs_stay_whole_on_one_shard() {
         // every batchable run (consecutive same-algo, capped at
-        // batch_max) must land contiguously on a single shard, or the
+        // BATCH_MAX) must land contiguously on a single shard, or the
         // workers' miss batching silently degrades
         let w = Workload::bursty(
             &[ids::SHA1, ids::CRC32, ids::CRC8, ids::XTEA],
@@ -685,12 +660,12 @@ mod tests {
             64,
             3,
         );
-        let p = plan(&w, 4, BATCH);
+        let p = plan(&w, 4);
         let algos = w.algo_trace();
         let mut run_start = 0;
         for i in 1..=algos.len() {
             let boundary =
-                i == algos.len() || algos[i] != algos[run_start] || i - run_start == BATCH;
+                i == algos.len() || algos[i] != algos[run_start] || i - run_start == BATCH_MAX;
             if boundary {
                 let shard = p.assignment[run_start];
                 assert!(
@@ -705,8 +680,8 @@ mod tests {
     #[test]
     fn auction_plan_is_deterministic_and_covers() {
         let w = zipf_mix(200, 7);
-        let a = plan_auction(&w, 4, BATCH, &CoProcessor::default);
-        let b = plan_auction(&w, 4, BATCH, &CoProcessor::default);
+        let a = plan_auction(&w, 4, &CoProcessor::default);
+        let b = plan_auction(&w, 4, &CoProcessor::default);
         assert_eq!(a.assignment, b.assignment);
         assert_eq!(a.decisions, b.decisions);
         assert_eq!(a.stats, b.stats);
@@ -721,7 +696,7 @@ mod tests {
         // a heavy Zipf stream must not all land on shard 0: the price
         // mechanism has to push work outward
         let w = zipf_mix(400, 13);
-        let p = plan_auction(&w, 4, BATCH, &CoProcessor::default);
+        let p = plan_auction(&w, 4, &CoProcessor::default);
         let mut used: Vec<usize> = p.assignment.clone();
         used.sort_unstable();
         used.dedup();
@@ -733,12 +708,17 @@ mod tests {
         // one algorithm, a stream far cheaper than a reconfiguration:
         // the affinity bonus must not scatter it across cold shards
         let w = Workload::uniform(&[ids::CRC32], 40, 64, 9);
-        let p = plan(&w, 4, BATCH);
+        let p = plan(&w, 4);
         assert!(
             p.assignment.iter().all(|&s| s == p.assignment[0]),
             "cheap uniform stream scattered across cold shards"
         );
         // every deal after the first run rides the affinity bonus
-        assert_eq!(p.stats.affinity_hits as usize, 40 - BATCH, "{:?}", p.stats);
+        assert_eq!(
+            p.stats.affinity_hits as usize,
+            40 - BATCH_MAX,
+            "{:?}",
+            p.stats
+        );
     }
 }

@@ -34,7 +34,7 @@
 //! time:
 //!
 //! * every request arrives at `index × interarrival` and carries a
-//!   deadline per [`DeadlinePolicy`](crate::DeadlinePolicy);
+//!   deadline per [`crate::DeadlinePolicy`];
 //!   admission control sheds jobs whose deadline has already passed,
 //!   and late completions are dropped as deadline-missed;
 //! * the latency faults of [`aaod_sim::FaultPlan`] (configuration
@@ -47,7 +47,7 @@
 //!   traffic after a cool-down.
 //!
 //! Every terminal state is counted in
-//! [`OverloadStats`](crate::OverloadStats), whose
+//! [`crate::OverloadStats`], whose
 //! [`accounted`](crate::OverloadStats::accounted) identity guarantees
 //! no job is silently lost.
 
@@ -122,43 +122,21 @@ impl ShardPolicy {
     }
 
     /// Computes the full dispatch plan: a per-request shard
-    /// assignment plus, for [`ShardPolicy::Dynamic`], the deal/steal
-    /// ledger that produced it. The dynamic planner calibrates its
-    /// cost model on a scratch card built by `factory`, so plans
-    /// track the engine's shard configuration (codec, frame store…).
+    /// assignment plus, for [`ShardPolicy::Dynamic`] and
+    /// [`ShardPolicy::Auction`], the decision ledger that produced it.
+    /// Those planners calibrate their cost model on a scratch card
+    /// built by `factory`, so plans track the engine's shard
+    /// configuration (codec, frame store…). Deterministic.
     fn plan(
         self,
         workload: &Workload,
         workers: usize,
-        batch_max: usize,
         factory: &(dyn Fn() -> CoProcessor + Send + Sync),
     ) -> DispatchPlan {
-        match self {
-            ShardPolicy::Dynamic => dispatch::plan_with(workload, workers, batch_max, factory),
-            ShardPolicy::Auction => dispatch::plan_auction(workload, workers, batch_max, factory),
-            _ => DispatchPlan::from_static(self.assign(workload, workers)),
-        }
-    }
-
-    /// Computes the shard for every request of `workload`,
-    /// deterministically. [`ShardPolicy::Dynamic`] plans with the
-    /// default batch cap; [`Engine::serve`] goes through
-    /// [`ShardPolicy::plan`] with the configured one instead.
-    fn assign(self, workload: &Workload, workers: usize) -> Vec<usize> {
         let requests = workload.requests();
-        match self {
-            ShardPolicy::Dynamic => {
-                dispatch::plan(workload, workers, EngineConfig::default().batch_max).assignment
-            }
-            ShardPolicy::Auction => {
-                dispatch::plan_auction(
-                    workload,
-                    workers,
-                    EngineConfig::default().batch_max,
-                    &|| CoProcessor::builder().build(),
-                )
-                .assignment
-            }
+        let assignment = match self {
+            ShardPolicy::Dynamic => return dispatch::plan_with(workload, workers, factory),
+            ShardPolicy::Auction => return dispatch::plan_auction(workload, workers, factory),
             ShardPolicy::AlgoModulo => requests
                 .iter()
                 .map(|r| r.algo_id as usize % workers)
@@ -200,19 +178,24 @@ impl ShardPolicy {
                     })
                     .collect()
             }
-        }
+        };
+        DispatchPlan::from_static(assignment)
     }
 }
+
+/// Bound of each shard's job queue (requests).
+const QUEUE_DEPTH: usize = 64;
+
+/// Longest same-algorithm run one `invoke_batch` call may absorb. The
+/// producer segments each shard's stream at this cap, and the dynamic
+/// and auction planners deal runs of the same shape.
+pub(crate) const BATCH_MAX: usize = 16;
 
 /// Engine tuning parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
     /// Shards (worker threads, each with its own co-processor).
     pub workers: usize,
-    /// Bound of each shard's job queue (requests).
-    pub queue_depth: usize,
-    /// Longest same-algorithm run one `invoke_batch` call may absorb.
-    pub batch_max: usize,
     /// Check every output against the golden software model.
     pub verify: bool,
     /// Keep the output bytes (disable for pure timing sweeps).
@@ -220,8 +203,8 @@ pub struct EngineConfig {
     /// Request partitioning policy.
     pub shard: ShardPolicy,
     /// Deterministic fault injection + recovery policy. `None` (the
-    /// default) serves fault-free with exactly the legacy behaviour:
-    /// the first shard error aborts the run.
+    /// default) is the zero-rate plan: nothing is injected, and the
+    /// first shard error aborts the run.
     pub faults: Option<FaultConfig>,
     /// Deadline, admission-control, watchdog and breaker layer.
     /// `None` (the default) keeps the legacy closed-loop behaviour:
@@ -247,8 +230,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             workers: 4,
-            queue_depth: 64,
-            batch_max: 16,
             verify: false,
             collect_outputs: true,
             shard: ShardPolicy::AlgoModulo,
@@ -510,6 +491,140 @@ struct JobResult {
     sojourn: Option<SimTime>,
 }
 
+impl JobResult {
+    /// A job that ended in `error`, with no output.
+    fn dropped(index: usize, error: JobError) -> Self {
+        JobResult {
+            index,
+            output: Vec::new(),
+            hit: false,
+            time: SimTime::ZERO,
+            error: Some(error),
+            sojourn: None,
+        }
+    }
+}
+
+/// Every job's result reassembled in submission order: the per-index
+/// vectors plus one map per terminal error kind.
+struct Assembly {
+    outputs: Option<Vec<Vec<u8>>>,
+    per_request_hit: Vec<bool>,
+    times: Vec<SimTime>,
+    sojourn: TimeAccumulator,
+    failed: BTreeMap<usize, JobError>,
+    shed: BTreeMap<usize, JobError>,
+    deadline_missed: BTreeMap<usize, JobError>,
+}
+
+impl Assembly {
+    fn new(n: usize, collect: bool) -> Self {
+        Assembly {
+            outputs: collect.then(|| vec![Vec::new(); n]),
+            per_request_hit: vec![false; n],
+            times: vec![SimTime::ZERO; n],
+            sojourn: TimeAccumulator::new(),
+            failed: BTreeMap::new(),
+            shed: BTreeMap::new(),
+            deadline_missed: BTreeMap::new(),
+        }
+    }
+
+    /// Files one job's result under its terminal state.
+    fn land(&mut self, r: JobResult) {
+        self.per_request_hit[r.index] = r.hit;
+        self.times[r.index] = r.time;
+        if let Some(t) = r.sojourn {
+            self.sojourn.push(t);
+        }
+        match r.error {
+            Some(e @ JobError::Shed { .. }) => {
+                self.shed.insert(r.index, e);
+            }
+            Some(e @ JobError::DeadlineExceeded { .. }) => {
+                self.deadline_missed.insert(r.index, e);
+            }
+            Some(e) => {
+                self.failed.insert(r.index, e);
+            }
+            None => {
+                if let Some(outs) = self.outputs.as_mut() {
+                    outs[r.index] = r.output;
+                }
+            }
+        }
+    }
+}
+
+/// Decides a served job's terminal state: the one classifier every
+/// served job goes through, whether a shard, the redistribution pass
+/// or the rescue pass served it. A job that carries a deadline
+/// (overload mode) and finished past it is deadline-exceeded, and its
+/// output is dropped unverified. Every other job completes: its output
+/// is verified and kept when collecting, and an overload-mode job
+/// records its arrival-to-finish sojourn. Without the overload layer
+/// no job carries a deadline, so every served job completes.
+fn complete(
+    job: &Job,
+    output: Vec<u8>,
+    hit: bool,
+    time: SimTime,
+    finish: SimTime,
+    golden: Option<&aaod_algos::AlgorithmBank>,
+    collect: bool,
+) -> Result<JobResult, CoreError> {
+    if let Some(deadline) = job.deadline.filter(|&d| finish > d) {
+        let error = JobError::DeadlineExceeded {
+            algo_id: job.algo_id,
+            deadline,
+            finished: finish,
+        };
+        return Ok(JobResult {
+            hit,
+            time,
+            ..JobResult::dropped(job.index, error)
+        });
+    }
+    if let Some(golden) = golden {
+        let expected = golden
+            .execute_software(job.algo_id, &job.input)
+            .map_err(CoreError::Algo)?;
+        if output != expected {
+            return Err(CoreError::OutputMismatch {
+                algo_id: job.algo_id,
+                index: job.index,
+            });
+        }
+    }
+    Ok(JobResult {
+        index: job.index,
+        output: if collect { output } else { Vec::new() },
+        hit,
+        time,
+        error: None,
+        sojourn: job.deadline.map(|_| finish - job.arrival),
+    })
+}
+
+/// A landed served job's terminal state, as the trace names it.
+fn job_outcome(r: &JobResult) -> JobOutcome {
+    match r.error {
+        None => JobOutcome::Completed,
+        Some(JobError::DeadlineExceeded { .. }) => JobOutcome::DeadlineMissed,
+        Some(_) => JobOutcome::Faulted,
+    }
+}
+
+/// Counts a served overload-mode job under its terminal state.
+fn tally(stats: &mut OverloadStats, r: &JobResult) {
+    match job_outcome(r) {
+        JobOutcome::Completed => stats.completed += 1,
+        JobOutcome::DeadlineMissed => stats.deadline_missed += 1,
+        JobOutcome::Faulted => stats.faulted += 1,
+    }
+}
+
+#[derive(Default)]
 struct WorkerOutcome {
     results: Vec<JobResult>,
     busy: SimTime,
@@ -538,26 +653,9 @@ struct WorkerOutcome {
     trace: Option<TraceShard>,
 }
 
-impl WorkerOutcome {
-    fn empty() -> Self {
-        WorkerOutcome {
-            results: Vec::new(),
-            busy: SimTime::ZERO,
-            stats: OsStats::default(),
-            batches: 0,
-            coalesced: 0,
-            faults: FaultStats::default(),
-            recovery_latency: TimeAccumulator::new(),
-            overload: OverloadStats::default(),
-            rejected: Vec::new(),
-            finish: SimTime::ZERO,
-            breaker_timeline: Vec::new(),
-            breaker_open: false,
-            cp: None,
-            trace: None,
-        }
-    }
-}
+/// The fault sites that live in the fabric's configuration frames: a
+/// scrub repairs them, and a reset or eviction erases them.
+const FRAME_SITES: [FaultSite; 2] = [FaultSite::FrameBitFlip, FaultSite::TornConfig];
 
 /// Maps a corruption-fault site to its trace kind.
 fn fault_kind(site: FaultSite) -> FaultKind {
@@ -721,33 +819,25 @@ impl Engine {
                 trace: (self.config.trace.level != TraceLevel::Off).then(TraceReport::default),
             });
         }
-        let plan = self.config.shard.plan(
-            workload,
-            workers,
-            self.config.batch_max.max(1),
-            &self.factory,
-        );
+        let plan = self.config.shard.plan(workload, workers, &self.factory);
         let assignment = &plan.assignment;
         let mut shard_algos: Vec<BTreeSet<u16>> = vec![BTreeSet::new(); workers];
         for (req, &shard) in requests.iter().zip(assignment) {
             shard_algos[shard].insert(req.algo_id);
         }
-        let queue_depth = self.config.queue_depth.max(1);
-        let batch_max = self.config.batch_max.max(1);
         let verify = self.config.verify;
         let collect = self.config.collect_outputs;
         let overload = self.config.overload;
         if let Some(oc) = &overload {
             oc.validate();
         }
-        // The latency faults of the plan only fire through the
-        // overload layer; a run with overload but no fault plan gets a
-        // zero-rate plan so the machinery still has a schedule to
-        // consult (it decides "no fault" for every index).
-        let faults = match (self.config.faults, overload) {
-            (None, Some(_)) => Some(FaultConfig::new(FaultPlan::new(0, FaultRates::ZERO))),
-            (f, _) => f,
-        };
+        // A fault-free run is a zero-rate plan: every shard drives the
+        // same serving path, and the plan decides "no fault" for every
+        // index.
+        let faults = self
+            .config
+            .faults
+            .unwrap_or_else(|| FaultConfig::new(FaultPlan::new(0, FaultRates::ZERO)));
         let deadline_budget = match overload {
             None => None,
             Some(oc) => Some(self.resolve_deadline_budget(workload, oc)?),
@@ -774,12 +864,24 @@ impl Engine {
         let predict = self.config.predict;
         let mut producer_tracer = Tracer::new(trace_cfg, PRODUCER_SHARD);
         let queues: Vec<BoundedQueue> = (0..workers)
-            .map(|_| BoundedQueue::new(queue_depth))
+            .map(|_| BoundedQueue::new(QUEUE_DEPTH))
             .collect();
         // Per-tenant hard quotas are enforced at submission: a request
         // past its tenant's quota is dropped by the producer without
         // ever being enqueued. `(index, tenant, quota)` of each drop.
         let mut quota_drops: Vec<(usize, u16, u64)> = Vec::new();
+        // Request `i` as a job: at submission, and again for a rescue.
+        let job_at = |i: usize| {
+            let arrival = overload.map_or(SimTime::ZERO, |oc| arrival_time(&oc, workload, i));
+            Job {
+                index: i,
+                algo_id: requests[i].algo_id,
+                input: workload.input(i),
+                arrival,
+                deadline: deadline_budget.map(|b| arrival + b),
+                tenant: workload.tenant_of(i),
+            }
+        };
 
         let outcomes: Vec<Result<WorkerOutcome, CoreError>> = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(workers);
@@ -803,7 +905,7 @@ impl Engine {
             }
             // This thread is the producer: walk the stream in
             // submission order, segmenting each shard's consecutive
-            // same-algorithm run into a batch (capped at batch_max)
+            // same-algorithm run into a batch (capped at BATCH_MAX)
             // and pushing whole batches, blocking whenever a shard's
             // queue is full. Segmenting here — from the full stream,
             // not the consumer's racy view of its queue — keeps batch
@@ -835,10 +937,11 @@ impl Engine {
                 }
                 let shard = assignment[i];
                 let run = &mut pending[shard];
-                if !run.is_empty() && (run[0].algo_id != req.algo_id || run.len() >= batch_max) {
+                if !run.is_empty() && (run[0].algo_id != req.algo_id || run.len() >= BATCH_MAX) {
                     queues[shard].push(std::mem::take(run));
                 }
-                let arrival = overload.map_or(SimTime::ZERO, |oc| arrival_time(&oc, workload, i));
+                let job = job_at(i);
+                let arrival = job.arrival;
                 if emit_plan {
                     while steal_cursor < plan.steals.len()
                         && plan.steals[steal_cursor].at_index <= i
@@ -874,14 +977,7 @@ impl Engine {
                         to: shard as u32,
                     },
                 );
-                run.push(Job {
-                    index: i,
-                    algo_id: req.algo_id,
-                    input: workload.input(i),
-                    arrival,
-                    deadline: deadline_budget.map(|b| arrival + b),
-                    tenant,
-                });
+                run.push(job);
             }
             if emit_plan {
                 // the final drain epoch's steals trigger past the last
@@ -915,21 +1011,15 @@ impl Engine {
                 .collect()
         });
 
-        let mut outputs = collect.then(|| vec![Vec::new(); n]);
-        let mut per_request_hit = vec![false; n];
-        let mut times = vec![SimTime::ZERO; n];
+        let mut results = Assembly::new(n, collect);
         let mut shard_busy = Vec::with_capacity(workers);
         let mut stats = OsStats::default();
         let mut batches = 0u64;
         let mut coalesced = 0u64;
-        let mut failed: BTreeMap<usize, JobError> = BTreeMap::new();
-        let mut shed: BTreeMap<usize, JobError> = BTreeMap::new();
-        let mut deadline_missed: BTreeMap<usize, JobError> = BTreeMap::new();
         let mut quota_exceeded: BTreeMap<usize, JobError> = BTreeMap::new();
         let mut fault_stats = FaultStats::default();
         let mut overload_stats = OverloadStats::default();
         let mut recovery_latency = TimeAccumulator::new();
-        let mut sojourn = TimeAccumulator::new();
         let mut shard_health = Vec::new();
         let mut shard_finish = Vec::with_capacity(workers);
         let mut shard_cp: Vec<Option<CoProcessor>> = Vec::with_capacity(workers);
@@ -956,27 +1046,7 @@ impl Engine {
             }
             rejected.extend(outcome.rejected);
             for r in outcome.results {
-                per_request_hit[r.index] = r.hit;
-                times[r.index] = r.time;
-                if let Some(t) = r.sojourn {
-                    sojourn.push(t);
-                }
-                match r.error {
-                    Some(e @ JobError::Shed { .. }) => {
-                        shed.insert(r.index, e);
-                    }
-                    Some(e @ JobError::DeadlineExceeded { .. }) => {
-                        deadline_missed.insert(r.index, e);
-                    }
-                    Some(e) => {
-                        failed.insert(r.index, e);
-                    }
-                    None => {
-                        if let Some(outs) = outputs.as_mut() {
-                            outs[r.index] = r.output;
-                        }
-                    }
-                }
+                results.land(r);
             }
         }
         // Quota drops happened at the producer, before any shard saw
@@ -1013,28 +1083,9 @@ impl Engine {
                 let target = (0..workers)
                     .filter(|&s| !shard_open[s] && shard_cp[s].is_some())
                     .min_by_key(|&s| (shard_finish[s], s));
-                let Some(s) = target else {
-                    overload_stats.shed += 1;
-                    engine_tracer.record(
-                        makespan,
-                        EventKind::Shed {
-                            job: job.index as u64,
-                            algo: job.algo_id,
-                        },
-                    );
-                    shed.insert(
-                        job.index,
-                        JobError::Shed {
-                            algo_id: job.algo_id,
-                            deadline: job.deadline.unwrap_or(SimTime::ZERO),
-                            decided_at: makespan,
-                        },
-                    );
-                    continue;
-                };
-                let now = shard_finish[s].max(job.arrival);
+                let now = target.map_or(makespan, |s| shard_finish[s].max(job.arrival));
                 let deadline = job.deadline.unwrap_or(SimTime::ZERO);
-                if deadline <= now {
+                let Some(s) = target.filter(|_| deadline > now) else {
                     overload_stats.shed += 1;
                     engine_tracer.record(
                         now,
@@ -1043,16 +1094,16 @@ impl Engine {
                             algo: job.algo_id,
                         },
                     );
-                    shed.insert(
+                    results.land(JobResult::dropped(
                         job.index,
                         JobError::Shed {
                             algo_id: job.algo_id,
                             deadline,
                             decided_at: now,
                         },
-                    );
+                    ));
                     continue;
-                }
+                };
                 let cp = shard_cp[s].as_mut().expect("candidate shard has a card");
                 if !shard_algos[s].contains(&job.algo_id) {
                     // the healthy shard never hosted this function:
@@ -1060,13 +1111,10 @@ impl Engine {
                     cp.install(job.algo_id)?;
                     shard_algos[s].insert(job.algo_id);
                 }
-                match cp.invoke(job.algo_id, &job.input) {
+                let r = match cp.invoke(job.algo_id, &job.input) {
                     Ok((output, report)) => {
                         let t = report.total();
-                        let finish = now + t;
-                        shard_finish[s] = finish;
-                        times[job.index] = t;
-                        per_request_hit[job.index] = report.hit();
+                        shard_finish[s] = now + t;
                         overload_stats.redistributed += 1;
                         if engine_tracer.enabled() {
                             cp.take_details_into(&mut details_buf);
@@ -1080,45 +1128,24 @@ impl Engine {
                                 },
                             );
                         }
-                        if finish > deadline {
-                            overload_stats.deadline_missed += 1;
-                            deadline_missed.insert(
-                                job.index,
-                                JobError::DeadlineExceeded {
-                                    algo_id: job.algo_id,
-                                    deadline,
-                                    finished: finish,
-                                },
-                            );
-                        } else {
-                            verify_output(
-                                golden.as_ref(),
-                                job.algo_id,
-                                job.index,
-                                &job.input,
-                                &output,
-                            )?;
-                            overload_stats.completed += 1;
-                            sojourn.push(finish - job.arrival);
-                            if let Some(outs) = outputs.as_mut() {
-                                outs[job.index] = output;
-                            }
-                        }
+                        let hit = report.hit();
+                        complete(&job, output, hit, t, now + t, golden.as_ref(), collect)?
                     }
                     Err(CoreError::Mcu(detail)) => {
-                        overload_stats.faulted += 1;
                         fault_stats.failed_jobs += 1;
-                        failed.insert(
+                        JobResult::dropped(
                             job.index,
                             JobError::Faulted {
                                 algo_id: job.algo_id,
                                 attempts: 0,
                                 detail: detail.to_string(),
                             },
-                        );
+                        )
                     }
                     Err(other) => return Err(other),
-                }
+                };
+                tally(&mut overload_stats, &r);
+                results.land(r);
             }
             // After redistribution every card is done: merge their
             // controller stats (deferred to here so redistributed
@@ -1129,75 +1156,86 @@ impl Engine {
             }
             makespan = shard_finish.iter().copied().fold(makespan, |a, b| a.max(b));
         }
-        if let Some(fc) = faults {
-            if fc.requeue && !failed.is_empty() {
-                // Rescue pass: re-serve degraded jobs on a fresh spare
-                // card once the pool has drained; the spare runs after
-                // the pool, so its busy time extends the makespan
-                // serially. In overload mode the rescue clock starts
-                // at the makespan, and a job whose deadline already
-                // passed is not rescued — re-serving it could not
-                // produce a useful output.
-                let mut spare = (self.factory)();
-                if engine_tracer.enabled() {
-                    spare.set_trace(true);
+        if faults.requeue && !results.failed.is_empty() {
+            // Rescue pass: re-serve degraded jobs on a fresh spare card
+            // once the pool has drained; the spare runs after the
+            // pool, so its busy time extends the makespan serially. In
+            // overload mode the rescue clock starts at the makespan: a
+            // job whose deadline already passed is not rescued, and
+            // one that finishes past it is deadline-missed.
+            let mut spare = (self.factory)();
+            if engine_tracer.enabled() {
+                spare.set_trace(true);
+            }
+            let rescue_algos: BTreeSet<u16> =
+                results.failed.values().map(|e| e.algo_id()).collect();
+            for &algo in &rescue_algos {
+                spare.install(algo)?;
+            }
+            if engine_tracer.enabled() {
+                // spare bring-up is stamped at the rescue start
+                spare.take_details_into(&mut details_buf);
+                engine_tracer.details(makespan, &details_buf);
+            }
+            let golden = verify.then(aaod_algos::AlgorithmBank::standard);
+            let mut rescue_busy = SimTime::ZERO;
+            let indices: Vec<usize> = results.failed.keys().copied().collect();
+            for index in indices {
+                let job = job_at(index);
+                let cursor = makespan + rescue_busy;
+                if job.deadline.is_some_and(|d| d <= cursor) {
+                    continue; // stays failed: no budget left
                 }
-                let rescue_algos: BTreeSet<u16> = failed.values().map(|e| e.algo_id()).collect();
-                for &algo in &rescue_algos {
-                    spare.install(algo)?;
-                }
+                let Ok((output, report)) = spare.invoke(job.algo_id, &job.input) else {
+                    continue; // stays degraded
+                };
+                let t = report.total();
+                rescue_busy += t;
+                let r = complete(
+                    &job,
+                    output,
+                    report.hit(),
+                    results.times[index] + t,
+                    cursor + t,
+                    golden.as_ref(),
+                    collect,
+                )?;
+                let rescued = r.error.is_none();
                 if engine_tracer.enabled() {
-                    // spare bring-up is stamped at the rescue start
                     spare.take_details_into(&mut details_buf);
-                    engine_tracer.details(makespan, &details_buf);
-                }
-                let golden = verify.then(aaod_algos::AlgorithmBank::standard);
-                let mut rescue_busy = SimTime::ZERO;
-                let indices: Vec<usize> = failed.keys().copied().collect();
-                for index in indices {
-                    if let Some(budget) = deadline_budget {
-                        let oc = overload.expect("budget implies overload");
-                        let deadline = arrival_time(&oc, workload, index) + budget;
-                        if deadline <= makespan + rescue_busy {
-                            continue; // stays failed: no budget left
-                        }
-                    }
-                    let input = workload.input(index);
-                    let algo_id = requests[index].algo_id;
-                    let Ok((output, report)) = spare.invoke(algo_id, &input) else {
-                        continue; // stays degraded
-                    };
-                    verify_output(golden.as_ref(), algo_id, index, &input, &output)?;
-                    if engine_tracer.enabled() {
-                        let cursor = makespan + rescue_busy;
-                        spare.take_details_into(&mut details_buf);
-                        engine_tracer.details(cursor, &details_buf);
+                    engine_tracer.details(cursor, &details_buf);
+                    if rescued {
                         engine_tracer.record(
                             cursor,
                             EventKind::Requeued {
                                 job: index as u64,
-                                algo: algo_id,
+                                algo: job.algo_id,
                             },
                         );
                     }
-                    failed.remove(&index);
-                    fault_stats.requeues += 1;
-                    if overload.is_some() {
-                        overload_stats.faulted -= 1;
-                        overload_stats.completed += 1;
-                    }
-                    per_request_hit[index] = report.hit();
-                    let t = report.total();
-                    times[index] += t;
-                    rescue_busy += t;
-                    if let Some(outs) = outputs.as_mut() {
-                        outs[index] = output;
-                    }
                 }
-                stats.merge(&spare.stats());
-                makespan += rescue_busy;
+                if rescued {
+                    fault_stats.requeues += 1;
+                }
+                if overload.is_some() {
+                    overload_stats.faulted -= 1;
+                    tally(&mut overload_stats, &r);
+                }
+                results.failed.remove(&index);
+                results.land(r);
             }
+            stats.merge(&spare.stats());
+            makespan += rescue_busy;
         }
+        let Assembly {
+            outputs,
+            per_request_hit,
+            times,
+            sojourn,
+            failed,
+            shed,
+            deadline_missed,
+        } = results;
         let mut latency = TimeAccumulator::new();
         let mut total_service_time = SimTime::ZERO;
         for (i, &t) in times.iter().enumerate() {
@@ -1338,46 +1376,37 @@ fn worker_loop(
     algos: &BTreeSet<u16>,
     verify: bool,
     collect: bool,
-    faults: Option<FaultConfig>,
+    faults: FaultConfig,
     overload: Option<OverloadConfig>,
     fairness: Option<&FairnessShare>,
     shard: u32,
     trace: TraceConfig,
     predict: Option<crate::predict::PredictConfig>,
 ) -> Result<WorkerOutcome, CoreError> {
-    let mut cp = factory();
     let mut predictor = predict.map(|p| crate::predict::PredictModel::new(p.ewma_shift));
-    let mut tracer = Tracer::new(trace, shard);
-    if tracer.enabled() {
-        cp.set_trace(true);
-    }
+    let mut driver = ShardDriver::new(
+        factory(),
+        Tracer::new(trace, shard),
+        faults,
+        overload,
+        fairness,
+        verify,
+        collect,
+    );
     for &algo in algos {
-        cp.install(algo)?;
+        driver.cp.install(algo)?;
     }
-    // one details buffer for the whole loop: the per-batch drain
-    // reuses its capacity instead of churning a fresh Vec per batch
-    let mut details_buf: Vec<aaod_sim::DetailEvent> = Vec::new();
-    if tracer.enabled() {
-        // bring-up details (install-time ROM fetches, decompression,
-        // port writes) are stamped at time zero: install is not
-        // serving time
-        cp.take_details_into(&mut details_buf);
-        tracer.details(SimTime::ZERO, &details_buf);
-    }
-    let golden = verify.then(aaod_algos::AlgorithmBank::standard);
-    let mut outcome = WorkerOutcome::empty();
-    let mut chaos = faults.map(|fc| FaultWorker::new(fc, overload, fairness));
+    // bring-up details (install-time ROM fetches, decompression, port
+    // writes) are stamped at time zero: install is not serving time
+    driver.flush_details(SimTime::ZERO);
     while let Some(batch) = queue.pop_batch() {
         let algo_id = batch[0].algo_id;
-        outcome.batches += 1;
-        outcome.coalesced += batch.len() as u64 - 1;
-        if tracer.enabled() {
-            let ts = chaos
-                .as_ref()
-                .and_then(|c| c.overload.as_ref())
-                .map_or(outcome.busy, |ov| ov.clock);
+        driver.outcome.batches += 1;
+        driver.outcome.coalesced += batch.len() as u64 - 1;
+        if driver.tracer.enabled() {
+            let ts = driver.clock();
             for job in &batch {
-                tracer.record(
+                driver.tracer.record(
                     ts,
                     EventKind::Dequeue {
                         job: job.index as u64,
@@ -1386,53 +1415,11 @@ fn worker_loop(
                 );
             }
         }
-        match &mut chaos {
-            None => {
-                let batch_start = outcome.busy;
-                let inputs: Vec<&[u8]> = batch.iter().map(|j| j.input.as_slice()).collect();
-                let served = cp.invoke_batch(algo_id, &inputs)?;
-                if tracer.enabled() {
-                    cp.take_details_into(&mut details_buf);
-                    tracer.details(batch_start, &details_buf);
-                }
-                let mut cursor = batch_start;
-                for (job, (output, report)) in batch.iter().zip(served) {
-                    verify_output(golden.as_ref(), algo_id, job.index, &job.input, &output)?;
-                    let time = report.total();
-                    outcome.busy += time;
-                    if tracer.enabled() {
-                        cursor = trace_clean_job(&mut tracer, cursor, job.index, algo_id, &report);
-                    }
-                    outcome.results.push(JobResult {
-                        index: job.index,
-                        output: if collect { output } else { Vec::new() },
-                        hit: report.hit(),
-                        time,
-                        error: None,
-                        sojourn: None,
-                    });
-                }
-            }
-            Some(chaos) => {
-                chaos.serve_batch(
-                    &mut cp,
-                    batch,
-                    golden.as_ref(),
-                    collect,
-                    &mut outcome,
-                    &mut tracer,
-                )?;
-                if tracer.enabled() {
-                    // the fault machinery interleaves serving and
-                    // recovery, so per-stage attribution is not
-                    // available: details are stamped at the shard's
-                    // clock after the batch
-                    let ts = chaos.overload.as_ref().map_or(outcome.busy, |ov| ov.clock);
-                    cp.take_details_into(&mut details_buf);
-                    tracer.details(ts, &details_buf);
-                }
-            }
-        }
+        driver.serve_batch(batch)?;
+        // the fault machinery interleaves serving and recovery, so
+        // per-stage attribution is not available: what the batch left
+        // buffered is stamped at the shard's clock after it
+        driver.flush_details(driver.clock());
         // Online prefetch: feed the shard's (deterministic) batch
         // sequence into the model and pre-configure the predicted
         // next algorithm in the idle window after the batch. The
@@ -1443,14 +1430,12 @@ fn worker_loop(
             model.observe(algo_id);
             if let Some(next) = model.predict() {
                 if next != algo_id {
-                    let before = cp.stats().prefetches;
-                    cp.prefetch_hint(next);
-                    if tracer.enabled() && cp.stats().prefetches > before {
-                        let ts = chaos
-                            .as_ref()
-                            .and_then(|c| c.overload.as_ref())
-                            .map_or(outcome.busy, |ov| ov.clock);
-                        tracer.record(ts, EventKind::Prefetch { algo: next, shard });
+                    let before = driver.cp.stats().prefetches;
+                    driver.cp.prefetch_hint(next);
+                    if driver.tracer.enabled() && driver.cp.stats().prefetches > before {
+                        driver
+                            .tracer
+                            .record(driver.clock(), EventKind::Prefetch { algo: next, shard });
                     }
                 }
             }
@@ -1459,68 +1444,15 @@ fn worker_loop(
     // A prefetch fired after the final batch leaves its details
     // (evictions, cache outcomes, port writes) buffered; drain them so
     // the trace's eviction count stays in lock-step with the ledger.
-    if predictor.is_some() && tracer.enabled() {
-        cp.take_details_into(&mut details_buf);
-        tracer.details(outcome.busy, &details_buf);
+    if predictor.is_some() {
+        driver.flush_details(driver.outcome.busy);
     }
-    if let Some(chaos) = &mut chaos {
-        chaos.drain(&mut cp, &mut outcome, &mut tracer)?;
-        if tracer.enabled() {
-            let ts = chaos
-                .overload
-                .as_ref()
-                .map_or(outcome.busy, |ov| ov.clock.max(outcome.busy));
-            cp.take_details_into(&mut details_buf);
-            tracer.details(ts, &details_buf);
-        }
-        outcome.faults = chaos.stats;
-        outcome.recovery_latency = std::mem::take(&mut chaos.recovery_latency);
-    }
-    match chaos.and_then(|c| c.overload) {
-        Some(ov) => {
-            // Overload mode: the card travels back to the engine so
-            // redistribution can re-serve bounced jobs on it, and its
-            // controller stats are merged there (exactly once). Here
-            // we only carry what watchdog resets zeroed away, plus
-            // the breaker's final tallies.
-            outcome.overload = ov.stats;
-            outcome.overload.breaker_trips = ov.breaker.trips();
-            outcome.overload.breaker_rejections = ov.breaker.rejections();
-            outcome.overload.probes = ov.breaker.probes();
-            outcome.finish = ov.clock;
-            outcome.breaker_open = ov.breaker.is_open();
-            outcome.breaker_timeline = ov.breaker.timeline().to_vec();
-            outcome.stats = ov.lost_stats;
-            outcome.cp = Some(cp);
-        }
-        None => outcome.stats = cp.stats(),
-    }
-    if trace.level != TraceLevel::Off {
-        outcome.trace = Some(tracer.finish());
-    }
-    Ok(outcome)
+    driver.drain()?;
+    driver.flush_details(driver.clock().max(driver.outcome.busy));
+    Ok(driver.finish())
 }
 
-fn verify_output(
-    golden: Option<&aaod_algos::AlgorithmBank>,
-    algo_id: u16,
-    index: usize,
-    input: &[u8],
-    output: &[u8],
-) -> Result<(), CoreError> {
-    let Some(golden) = golden else {
-        return Ok(());
-    };
-    let expected = golden
-        .execute_software(algo_id, input)
-        .map_err(CoreError::Algo)?;
-    if output != expected.as_slice() {
-        return Err(CoreError::OutputMismatch { algo_id, index });
-    }
-    Ok(())
-}
-
-/// The overload-layer half of a shard's chaos driver: its modelled
+/// The overload-layer half of a shard's driver: its modelled
 /// clock (service plus idle gaps waiting for arrivals), breaker,
 /// counters, and the controller stats that watchdog resets zeroed.
 struct OverloadState {
@@ -1585,12 +1517,26 @@ enum Admission {
     Bounce,
 }
 
-/// Per-shard chaos driver: activates the faults the plan schedules,
-/// detects corruption at the next use of the faulted function, and
-/// runs the backoff→repair→retry recovery loop, all in modelled time.
-/// With the overload layer on it additionally runs admission control,
-/// the breaker, latency-fault injection and the watchdog.
-struct FaultWorker {
+/// Per-shard driver, the one serving path of every shard. It owns the
+/// shard's card, trace stream and results. It serves each maximal
+/// fault-free run as one batch, activates the faults the plan
+/// schedules, detects corruption at the next use of the faulted
+/// function, and runs the backoff→repair→retry recovery loop, all in
+/// modelled time. A fault-free run is a zero-rate plan. With the
+/// overload layer on it additionally runs admission control, the
+/// breaker, latency-fault injection and the watchdog.
+struct ShardDriver {
+    cp: CoProcessor,
+    tracer: Tracer,
+    /// The shard's results so far.
+    outcome: WorkerOutcome,
+    /// Golden software model when verifying outputs.
+    golden: Option<aaod_algos::AlgorithmBank>,
+    /// Keep output bytes.
+    collect: bool,
+    /// Detail drain buffer, reused across drains instead of a fresh
+    /// `Vec` each time.
+    details: Vec<aaod_sim::DetailEvent>,
     cfg: FaultConfig,
     /// Latent (activated, not yet detected) fault per function.
     outstanding: BTreeMap<u16, FaultSite>,
@@ -1598,27 +1544,36 @@ struct FaultWorker {
     /// corruption persists, so later jobs degrade without burning
     /// more retries.
     poisoned: BTreeSet<u16>,
-    stats: FaultStats,
-    recovery_latency: TimeAccumulator,
-    /// Overload layer; `None` keeps the pure corruption behaviour.
+    /// Overload layer; `None` keeps the closed-loop behaviour.
     overload: Option<OverloadState>,
     /// Breaker timeline entries already emitted to the trace (the
     /// initial closed state is never an event).
     breaker_emitted: usize,
 }
 
-impl FaultWorker {
+impl ShardDriver {
     fn new(
+        mut cp: CoProcessor,
+        tracer: Tracer,
         cfg: FaultConfig,
         overload: Option<OverloadConfig>,
         fairness: Option<&FairnessShare>,
+        verify: bool,
+        collect: bool,
     ) -> Self {
-        FaultWorker {
+        if tracer.enabled() {
+            cp.set_trace(true);
+        }
+        ShardDriver {
+            cp,
+            tracer,
+            outcome: WorkerOutcome::default(),
+            golden: verify.then(aaod_algos::AlgorithmBank::standard),
+            collect,
+            details: Vec::new(),
             cfg,
             outstanding: BTreeMap::new(),
             poisoned: BTreeSet::new(),
-            stats: FaultStats::default(),
-            recovery_latency: TimeAccumulator::new(),
             overload: overload.map(|oc| OverloadState {
                 cfg: oc,
                 clock: SimTime::ZERO,
@@ -1635,36 +1590,84 @@ impl FaultWorker {
         }
     }
 
+    /// The shard's modelled clock: the overload layer's wall clock
+    /// (service plus idle gaps waiting for arrivals), or the
+    /// cumulative busy time of a closed-loop shard. A job starts at
+    /// `clock().max(arrival)`; closed-loop arrivals are all zero.
+    fn clock(&self) -> SimTime {
+        self.overload
+            .as_ref()
+            .map_or(self.outcome.busy, |ov| ov.clock)
+    }
+
+    /// Moves the card's buffered details into the trace, stamped at
+    /// `ts`.
+    fn flush_details(&mut self, ts: SimTime) {
+        if self.tracer.enabled() {
+            self.cp.take_details_into(&mut self.details);
+            self.tracer.details(ts, &self.details);
+        }
+    }
+
+    /// Hands the shard's results back to the engine.
+    fn finish(self) -> WorkerOutcome {
+        let mut outcome = self.outcome;
+        match self.overload {
+            Some(ov) => {
+                // Overload mode: the card travels back to the engine
+                // so redistribution can re-serve bounced jobs on it,
+                // and its controller stats are merged there (exactly
+                // once). Here we only carry what watchdog resets
+                // zeroed away, plus the breaker's final tallies.
+                outcome.overload = ov.stats;
+                outcome.overload.breaker_trips = ov.breaker.trips();
+                outcome.overload.breaker_rejections = ov.breaker.rejections();
+                outcome.overload.probes = ov.breaker.probes();
+                outcome.finish = ov.clock;
+                outcome.breaker_open = ov.breaker.is_open();
+                outcome.breaker_timeline = ov.breaker.timeline().to_vec();
+                outcome.stats = ov.lost_stats;
+                outcome.cp = Some(self.cp);
+            }
+            None => outcome.stats = self.cp.stats(),
+        }
+        if self.tracer.enabled() {
+            outcome.trace = Some(self.tracer.finish());
+        }
+        outcome
+    }
+
     /// Emits any breaker transitions recorded since the last sync.
     /// Called right after every breaker interaction so the shard
     /// stream stays time-ordered; `floor` lifts back-dated
     /// transitions (a probe's success closes the breaker at the
     /// probe's *admission* time) up to the observation point — the
     /// faithful back-dated times stay in the `shard_health` timeline.
-    fn sync_breaker(&mut self, tracer: &mut Tracer, floor: SimTime) {
-        if !tracer.enabled() {
-            return;
-        }
+    fn sync_breaker(&mut self, floor: SimTime) {
         let Some(ov) = &self.overload else {
             return;
         };
         let timeline = ov.breaker.timeline();
-        let mut pending = Vec::new();
-        while self.breaker_emitted < timeline.len() {
-            let (ts, to) = timeline[self.breaker_emitted];
-            let (_, from) = timeline[self.breaker_emitted - 1];
-            pending.push((ts.max(floor), from, to));
-            self.breaker_emitted += 1;
-        }
-        for (ts, from, to) in pending {
-            tracer.record(
-                ts,
+        for pair in timeline[self.breaker_emitted - 1..].windows(2) {
+            let ((_, from), (ts, to)) = (pair[0], pair[1]);
+            self.tracer.record(
+                ts.max(floor),
                 EventKind::Breaker {
                     from: breaker_phase(from),
                     to: breaker_phase(to),
                 },
             );
         }
+        self.breaker_emitted = timeline.len();
+    }
+
+    /// Functions whose outstanding fault is at one of `sites`.
+    fn outstanding_at(&self, sites: &[FaultSite]) -> Vec<u16> {
+        self.outstanding
+            .iter()
+            .filter(|(_, s)| sites.contains(s))
+            .map(|(&id, _)| id)
+            .collect()
     }
 
     /// No latent or persisting fault on this function.
@@ -1675,11 +1678,9 @@ impl FaultWorker {
     /// The latency fault (if any) the plan schedules for `index`.
     /// Latency faults only fire through the overload layer.
     fn latency_for(&self, index: usize) -> Option<LatencySite> {
-        if self.overload.is_some() {
-            self.cfg.plan.decide_latency(index as u64)
-        } else {
-            None
-        }
+        self.overload
+            .as_ref()
+            .and_then(|_| self.cfg.plan.decide_latency(index as u64))
     }
 
     /// Admission control for one popped job: counts the submission and
@@ -1709,10 +1710,10 @@ impl FaultWorker {
 
     /// Marks the faults scheduled against an unserved (shed or
     /// bounced) job as inert: they never got a card to land on.
-    fn mark_unserved_inert(&mut self, index: usize, ts: SimTime, tracer: &mut Tracer) {
+    fn mark_unserved_inert(&mut self, index: usize, ts: SimTime) {
         if let Some(site) = self.cfg.plan.decide(index as u64) {
-            self.stats.inert += 1;
-            tracer.record(
+            self.outcome.faults.inert += 1;
+            self.tracer.record(
                 ts,
                 EventKind::FaultInert {
                     kind: fault_kind(site),
@@ -1722,7 +1723,7 @@ impl FaultWorker {
         if let Some(site) = self.cfg.plan.decide_latency(index as u64) {
             if let Some(ov) = &mut self.overload {
                 ov.stats.latency_inert += 1;
-                tracer.record(
+                self.tracer.record(
                     ts,
                     EventKind::FaultInert {
                         kind: latency_kind(site),
@@ -1732,209 +1733,145 @@ impl FaultWorker {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn serve_batch(
-        &mut self,
-        cp: &mut CoProcessor,
-        batch: Vec<Job>,
-        golden: Option<&aaod_algos::AlgorithmBank>,
-        collect: bool,
-        outcome: &mut WorkerOutcome,
-        tracer: &mut Tracer,
-    ) -> Result<(), CoreError> {
+    fn serve_batch(&mut self, batch: Vec<Job>) -> Result<(), CoreError> {
         let algo_id = batch[0].algo_id;
         let mut jobs = batch.into_iter().peekable();
         while let Some(job) = jobs.next() {
             let admission = self.admit(&job);
-            self.sync_breaker(tracer, SimTime::ZERO);
+            self.sync_breaker(SimTime::ZERO);
             match admission {
                 Admission::Serve => {}
                 Admission::Shed { decided_at } => {
-                    tracer.record(
+                    self.tracer.record(
                         decided_at,
                         EventKind::Shed {
                             job: job.index as u64,
                             algo: algo_id,
                         },
                     );
-                    self.mark_unserved_inert(job.index, decided_at, tracer);
-                    outcome.results.push(JobResult {
-                        index: job.index,
-                        output: Vec::new(),
-                        hit: false,
-                        time: SimTime::ZERO,
-                        error: Some(JobError::Shed {
+                    self.mark_unserved_inert(job.index, decided_at);
+                    self.outcome.results.push(JobResult::dropped(
+                        job.index,
+                        JobError::Shed {
                             algo_id,
                             deadline: job.deadline.unwrap_or(SimTime::ZERO),
                             decided_at,
-                        }),
-                        sojourn: None,
-                    });
+                        },
+                    ));
                     continue;
                 }
                 Admission::Bounce => {
-                    let now = self
-                        .overload
-                        .as_ref()
-                        .map_or(SimTime::ZERO, |ov| ov.clock.max(job.arrival));
-                    tracer.record(
+                    let now = self.clock().max(job.arrival);
+                    self.tracer.record(
                         now,
                         EventKind::Bounced {
                             job: job.index as u64,
                             algo: algo_id,
                         },
                     );
-                    self.mark_unserved_inert(job.index, now, tracer);
-                    outcome.rejected.push(job);
+                    self.mark_unserved_inert(job.index, now);
+                    self.outcome.rejected.push(job);
                     continue;
                 }
             }
             let scheduled = self.cfg.plan.decide(job.index as u64);
             let latency = self.latency_for(job.index);
-            if scheduled.is_none() && latency.is_none() && self.algo_clean(algo_id) {
-                // Maximal fault-free run: serve it batched, exactly
-                // like a fault-free worker would. In overload mode the
-                // whole run is admitted at the current clock, so only
-                // jobs that would pass admission now may ride along;
-                // their own deadlines are still checked at completion.
-                let mut run = vec![job];
-                while let Some(next) = jobs.peek() {
-                    let clean = self.cfg.plan.decide(next.index as u64).is_none()
-                        && self.latency_for(next.index).is_none();
-                    let admissible = match &self.overload {
-                        None => true,
-                        Some(ov) => {
-                            next.deadline.expect("overload jobs carry deadlines")
-                                > ov.clock.max(next.arrival)
-                                && !ov.fair_shed_decision(next)
-                        }
-                    };
-                    if !(clean && admissible) {
-                        break;
+            if scheduled.is_some() || latency.is_some() || !self.algo_clean(algo_id) {
+                self.serve_one(&job, scheduled, latency)?;
+                continue;
+            }
+            // Maximal fault-free run: serve it as one batch. In
+            // overload mode the whole run is admitted at the current
+            // clock, so only jobs that would pass admission now may
+            // ride along; their own deadlines are still checked at
+            // completion.
+            let mut run = vec![job];
+            while let Some(next) = jobs.peek() {
+                let clean = self.cfg.plan.decide(next.index as u64).is_none()
+                    && self.latency_for(next.index).is_none();
+                let admissible = match &self.overload {
+                    None => true,
+                    Some(ov) => {
+                        next.deadline.expect("overload jobs carry deadlines")
+                            > ov.clock.max(next.arrival)
+                            && !ov.fair_shed_decision(next)
                     }
-                    let next = jobs.next().expect("peeked");
-                    if let Some(ov) = &mut self.overload {
-                        ov.stats.submitted += 1;
-                        ov.note_admitted(&next);
-                    }
-                    run.push(next);
+                };
+                if !(clean && admissible) {
+                    break;
                 }
-                let inputs: Vec<&[u8]> = run.iter().map(|j| j.input.as_slice()).collect();
-                let served = cp.invoke_batch(algo_id, &inputs)?;
-                for (job, (output, report)) in run.iter().zip(served) {
-                    let time = report.total();
-                    let busy_start = outcome.busy;
-                    outcome.busy += time;
-                    if self.overload.is_some() {
-                        if tracer.enabled() {
-                            let start = self
-                                .overload
-                                .as_ref()
-                                .expect("overload mode")
-                                .clock
-                                .max(job.arrival);
-                            trace_clean_stages(tracer, start, job.index, algo_id, &report);
-                        }
-                        self.finish_served(
-                            job,
-                            output,
-                            report.hit(),
-                            time,
-                            golden,
-                            collect,
-                            outcome,
-                            tracer,
-                        )?;
-                    } else {
-                        verify_output(golden, algo_id, job.index, &job.input, &output)?;
-                        if tracer.enabled() {
-                            trace_clean_job(tracer, busy_start, job.index, algo_id, &report);
-                        }
-                        outcome.results.push(JobResult {
-                            index: job.index,
-                            output: if collect { output } else { Vec::new() },
-                            hit: report.hit(),
-                            time,
-                            error: None,
-                            sojourn: None,
-                        });
-                    }
+                let next = jobs.next().expect("peeked");
+                if let Some(ov) = &mut self.overload {
+                    ov.stats.submitted += 1;
+                    ov.note_admitted(&next);
                 }
-            } else {
-                self.serve_one(
-                    cp, &job, scheduled, latency, golden, collect, outcome, tracer,
-                )?;
+                run.push(next);
+            }
+            let inputs: Vec<&[u8]> = run.iter().map(|j| j.input.as_slice()).collect();
+            let served = self.cp.invoke_batch(algo_id, &inputs)?;
+            if self.overload.is_none() {
+                // a closed-loop run's details are stamped at its start
+                self.flush_details(self.outcome.busy);
+            }
+            for (job, (output, report)) in run.iter().zip(served) {
+                let start = self.clock().max(job.arrival);
+                let time = report.total();
+                self.outcome.busy += time;
+                if self.tracer.enabled() {
+                    trace_clean_stages(&mut self.tracer, start, job.index, algo_id, &report);
+                }
+                self.finish_served(job, Ok((output, report.hit())), start, time)?;
             }
         }
         Ok(())
     }
 
-    /// Classifies a successfully served overload-mode job against its
-    /// deadline, advancing the shard clock and driving the breaker.
-    #[allow(clippy::too_many_arguments)]
+    /// Lands a job served from `start` for `time` in its terminal
+    /// state: a degraded job stays faulted, any other is classified by
+    /// [`complete`]. In overload mode it also advances the shard clock
+    /// and drives the breaker.
     fn finish_served(
         &mut self,
         job: &Job,
-        output: Vec<u8>,
-        hit: bool,
+        served: Result<(Vec<u8>, bool), JobError>,
+        start: SimTime,
         time: SimTime,
-        golden: Option<&aaod_algos::AlgorithmBank>,
-        collect: bool,
-        outcome: &mut WorkerOutcome,
-        tracer: &mut Tracer,
     ) -> Result<(), CoreError> {
-        let ov = self.overload.as_mut().expect("overload mode");
-        let start = ov.clock.max(job.arrival);
         let finish = start + time;
-        ov.clock = finish;
-        let deadline = job.deadline.expect("overload jobs carry deadlines");
-        if finish > deadline {
-            ov.stats.deadline_missed += 1;
-            ov.breaker.record_failure(finish);
-            tracer.record(
-                finish,
-                EventKind::JobClose {
-                    job: job.index as u64,
-                    algo: job.algo_id,
-                    outcome: JobOutcome::DeadlineMissed,
-                    hit,
-                },
-            );
-            outcome.results.push(JobResult {
-                index: job.index,
-                output: Vec::new(),
-                hit,
-                time,
-                error: Some(JobError::DeadlineExceeded {
-                    algo_id: job.algo_id,
-                    deadline,
-                    finished: finish,
-                }),
-                sojourn: None,
-            });
-        } else {
-            ov.stats.completed += 1;
-            ov.breaker.record_success();
-            tracer.record(
-                finish,
-                EventKind::JobClose {
-                    job: job.index as u64,
-                    algo: job.algo_id,
-                    outcome: JobOutcome::Completed,
-                    hit,
-                },
-            );
-            verify_output(golden, job.algo_id, job.index, &job.input, &output)?;
-            outcome.results.push(JobResult {
-                index: job.index,
-                output: if collect { output } else { Vec::new() },
-                hit,
-                time,
-                error: None,
-                sojourn: Some(finish - job.arrival),
-            });
+        let result = match served {
+            Ok((output, hit)) => {
+                let golden = self.golden.as_ref();
+                complete(job, output, hit, time, finish, golden, self.collect)?
+            }
+            Err(e) => {
+                self.outcome.faults.failed_jobs += 1;
+                JobResult {
+                    time,
+                    ..JobResult::dropped(job.index, e)
+                }
+            }
+        };
+        let outcome = job_outcome(&result);
+        if let Some(ov) = &mut self.overload {
+            ov.clock = finish;
+            tally(&mut ov.stats, &result);
+            if outcome == JobOutcome::Completed {
+                ov.breaker.record_success();
+            } else {
+                ov.breaker.record_failure(finish);
+            }
         }
-        self.sync_breaker(tracer, finish);
+        self.tracer.record(
+            finish,
+            EventKind::JobClose {
+                job: job.index as u64,
+                algo: job.algo_id,
+                outcome,
+                hit: result.hit,
+            },
+        );
+        self.outcome.results.push(result);
+        self.sync_breaker(finish);
         Ok(())
     }
 
@@ -1942,28 +1879,19 @@ impl FaultWorker {
     /// scheduled PCI abort and any scheduled latency fault, runs the
     /// detect→backoff→repair→retry loop (preceded by a watchdog reset
     /// for a stuck card), and lands any scheduled post-job corruption.
-    #[allow(clippy::too_many_arguments)]
     fn serve_one(
         &mut self,
-        cp: &mut CoProcessor,
         job: &Job,
         scheduled: Option<FaultSite>,
         latency: Option<LatencySite>,
-        golden: Option<&aaod_algos::AlgorithmBank>,
-        collect: bool,
-        outcome: &mut WorkerOutcome,
-        tracer: &mut Tracer,
     ) -> Result<(), CoreError> {
         let algo_id = job.algo_id;
         let mut job_time = SimTime::ZERO;
         // The job's modelled start: the shard clock (overload) or its
         // cumulative busy time (closed loop). Recovery spans are laid
         // from a cursor advancing from here.
-        let t0 = self
-            .overload
-            .as_ref()
-            .map_or(outcome.busy, |ov| ov.clock.max(job.arrival));
-        tracer.record(
+        let t0 = self.clock().max(job.arrival);
+        self.tracer.record(
             t0,
             EventKind::JobOpen {
                 job: job.index as u64,
@@ -1980,42 +1908,38 @@ impl FaultWorker {
             // them, and that work must stay counted.
             let t_reset = {
                 let ov = self.overload.as_mut().expect("latency implies overload");
-                ov.lost_stats.merge(&cp.stats());
+                ov.lost_stats.merge(&self.cp.stats());
                 let timeout = ov.cfg.watchdog.timeout();
-                let t_reset = cp.os_mut().reset();
+                let t_reset = self.cp.os_mut().reset();
                 ov.stats.stuck_injected += 1;
                 ov.stats.watchdog_resets += 1;
                 ov.stats.wasted_time += timeout + t_reset;
                 job_time += timeout + t_reset;
                 timeout + t_reset
             };
-            tracer.record(
+            self.tracer.record(
                 cursor,
                 EventKind::FaultInjected {
                     kind: FaultKind::StuckCard,
                 },
             );
-            tracer.record(
+            self.tracer.record(
                 cursor,
                 EventKind::WatchdogReset {
                     job: job.index as u64,
                 },
             );
-            tracer.span(cursor, t_reset, job.index as u64, Stage::Reset, algo_id);
+            self.tracer
+                .span(cursor, t_reset, job.index as u64, Stage::Reset, algo_id);
             cursor += t_reset;
-            self.recovery_latency.push(t_reset);
+            self.outcome.recovery_latency.push(t_reset);
             // The wiped fabric dissolved any latent frame faults; the
             // scheduled ROM faults survive (ROM is off-fabric).
-            let frame_faults: Vec<u16> = self
-                .outstanding
-                .iter()
-                .filter(|(_, s)| matches!(s, FaultSite::FrameBitFlip | FaultSite::TornConfig))
-                .map(|(&id, _)| id)
-                .collect();
+            let frame_faults = self.outstanding_at(&FRAME_SITES);
             for id in frame_faults {
                 self.outstanding.remove(&id);
-                self.stats.evict_cleared += 1;
-                tracer.record(
+                self.outcome.faults.evict_cleared += 1;
+                self.tracer.record(
                     cursor,
                     EventKind::FaultRepair {
                         kind: RepairKind::EvictClear,
@@ -2023,15 +1947,17 @@ impl FaultWorker {
                 );
             }
         }
-        let stall0 = cp.stats().config_stall_time;
+        let stall0 = self.cp.stats().config_stall_time;
         match latency {
             Some(LatencySite::StallConfig) => {
-                cp.os_mut()
+                self.cp
+                    .os_mut()
                     .arm_config_stall(self.cfg.plan.latency().stall_cycles);
             }
             Some(LatencySite::SlowPci) => {
                 // Input write + output read: both transfers crawl.
-                cp.bus_mut()
+                self.cp
+                    .bus_mut()
                     .arm_slow_transfers(2, self.cfg.plan.latency().slow_factor);
             }
             Some(LatencySite::StuckCard) | None => {}
@@ -2040,17 +1966,17 @@ impl FaultWorker {
             // One-shot transient: the job's first transfer aborts and
             // the driver retries it. Activation is observed through
             // the bus stats below.
-            cp.bus_mut().arm_transient_faults(1);
+            self.cp.bus_mut().arm_transient_faults(1);
         }
-        let pci0 = cp.pci_stats();
+        let pci0 = self.cp.pci_stats();
         let mut attempts = 0u32;
         let mut recovery_elapsed = SimTime::ZERO;
         let verdict = loop {
-            match cp.invoke_resilient(algo_id, &job.input) {
-                Ok((output, report, _)) => {
+            match self.cp.invoke(algo_id, &job.input) {
+                Ok((output, report)) => {
                     job_time += report.total();
                     if attempts > 0 {
-                        self.recovery_latency.push(recovery_elapsed);
+                        self.outcome.recovery_latency.push(recovery_elapsed);
                     }
                     // a repaired (formerly poisoned) function serves
                     // again
@@ -2068,13 +1994,13 @@ impl FaultWorker {
                         });
                     };
                     if attempts == 0 {
-                        self.stats.detected += 1;
+                        self.outcome.faults.detected += 1;
                     }
                     if attempts >= self.cfg.max_retries {
-                        self.stats.faults_failed += 1;
+                        self.outcome.faults.faults_failed += 1;
                         self.outstanding.remove(&algo_id);
                         self.poisoned.insert(algo_id);
-                        tracer.record(
+                        self.tracer.record(
                             cursor,
                             EventKind::FaultFailed {
                                 job: job.index as u64,
@@ -2088,8 +2014,8 @@ impl FaultWorker {
                         });
                     }
                     attempts += 1;
-                    self.stats.retries += 1;
-                    tracer.record(
+                    self.outcome.faults.retries += 1;
+                    self.tracer.record(
                         cursor,
                         EventKind::Retry {
                             job: job.index as u64,
@@ -2097,9 +2023,10 @@ impl FaultWorker {
                         },
                     );
                     let backoff = self.cfg.backoff * (1u64 << (attempts - 1).min(20));
-                    tracer.span(cursor, backoff, job.index as u64, Stage::Backoff, algo_id);
-                    let repair = self.repair(cp, algo_id, site, cursor + backoff, tracer)?;
-                    tracer.span(
+                    self.tracer
+                        .span(cursor, backoff, job.index as u64, Stage::Backoff, algo_id);
+                    let repair = self.repair(algo_id, site, cursor + backoff)?;
+                    self.tracer.span(
                         cursor + backoff,
                         repair,
                         job.index as u64,
@@ -2113,26 +2040,28 @@ impl FaultWorker {
                 Err(other) => return Err(other),
             }
         };
-        let pci1 = cp.pci_stats();
+        let pci1 = self.cp.pci_stats();
         let transient_fired = pci1.faulted_transfers > pci0.faulted_transfers;
         if transient_fired {
             let wasted =
-                cp.bus().config().clock.period() * (pci1.wasted_cycles - pci0.wasted_cycles);
-            self.stats.record_activated(FaultSite::PciTransient);
-            self.stats.pci_retried += 1;
-            self.recovery_latency.push(wasted);
+                self.cp.bus().config().clock.period() * (pci1.wasted_cycles - pci0.wasted_cycles);
+            self.outcome
+                .faults
+                .record_activated(FaultSite::PciTransient);
+            self.outcome.faults.pci_retried += 1;
+            self.outcome.recovery_latency.push(wasted);
             if verdict.is_err() {
                 // a successful attempt folds the wasted bus time into
                 // its report; a degraded job still burned it
                 job_time += wasted;
             }
-            tracer.record(
+            self.tracer.record(
                 t0 + job_time,
                 EventKind::FaultInjected {
                     kind: FaultKind::PciTransient,
                 },
             );
-            tracer.record(
+            self.tracer.record(
                 t0 + job_time,
                 EventKind::FaultRepair {
                     kind: RepairKind::PciRetry,
@@ -2142,12 +2071,12 @@ impl FaultWorker {
         match latency {
             Some(LatencySite::StallConfig) => {
                 let ov = self.overload.as_mut().expect("latency implies overload");
-                if cp.os().armed_config_stall() > 0 {
+                if self.cp.os().armed_config_stall() > 0 {
                     // the job was a residency hit: the stall never got
                     // a reconfiguration to hang
-                    cp.os_mut().disarm_config_stall();
+                    self.cp.os_mut().disarm_config_stall();
                     ov.stats.latency_inert += 1;
-                    tracer.record(
+                    self.tracer.record(
                         t0 + job_time,
                         EventKind::FaultInert {
                             kind: FaultKind::Stall,
@@ -2155,8 +2084,9 @@ impl FaultWorker {
                     );
                 } else {
                     ov.stats.stalls_injected += 1;
-                    ov.stats.wasted_time += cp.stats().config_stall_time.saturating_sub(stall0);
-                    tracer.record(
+                    ov.stats.wasted_time +=
+                        self.cp.stats().config_stall_time.saturating_sub(stall0);
+                    self.tracer.record(
                         t0 + job_time,
                         EventKind::FaultInjected {
                             kind: FaultKind::Stall,
@@ -2165,7 +2095,7 @@ impl FaultWorker {
                 }
             }
             Some(LatencySite::SlowPci) => {
-                cp.bus_mut().disarm_slow();
+                self.cp.bus_mut().disarm_slow();
                 let ov = self.overload.as_mut().expect("latency implies overload");
                 if pci1.slowed_transfers > pci0.slowed_transfers {
                     ov.stats.slow_transfers_injected += 1;
@@ -2174,10 +2104,10 @@ impl FaultWorker {
                         // whole wasted delta; with a transient on the
                         // same job the delta is already attributed to
                         // the retry above
-                        ov.stats.wasted_time += cp.bus().config().clock.period()
+                        ov.stats.wasted_time += self.cp.bus().config().clock.period()
                             * (pci1.wasted_cycles - pci0.wasted_cycles);
                     }
-                    tracer.record(
+                    self.tracer.record(
                         t0 + job_time,
                         EventKind::FaultInjected {
                             kind: FaultKind::SlowPci,
@@ -2187,7 +2117,7 @@ impl FaultWorker {
                     // no fallible transfer ran (e.g. an empty input on
                     // a zero-transfer path): nothing to slow down
                     ov.stats.latency_inert += 1;
-                    tracer.record(
+                    self.tracer.record(
                         t0 + job_time,
                         EventKind::FaultInert {
                             kind: FaultKind::SlowPci,
@@ -2207,24 +2137,26 @@ impl FaultWorker {
             let landed = verdict.is_ok() && self.algo_clean(algo_id) && {
                 let mut rng = self.cfg.plan.rng_for(job.index as u64);
                 match site {
-                    FaultSite::FrameBitFlip => cp.os_mut().inject_seu(algo_id, &mut rng),
-                    FaultSite::TornConfig => cp.os_mut().inject_torn(algo_id),
-                    FaultSite::RomPayload => cp.os_mut().inject_rom_rot(algo_id, &mut rng).is_ok(),
+                    FaultSite::FrameBitFlip => self.cp.os_mut().inject_seu(algo_id, &mut rng),
+                    FaultSite::TornConfig => self.cp.os_mut().inject_torn(algo_id),
+                    FaultSite::RomPayload => {
+                        self.cp.os_mut().inject_rom_rot(algo_id, &mut rng).is_ok()
+                    }
                     FaultSite::PciTransient => unreachable!("matched above"),
                 }
             };
             if landed {
-                self.stats.record_activated(site);
+                self.outcome.faults.record_activated(site);
                 self.outstanding.insert(algo_id, site);
-                tracer.record(
+                self.tracer.record(
                     t0 + job_time,
                     EventKind::FaultInjected {
                         kind: fault_kind(site),
                     },
                 );
             } else {
-                self.stats.inert += 1;
-                tracer.record(
+                self.outcome.faults.inert += 1;
+                self.tracer.record(
                     t0 + job_time,
                     EventKind::FaultInert {
                         kind: fault_kind(site),
@@ -2232,91 +2164,29 @@ impl FaultWorker {
                 );
             }
         }
-        outcome.busy += job_time;
-        match verdict {
-            Ok((output, hit)) => {
-                if self.overload.is_some() {
-                    self.finish_served(
-                        job, output, hit, job_time, golden, collect, outcome, tracer,
-                    )?;
-                } else {
-                    verify_output(golden, algo_id, job.index, &job.input, &output)?;
-                    tracer.record(
-                        t0 + job_time,
-                        EventKind::JobClose {
-                            job: job.index as u64,
-                            algo: algo_id,
-                            outcome: JobOutcome::Completed,
-                            hit,
-                        },
-                    );
-                    outcome.results.push(JobResult {
-                        index: job.index,
-                        output: if collect { output } else { Vec::new() },
-                        hit,
-                        time: job_time,
-                        error: None,
-                        sojourn: None,
-                    });
-                }
-            }
-            Err(e) => {
-                self.stats.failed_jobs += 1;
-                if let Some(ov) = &mut self.overload {
-                    let start = ov.clock.max(job.arrival);
-                    let finish = start + job_time;
-                    ov.clock = finish;
-                    ov.stats.faulted += 1;
-                    ov.breaker.record_failure(finish);
-                }
-                tracer.record(
-                    t0 + job_time,
-                    EventKind::JobClose {
-                        job: job.index as u64,
-                        algo: algo_id,
-                        outcome: JobOutcome::Faulted,
-                        hit: false,
-                    },
-                );
-                self.sync_breaker(tracer, t0 + job_time);
-                outcome.results.push(JobResult {
-                    index: job.index,
-                    output: Vec::new(),
-                    hit: false,
-                    time: job_time,
-                    error: Some(e),
-                    sojourn: None,
-                });
-            }
-        }
-        Ok(())
+        self.outcome.busy += job_time;
+        self.finish_served(job, verdict, t0, job_time)
     }
 
     /// Repairs `site` on `algo_id`, resolving every outstanding fault
     /// the repair happens to fix, and returns the modelled repair
     /// time. Repair events are stamped at `at` (the repair's start).
-    fn repair(
-        &mut self,
-        cp: &mut CoProcessor,
-        algo_id: u16,
-        site: FaultSite,
-        at: SimTime,
-        tracer: &mut Tracer,
-    ) -> Result<SimTime, CoreError> {
+    fn repair(&mut self, algo_id: u16, site: FaultSite, at: SimTime) -> Result<SimTime, CoreError> {
         match site {
             FaultSite::FrameBitFlip | FaultSite::TornConfig => {
-                let report = cp.scrub()?;
+                let report = self.cp.scrub()?;
                 // one readback pass repairs *every* corrupt resident
                 // function, so resolve any other latent frame faults
                 // it happened to fix along the way
                 for id in &report.repaired {
-                    if matches!(
-                        self.outstanding.get(id),
-                        Some(FaultSite::FrameBitFlip | FaultSite::TornConfig)
-                    ) {
+                    if self
+                        .outstanding
+                        .get(id)
+                        .is_some_and(|s| FRAME_SITES.contains(s))
+                    {
                         self.outstanding.remove(id);
-                        self.stats.scrubbed += 1;
-                        tracer.record(
+                        self.outcome.faults.scrubbed += 1;
+                        self.tracer.record(
                             at,
                             EventKind::FaultRepair {
                                 kind: RepairKind::Scrub,
@@ -2327,8 +2197,8 @@ impl FaultWorker {
                 // if the target dodged the scrub, an eviction already
                 // erased the corrupt frames
                 if self.outstanding.remove(&algo_id).is_some() {
-                    self.stats.evict_cleared += 1;
-                    tracer.record(
+                    self.outcome.faults.evict_cleared += 1;
+                    self.tracer.record(
                         at,
                         EventKind::FaultRepair {
                             kind: RepairKind::EvictClear,
@@ -2338,10 +2208,10 @@ impl FaultWorker {
                 Ok(report.time)
             }
             FaultSite::RomPayload => {
-                let t = cp.os_mut().redownload(algo_id)?;
+                let t = self.cp.os_mut().redownload(algo_id)?;
                 self.outstanding.remove(&algo_id);
-                self.stats.redownloads += 1;
-                tracer.record(
+                self.outcome.faults.redownloads += 1;
+                self.tracer.record(
                     at,
                     EventKind::FaultRepair {
                         kind: RepairKind::Redownload,
@@ -2356,60 +2226,42 @@ impl FaultWorker {
 
     /// Post-run sweep: repair latent faults the workload never
     /// touched again, so no corruption outlives the run.
-    fn drain(
-        &mut self,
-        cp: &mut CoProcessor,
-        outcome: &mut WorkerOutcome,
-        tracer: &mut Tracer,
-    ) -> Result<(), CoreError> {
+    fn drain(&mut self) -> Result<(), CoreError> {
         // In overload mode the shard stream is stamped on the shard
         // clock (>= busy); the sweep stamps at whichever is later so
         // the stream stays time-ordered.
-        let sweep_ts = |busy: SimTime, ov: &Option<OverloadState>| {
-            ov.as_ref().map_or(busy, |o| o.clock.max(busy))
-        };
-        let frame_faults: Vec<u16> = self
-            .outstanding
-            .iter()
-            .filter(|(_, s)| matches!(s, FaultSite::FrameBitFlip | FaultSite::TornConfig))
-            .map(|(&id, _)| id)
-            .collect();
+        let frame_faults = self.outstanding_at(&FRAME_SITES);
         if !frame_faults.is_empty() {
-            let report = cp.scrub()?;
-            outcome.busy += report.time;
+            let report = self.cp.scrub()?;
+            self.outcome.busy += report.time;
             for id in frame_faults {
                 self.outstanding.remove(&id);
                 let kind = if report.repaired.contains(&id) {
-                    self.stats.scrubbed += 1;
+                    self.outcome.faults.scrubbed += 1;
                     RepairKind::Scrub
                 } else {
                     // a policy eviction erased the corrupt frames
                     // before the sweep got here
-                    self.stats.evict_cleared += 1;
+                    self.outcome.faults.evict_cleared += 1;
                     RepairKind::EvictClear
                 };
-                tracer.record(
-                    sweep_ts(outcome.busy, &self.overload),
+                self.tracer.record(
+                    self.clock().max(self.outcome.busy),
                     EventKind::FaultRepair { kind },
                 );
             }
         }
-        let rom_faults: Vec<u16> = self
-            .outstanding
-            .iter()
-            .filter(|(_, s)| matches!(s, FaultSite::RomPayload))
-            .map(|(&id, _)| id)
-            .collect();
+        let rom_faults = self.outstanding_at(&[FaultSite::RomPayload]);
         if !rom_faults.is_empty() {
-            let (_corrupt, patrol_time) = cp.os_mut().rom_patrol();
-            outcome.busy += patrol_time;
+            let (_corrupt, patrol_time) = self.cp.os_mut().rom_patrol();
+            self.outcome.busy += patrol_time;
             for id in rom_faults {
                 self.outstanding.remove(&id);
-                let t = cp.os_mut().redownload(id)?;
-                outcome.busy += t;
-                self.stats.redownloads += 1;
-                tracer.record(
-                    sweep_ts(outcome.busy, &self.overload),
+                let t = self.cp.os_mut().redownload(id)?;
+                self.outcome.busy += t;
+                self.outcome.faults.redownloads += 1;
+                self.tracer.record(
+                    self.clock().max(self.outcome.busy),
                     EventKind::FaultRepair {
                         kind: RepairKind::Redownload,
                     },
@@ -2554,7 +2406,9 @@ mod tests {
         let mut trace = vec![ids::SHA1; 90];
         trace.extend_from_slice(&[ids::CRC32; 10]);
         let w = Workload::from_trace(trace, 64);
-        let assignment = ShardPolicy::Balanced.assign(&w, 4);
+        let assignment = ShardPolicy::Balanced
+            .plan(&w, 4, &CoProcessor::default)
+            .assignment;
         let sha1_shards: BTreeSet<usize> = assignment[..90].iter().copied().collect();
         assert!(
             sha1_shards.len() >= 3,
@@ -2562,12 +2416,15 @@ mod tests {
         );
     }
 
+    /// `faults: None` and an explicit zero-rate plan are one
+    /// configuration: same results, same trace bytes.
     #[test]
     fn zero_rate_fault_plan_matches_legacy_exactly() {
         use aaod_sim::{FaultPlan, FaultRates};
         let w = Workload::zipf(&FIT_SET, 40, 1.1, 32, 21);
         let base = Engine::new(EngineConfig {
             workers: 2,
+            trace: TraceConfig::full(),
             ..EngineConfig::default()
         })
         .serve(&w)
@@ -2575,10 +2432,16 @@ mod tests {
         let faulty = Engine::new(EngineConfig {
             workers: 2,
             faults: Some(FaultConfig::new(FaultPlan::new(1, FaultRates::ZERO))),
+            trace: TraceConfig::full(),
             ..EngineConfig::default()
         })
         .serve(&w)
         .unwrap();
+        assert_eq!(
+            faulty.trace.as_ref().map(TraceReport::to_jsonl),
+            base.trace.as_ref().map(TraceReport::to_jsonl)
+        );
+        assert_eq!(faulty.stats, base.stats);
         assert_eq!(faulty.outputs, base.outputs);
         assert_eq!(faulty.makespan, base.makespan);
         assert_eq!(faulty.batches, base.batches);

@@ -52,7 +52,7 @@ pub mod runner;
 
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use cluster::{CardHealth, Cluster, ClusterConfig, ClusterResult, ClusterStats};
-pub use coproc::{CoProcessor, CoProcessorBuilder, HostReport, PciRecovery};
+pub use coproc::{CoProcessor, CoProcessorBuilder, HostReport};
 pub use dispatch::DispatchStats;
 pub use engine::{Engine, EngineConfig, EngineResult, ShardPolicy};
 pub use error::{CoreError, Ledger};

@@ -23,7 +23,7 @@
 //! and every tie breaks toward the smaller algorithm id, so the same
 //! arrival stream always yields the same decisions on every platform.
 
-use std::cmp::Reverse;
+use aaod_mcu::prefetch::MarkovPredictor;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Fixed-point scale of the popularity EWMA (`1.0` ≡ `POP_SCALE`).
@@ -91,14 +91,14 @@ pub struct FlipRecord {
 }
 
 /// First-order transition counts plus a decayed popularity EWMA over
-/// the arrival stream. Deterministic: `BTreeMap` iteration order and
-/// smaller-id tie-breaks only.
+/// the arrival stream. The transitions are the controller's own
+/// [`MarkovPredictor`]; this model adds only the popularity.
+/// Deterministic: `BTreeMap` iteration order and smaller-id
+/// tie-breaks only.
 #[derive(Debug, Clone, Default)]
 pub struct PredictModel {
-    /// `transitions[a][b]` = times `b` immediately followed `a`.
-    transitions: BTreeMap<u16, BTreeMap<u16, u64>>,
-    /// Previously observed algorithm, if any.
-    last: Option<u16>,
+    /// Next-algorithm transition counts.
+    transitions: MarkovPredictor,
     /// Fixed-point popularity per algorithm (see [`POP_SCALE`]).
     popularity: BTreeMap<u16, u64>,
     /// Total arrivals observed.
@@ -119,36 +119,24 @@ impl PredictModel {
     /// arrival, decays every algorithm's popularity and credits the
     /// arrived one.
     pub fn observe(&mut self, algo: u16) {
-        if let Some(prev) = self.last {
-            *self
-                .transitions
-                .entry(prev)
-                .or_default()
-                .entry(algo)
-                .or_insert(0) += 1;
-        }
+        self.transitions.observe(algo);
         for p in self.popularity.values_mut() {
             *p -= *p >> self.ewma_shift;
         }
         *self.popularity.entry(algo).or_insert(0) += POP_SCALE;
-        self.last = Some(algo);
         self.observed += 1;
     }
 
     /// The most likely successor of the last observed arrival
     /// (highest transition count, ties to the smaller id).
     pub fn predict(&self) -> Option<u16> {
-        self.predict_after(self.last?)
+        self.transitions.predict()
     }
 
     /// The most likely successor of `algo`, if any transition from it
     /// has been observed.
     pub fn predict_after(&self, algo: u16) -> Option<u16> {
-        self.transitions
-            .get(&algo)?
-            .iter()
-            .max_by_key(|&(id, count)| (*count, Reverse(*id)))
-            .map(|(&id, _)| id)
+        self.transitions.predict_after(algo)
     }
 
     /// Current fixed-point popularity of `algo`.

@@ -181,7 +181,7 @@ impl ConfigModule {
     /// future bitstreams. Returns the decoded frames alongside the
     /// report, as [`ConfigModule::configure_collect`] does.
     ///
-    /// Timing: store-served bytes cost [`STORE_HIT_CYCLES_PER_BYTE`],
+    /// Timing: store-served bytes cost `STORE_HIT_CYCLES_PER_BYTE`,
     /// decoded bytes the codec's per-byte rate; each frame counts as
     /// one window.
     ///

@@ -765,7 +765,7 @@ impl MiniOs {
 
     /// Directed speculative configuration of `next` — the entry point
     /// the serving engine's predictive policy drives during a shard's
-    /// idle window; [`MiniOs::maybe_prefetch`] routes the built-in
+    /// idle window; `MiniOs::maybe_prefetch` routes the built-in
     /// Markov prediction through it too. Returns `true` when the
     /// function ended up resident (already installed or prefetched).
     ///

@@ -59,9 +59,15 @@ impl MarkovPredictor {
     /// `None` before any transition has been seen. Ties break toward
     /// the smaller id (deterministic).
     pub fn predict(&self) -> Option<u16> {
-        let last = self.last?;
+        self.predict_after(self.last?)
+    }
+
+    /// The most likely successor of `algo_id` (highest transition
+    /// count, ties to the smaller id), or `None` before any transition
+    /// out of it has been seen.
+    pub fn predict_after(&self, algo_id: u16) -> Option<u16> {
         self.transitions
-            .get(&last)?
+            .get(&algo_id)?
             .iter()
             .max_by_key(|&(id, &count)| (count, std::cmp::Reverse(*id)))
             .map(|(&id, _)| id)

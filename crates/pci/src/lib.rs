@@ -246,7 +246,7 @@ impl PciBus {
     }
 
     /// Arms `n` one-shot transient faults. Each subsequent *fallible*
-    /// transfer ([`PciBus::try_write`] / [`PciBus::try_read`]) consumes
+    /// transfer ([`PciBus::try_transfer`]) consumes
     /// one armed fault and aborts; the infallible paths never consume
     /// them, so legacy callers are unaffected.
     pub fn arm_transient_faults(&mut self, n: u32) {
@@ -317,16 +317,6 @@ impl PciBus {
         self.stats.faulted_transfers += 1;
         self.stats.wasted_cycles += self.stats.busy_cycles - before.busy_cycles;
         Err(PciError::TransientAbort { wasted })
-    }
-
-    /// Fallible host-to-card transfer; see [`PciBus::try_transfer`].
-    pub fn try_write(&mut self, bytes: u64) -> Result<SimTime, PciError> {
-        self.try_transfer(bytes, Direction::Write)
-    }
-
-    /// Fallible card-to-host transfer; see [`PciBus::try_transfer`].
-    pub fn try_read(&mut self, bytes: u64) -> Result<SimTime, PciError> {
-        self.try_transfer(bytes, Direction::Read)
     }
 
     /// Effective bandwidth (bytes/s) a transfer of `bytes` achieves
@@ -449,14 +439,14 @@ mod tests {
     fn armed_fault_aborts_exactly_one_fallible_transfer() {
         let mut bus = PciBus::new(PciConfig::default());
         bus.arm_transient_faults(1);
-        let err = bus.try_write(4096).unwrap_err();
+        let err = bus.try_transfer(4096, Direction::Write).unwrap_err();
         let PciError::TransientAbort { wasted } = err;
         assert!(wasted > SimTime::ZERO);
         assert_eq!(bus.stats().bytes_written, 0, "aborted transfer delivered");
         assert_eq!(bus.stats().faulted_transfers, 1);
         assert_eq!(bus.armed_faults(), 0);
         // the retry succeeds
-        let t = bus.try_write(4096).unwrap();
+        let t = bus.try_transfer(4096, Direction::Write).unwrap();
         assert!(t > SimTime::ZERO);
         assert_eq!(bus.stats().bytes_written, 4096);
     }
@@ -475,10 +465,11 @@ mod tests {
     #[test]
     fn aborted_attempt_still_burns_bus_time() {
         let mut clean = PciBus::new(PciConfig::default());
-        let clean_t = clean.try_write(2048).unwrap();
+        let clean_t = clean.try_transfer(2048, Direction::Write).unwrap();
         let mut faulty = PciBus::new(PciConfig::default());
         faulty.arm_transient_faults(1);
-        let PciError::TransientAbort { wasted } = faulty.try_write(2048).unwrap_err();
+        let PciError::TransientAbort { wasted } =
+            faulty.try_transfer(2048, Direction::Write).unwrap_err();
         assert_eq!(wasted, clean_t);
         assert_eq!(faulty.stats().busy_cycles, clean.stats().busy_cycles);
     }
@@ -486,10 +477,10 @@ mod tests {
     #[test]
     fn slow_transfer_costs_factor_times_nominal() {
         let mut clean = PciBus::new(PciConfig::default());
-        let clean_t = clean.try_write(2048).unwrap();
+        let clean_t = clean.try_transfer(2048, Direction::Write).unwrap();
         let mut slow = PciBus::new(PciConfig::default());
         slow.arm_slow_transfers(1, 8);
-        let t = slow.try_write(2048).unwrap();
+        let t = slow.try_transfer(2048, Direction::Write).unwrap();
         assert_eq!(t, clean_t * 8);
         assert_eq!(slow.armed_slow(), 0);
         let s = slow.stats();
@@ -498,7 +489,7 @@ mod tests {
         assert_eq!(s.busy_cycles, clean.stats().busy_cycles * 8);
         assert_eq!(s.wasted_cycles, clean.stats().busy_cycles * 7);
         // the next transfer is back to nominal
-        let t2 = slow.try_write(2048).unwrap();
+        let t2 = slow.try_transfer(2048, Direction::Write).unwrap();
         assert_eq!(t2, clean_t);
     }
 
@@ -519,21 +510,24 @@ mod tests {
         let mut bus = PciBus::new(PciConfig::default());
         bus.arm_transient_faults(1);
         bus.arm_slow_transfers(1, 4);
-        assert!(bus.try_write(256).is_err());
+        assert!(bus.try_transfer(256, Direction::Write).is_err());
         assert_eq!(bus.armed_slow(), 1, "abort consumed the slow arm");
         let mut clean = PciBus::new(PciConfig::default());
-        let clean_t = clean.try_write(256).unwrap();
+        let clean_t = clean.try_transfer(256, Direction::Write).unwrap();
         // the retry then hits the slow arm
-        assert_eq!(bus.try_write(256).unwrap(), clean_t * 4);
+        assert_eq!(
+            bus.try_transfer(256, Direction::Write).unwrap(),
+            clean_t * 4
+        );
     }
 
     #[test]
     fn factor_one_slow_transfer_is_nominal() {
         let mut clean = PciBus::new(PciConfig::default());
-        let clean_t = clean.try_write(512).unwrap();
+        let clean_t = clean.try_transfer(512, Direction::Write).unwrap();
         let mut bus = PciBus::new(PciConfig::default());
         bus.arm_slow_transfers(1, 1);
-        assert_eq!(bus.try_write(512).unwrap(), clean_t);
+        assert_eq!(bus.try_transfer(512, Direction::Write).unwrap(), clean_t);
         assert_eq!(bus.stats().wasted_cycles, 0);
         assert_eq!(bus.stats().slowed_transfers, 1);
     }

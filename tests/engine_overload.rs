@@ -20,7 +20,7 @@
 
 use aaod_core::{
     BreakerConfig, BreakerState, CoProcessor, DeadlinePolicy, Engine, EngineConfig, EngineResult,
-    FaultConfig, OverloadConfig, ShardPolicy, WatchdogConfig,
+    FaultConfig, OverloadConfig, ShardPolicy, TraceConfig, WatchdogConfig,
 };
 use aaod_sim::{FaultPlan, FaultRates, LatencyRates, SimTime};
 use aaod_workload::Workload;
@@ -327,6 +327,83 @@ fn requeue_rescue_respects_deadline_budget() {
     assert!(r_gen.faults.requeues > 0, "generous budget must rescue");
     assert_eq!(r_gen.overload.faulted, 0, "every failure was rescued");
     assert_eq!(r_gen.overload.completed, 200);
+}
+
+/// A rescued job is classified like every other served job: one that
+/// finishes on the spare past its deadline is deadline-missed, its
+/// output is dropped, and it does not count as rescued. The spare's
+/// service time still extends the makespan.
+#[test]
+fn late_rescues_are_deadline_missed_not_completed() {
+    use aaod_algos::ids;
+    let w = Workload::zipf(
+        &[ids::SHA1, ids::CRC32, ids::CRC8, ids::XTEA],
+        200,
+        1.1,
+        64,
+        3,
+    );
+    let (baseline, _) = serial_baseline(&w);
+    let budget = SimTime::from_us(1600);
+    let run = |requeue: bool| {
+        let mut fc = FaultConfig::new(FaultPlan::new(7, FaultRates::uniform(0.05)));
+        fc.max_retries = 0;
+        fc.requeue = requeue;
+        let oc = OverloadConfig {
+            interarrival: SimTime::from_us(5),
+            deadline: DeadlinePolicy::Absolute(budget),
+            watchdog: WatchdogConfig::default(),
+            breaker: BreakerConfig {
+                failure_threshold: u32::MAX,
+                cooldown: SimTime::from_ms(5),
+                ..BreakerConfig::default()
+            },
+            fairness: None,
+        };
+        Engine::new(EngineConfig {
+            workers: 2,
+            verify: true,
+            shard: ShardPolicy::AlgoModulo,
+            overload: Some(oc),
+            faults: Some(fc),
+            trace: TraceConfig::counters(),
+            ..EngineConfig::default()
+        })
+        .serve(&w)
+        .unwrap()
+    };
+    let pool_only = run(false);
+    let r = run(true);
+    assert_conserved(&r);
+    r.overload.check().unwrap();
+    for t in &r.tenants {
+        t.check().unwrap();
+    }
+    assert_survivors_match(&r, &baseline, "late rescue");
+    // Every completed job, rescued ones included, records a sojourn
+    // within the budget: none finished late and still completed.
+    assert_eq!(r.sojourn.count() as u64, r.overload.completed);
+    assert!(
+        r.sojourn.summary_ns().max <= budget.as_ns(),
+        "a completed job overran its deadline: {} ns",
+        r.sojourn.summary_ns().max
+    );
+    // Non-vacuous: the rescue pass re-served failed jobs, and some of
+    // them finished past their deadline.
+    let rescued_late = r.deadline_missed.len() - pool_only.deadline_missed.len();
+    assert!(r.faults.requeues > 0, "the scenario must rescue jobs");
+    assert!(rescued_late > 0, "the scenario must rescue some jobs late");
+    assert_eq!(
+        pool_only.failed.len() - r.failed.len(),
+        r.faults.requeues as usize + rescued_late,
+        "every re-served job is rescued or deadline-missed"
+    );
+    assert!(
+        r.makespan > pool_only.makespan,
+        "the spare extends the makespan"
+    );
+    let counters = &r.trace.as_ref().expect("trace requested").metrics.counters;
+    assert_eq!(counters.requeued, r.faults.requeues);
 }
 
 /// Percentile deadline policies resolve to a positive budget that is
