@@ -378,10 +378,6 @@ impl Cluster {
             })
             .collect();
 
-        if n == 0 {
-            return Ok(self.empty_result(&timelines));
-        }
-
         // Placement: calibrate once on a scratch card, replicate hot
         // algorithms, pin cold ones.
         let costs = dispatch::calibrate(workload, bank, &*self.factory);
@@ -661,47 +657,6 @@ impl Cluster {
         }
         shards.push(tracer.finish());
         Some(TraceReport::assemble(shards))
-    }
-
-    /// The all-zero result of serving an empty workload.
-    fn empty_result(&self, timelines: &[CardTimeline]) -> ClusterResult {
-        let cards = self.config.cards;
-        let horizon = self
-            .config
-            .plan
-            .as_ref()
-            .map(|p| p.horizon())
-            .unwrap_or(SimTime::ZERO);
-        let mut stats = ClusterStats::default();
-        let mut card_health = Vec::with_capacity(cards);
-        for t in timelines {
-            let edges = t.transitions(horizon);
-            let downs = edges.iter().filter(|(_, up)| !up).count() as u64;
-            let ups = edges.iter().filter(|(_, up)| *up).count() as u64;
-            stats.card_downs += downs;
-            stats.card_ups += ups;
-            card_health.push(CardHealth {
-                down_edges: downs,
-                up_edges: ups,
-                ..CardHealth::default()
-            });
-        }
-        ClusterResult {
-            cards,
-            requests: 0,
-            outputs: self.config.collect_outputs.then(Vec::new),
-            failed: BTreeMap::new(),
-            shed: BTreeMap::new(),
-            deadline_missed: BTreeMap::new(),
-            assignment: Vec::new(),
-            residency: vec![Vec::new(); cards],
-            card_health,
-            stats,
-            makespan: SimTime::ZERO,
-            sojourn: TimeAccumulator::new(),
-            flips: Vec::new(),
-            trace: self.assemble_trace(timelines, horizon, &[]),
-        }
     }
 }
 

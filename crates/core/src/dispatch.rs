@@ -7,14 +7,14 @@
 //! closes that gap *without* giving up determinism: instead of letting
 //! workers race for jobs at wall-clock time (which would make batch
 //! boundaries, residency patterns and the modelled makespan a function
-//! of thread scheduling), the producer simulates the pool's load with
+//! of thread scheduling), the planner simulates the pool's load with
 //! one **virtual modelled clock per shard** and deals the work up
 //! front:
 //!
 //! * **run dealing** — consecutive same-algorithm requests are dealt
 //!   as one unit (capped at the engine's batch cap), so the miss
-//!   batching the workers rely on survives the dispatch: a run stays
-//!   contiguous in its shard's queue and coalesces into one
+//!   batching the shards rely on survives the dispatch: a run stays
+//!   contiguous in its shard's stream and coalesces into one
 //!   `invoke_batch` call;
 //! * **least-loaded deal** — each run goes to the shard whose
 //!   projected clock is lowest, where a shard that has never hosted
@@ -91,7 +91,7 @@ pub(crate) struct StealRecord {
     /// Shard that stole it.
     pub to: u32,
     /// The submission index whose deal triggered the epoch (`n` for
-    /// the final drain epoch) — the producer emits the trace event
+    /// the final drain epoch) — the submission walk emits the trace event
     /// when it reaches this index, keeping per-shard timestamps
     /// monotone.
     pub at_index: usize,
@@ -633,7 +633,7 @@ mod tests {
         for (i, &s) in shard.iter().enumerate() {
             assert_eq!(s as usize, p.assignment[i]);
         }
-        // steal trigger indices are non-decreasing (producer replays
+        // steal trigger indices are non-decreasing (the submission walk replays
         // them with monotone timestamps)
         for pair in p.steals.windows(2) {
             assert!(pair[0].at_index <= pair[1].at_index);

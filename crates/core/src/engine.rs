@@ -4,14 +4,15 @@
 //! deployment (e.g. a crypto gateway) runs many such cards and fans
 //! requests out across them. [`Engine`] reproduces that: it partitions
 //! a [`Workload`] across `N` independent [`CoProcessor`] shards, each
-//! driven by its own OS thread behind a bounded job queue, and
-//! reassembles the results in submission order — outputs are
-//! byte-identical to running the workload serially on one card.
+//! driven by its own OS thread walking its slice of the submission
+//! stream in order, and reassembles the results in submission order —
+//! outputs are byte-identical to running the workload serially on one
+//! card.
 //!
 //! Two serving optimisations ride on the pool:
 //!
-//! * **miss batching** — a worker drains the run of consecutive queued
-//!   requests for the same algorithm and serves them with one
+//! * **miss batching** — a shard takes the run of consecutive requests
+//!   in its stream for the same algorithm and serves them with one
 //!   [`CoProcessor::invoke_batch`] call, paying the record lookup and
 //!   any (re)configuration once per run instead of once per request;
 //! * **sharding policies** ([`ShardPolicy`]) — requests can be routed
@@ -65,8 +66,7 @@ use aaod_sim::trace::{
 };
 use aaod_sim::{FaultPlan, FaultRates, FaultSite, LatencySite, SimTime};
 use aaod_workload::Workload;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::{Condvar, Mutex};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// How requests are partitioned across the shard pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -183,12 +183,9 @@ impl ShardPolicy {
     }
 }
 
-/// Bound of each shard's job queue (requests).
-const QUEUE_DEPTH: usize = 64;
-
-/// Longest same-algorithm run one `invoke_batch` call may absorb. The
-/// producer segments each shard's stream at this cap, and the dynamic
-/// and auction planners deal runs of the same shape.
+/// Longest same-algorithm run one `invoke_batch` call may absorb. Each
+/// shard segments its stream at this cap, and the dynamic and auction
+/// planners deal runs of the same shape.
 pub(crate) const BATCH_MAX: usize = 16;
 
 /// Engine tuning parameters.
@@ -351,7 +348,7 @@ impl EngineResult {
     }
 }
 
-/// One queued request.
+/// One request on its way through a shard.
 struct Job {
     index: usize,
     algo_id: u16,
@@ -402,81 +399,6 @@ fn arrival_time(oc: &OverloadConfig, workload: &Workload, i: usize) -> SimTime {
             SimTime::from_ps((oc.interarrival.as_ps() as u128 * tick as u128 / 1000) as u64)
         }
         None => oc.interarrival * i as u64,
-    }
-}
-
-/// A bounded FIFO of pre-segmented batches: producers block while the
-/// queued job count is at capacity, consumers block while empty,
-/// `close` wakes everyone for shutdown.
-///
-/// Batches are segmented by the *producer* from its full view of the
-/// shard's stream, never by the consumer's racy view of the queue —
-/// batch boundaries (and therefore the per-batch shared costs and the
-/// modelled makespan) are a pure function of the workload, not of
-/// thread timing.
-struct BoundedQueue {
-    state: Mutex<QueueState>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    capacity: usize,
-}
-
-struct QueueState {
-    batches: VecDeque<Vec<Job>>,
-    /// Total jobs across `batches` (the capacity unit).
-    jobs: usize,
-    closed: bool,
-}
-
-impl BoundedQueue {
-    fn new(capacity: usize) -> Self {
-        BoundedQueue {
-            state: Mutex::new(QueueState {
-                batches: VecDeque::new(),
-                jobs: 0,
-                closed: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            capacity,
-        }
-    }
-
-    fn push(&self, batch: Vec<Job>) {
-        debug_assert!(!batch.is_empty(), "empty batch pushed");
-        let mut st = self.state.lock().expect("queue lock poisoned");
-        // an empty queue always admits a batch, so a batch larger
-        // than the whole capacity cannot deadlock
-        while st.jobs >= self.capacity && !st.batches.is_empty() {
-            st = self.not_full.wait(st).expect("queue lock poisoned");
-        }
-        st.jobs += batch.len();
-        st.batches.push_back(batch);
-        drop(st);
-        self.not_empty.notify_one();
-    }
-
-    fn close(&self) {
-        self.state.lock().expect("queue lock poisoned").closed = true;
-        self.not_empty.notify_all();
-    }
-
-    /// Pops the next batch; `None` once the queue is closed and
-    /// drained.
-    fn pop_batch(&self) -> Option<Vec<Job>> {
-        let mut st = self.state.lock().expect("queue lock poisoned");
-        loop {
-            if let Some(batch) = st.batches.pop_front() {
-                st.jobs -= batch.len();
-                drop(st);
-                self.not_full.notify_all();
-                return Some(batch);
-            }
-            if st.closed {
-                return None;
-            }
-            st = self.not_empty.wait(st).expect("queue lock poisoned");
-        }
     }
 }
 
@@ -635,7 +557,7 @@ struct WorkerOutcome {
     recovery_latency: TimeAccumulator,
     /// Overload-layer counters for this shard.
     overload: OverloadStats,
-    /// Jobs bounced by this shard's open breaker, in pop order; the
+    /// Jobs bounced by this shard's open breaker, in stream order; the
     /// engine redistributes them to healthy shards after the pool
     /// drains.
     rejected: Vec<Job>,
@@ -689,7 +611,7 @@ fn breaker_phase(state: BreakerState) -> BreakerPhase {
 /// eight sequential stages (zero-duration stages are skipped) and
 /// returns the job's end time. The stage durations come straight from
 /// the report, so their sum equals the job's service time.
-pub(crate) fn trace_clean_stages(
+fn trace_clean_stages(
     tracer: &mut Tracer,
     start: SimTime,
     index: usize,
@@ -713,28 +635,6 @@ pub(crate) fn trace_clean_stages(
         cursor += dur;
     }
     cursor
-}
-
-/// [`trace_clean_stages`] plus the closing `JobClose`, for paths that
-/// classify the job as completed on the spot.
-pub(crate) fn trace_clean_job(
-    tracer: &mut Tracer,
-    start: SimTime,
-    index: usize,
-    algo_id: u16,
-    report: &HostReport,
-) -> SimTime {
-    let end = trace_clean_stages(tracer, start, index, algo_id, report);
-    tracer.record(
-        end,
-        EventKind::JobClose {
-            job: index as u64,
-            algo: algo_id,
-            outcome: JobOutcome::Completed,
-            hit: report.hit(),
-        },
-    );
-    end
 }
 
 /// The sharded co-processor pool.
@@ -778,9 +678,12 @@ impl Engine {
     /// Serves every request of `workload` through the pool and
     /// reassembles the results in submission order.
     ///
-    /// Each shard installs only the algorithms routed to it (install
-    /// time is bring-up, not serving time), services its queue until
-    /// the producer closes it, and reports its modelled busy time.
+    /// One walk over the submission stream, on the calling thread,
+    /// applies the per-tenant quota drops (and records the submission
+    /// trace events) before any shard starts. Each shard then installs
+    /// only the algorithms routed to it (install time is bring-up, not
+    /// serving time), serves its own requests in submission order, and
+    /// reports its modelled busy time.
     ///
     /// # Errors
     ///
@@ -790,35 +693,6 @@ impl Engine {
         let workers = self.config.workers.max(1);
         let requests = workload.requests();
         let n = requests.len();
-        if n == 0 {
-            return Ok(EngineResult {
-                workers,
-                requests: 0,
-                input_bytes: 0,
-                outputs: self.config.collect_outputs.then(Vec::new),
-                per_request_hit: Vec::new(),
-                latency: TimeAccumulator::new(),
-                total_service_time: SimTime::ZERO,
-                shard_busy: vec![SimTime::ZERO; workers],
-                makespan: SimTime::ZERO,
-                stats: OsStats::default(),
-                batches: 0,
-                coalesced: 0,
-                dispatch: DispatchStats::default(),
-                failed: BTreeMap::new(),
-                faults: FaultStats::default(),
-                recovery_latency: TimeAccumulator::new(),
-                shed: BTreeMap::new(),
-                deadline_missed: BTreeMap::new(),
-                quota_exceeded: BTreeMap::new(),
-                tenants: Vec::new(),
-                overload: OverloadStats::default(),
-                deadline_budget: None,
-                shard_health: Vec::new(),
-                sojourn: TimeAccumulator::new(),
-                trace: (self.config.trace.level != TraceLevel::Off).then(TraceReport::default),
-            });
-        }
         let plan = self.config.shard.plan(workload, workers, &self.factory);
         let assignment = &plan.assignment;
         let mut shard_algos: Vec<BTreeSet<u16>> = vec![BTreeSet::new(); workers];
@@ -862,17 +736,11 @@ impl Engine {
         let factory = &self.factory;
         let trace_cfg = self.config.trace;
         let predict = self.config.predict;
-        let mut producer_tracer = Tracer::new(trace_cfg, PRODUCER_SHARD);
-        let queues: Vec<BoundedQueue> = (0..workers)
-            .map(|_| BoundedQueue::new(QUEUE_DEPTH))
-            .collect();
-        // Per-tenant hard quotas are enforced at submission: a request
-        // past its tenant's quota is dropped by the producer without
-        // ever being enqueued. `(index, tenant, quota)` of each drop.
-        let mut quota_drops: Vec<(usize, u16, u64)> = Vec::new();
-        // Request `i` as a job: at submission, and again for a rescue.
+        let arrival_of =
+            |i: usize| overload.map_or(SimTime::ZERO, |oc| arrival_time(&oc, workload, i));
+        // Request `i` as a job: on its shard, and again for a rescue.
         let job_at = |i: usize| {
-            let arrival = overload.map_or(SimTime::ZERO, |oc| arrival_time(&oc, workload, i));
+            let arrival = arrival_of(i);
             Job {
                 index: i,
                 algo_id: requests[i].algo_id,
@@ -883,112 +751,52 @@ impl Engine {
             }
         };
 
-        let outcomes: Vec<Result<WorkerOutcome, CoreError>> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for (shard, queue) in queues.iter().enumerate() {
-                let algos = &shard_algos[shard];
-                handles.push(scope.spawn(move || {
-                    worker_loop(
-                        factory,
-                        queue,
-                        algos,
-                        verify,
-                        collect,
-                        faults,
-                        overload,
-                        fairness,
-                        shard as u32,
-                        trace_cfg,
-                        predict,
-                    )
-                }));
-            }
-            // This thread is the producer: walk the stream in
-            // submission order, segmenting each shard's consecutive
-            // same-algorithm run into a batch (capped at BATCH_MAX)
-            // and pushing whole batches, blocking whenever a shard's
-            // queue is full. Segmenting here — from the full stream,
-            // not the consumer's racy view of its queue — keeps batch
-            // boundaries, and with them the modelled makespan, a pure
-            // function of the workload.
-            let mut pending: Vec<Vec<Job>> = (0..workers).map(|_| Vec::new()).collect();
-            // Dynamic dispatch replays the planner's deal/steal ledger
-            // into the trace as it walks the stream, stamped at each
-            // trigger's arrival time so per-shard timestamps stay
-            // monotone.
-            let emit_plan = producer_tracer.enabled() && !plan.decisions.is_empty();
-            let mut steal_cursor = 0usize;
-            let mut tenant_submitted: Vec<u64> = workload
-                .tenant_specs()
-                .map_or_else(Vec::new, |specs| vec![0; specs.len()]);
-            for (i, req) in requests.iter().enumerate() {
-                let tenant = workload.tenant_of(i);
-                if overload.is_some() {
-                    if let (Some(t), Some(specs)) = (tenant, workload.tenant_specs()) {
-                        if let Some(quota) = specs.get(t as usize).and_then(|s| s.quota) {
-                            let count = &mut tenant_submitted[t as usize];
-                            *count += 1;
-                            if *count > quota {
-                                quota_drops.push((i, t, quota));
-                                continue;
-                            }
+        // The submission walk. Per-tenant hard quotas are enforced at
+        // submission: a request past its tenant's quota is dropped
+        // here, and no shard ever sees it. The walk also records the
+        // submission pseudo-shard's trace: dynamic dispatch replays the
+        // planner's deal/steal ledger as it goes, stamped at each
+        // trigger's arrival time so the stream's timestamps stay
+        // monotone, and every surviving request is enqueued to its
+        // shard.
+        let mut submit_tracer = Tracer::new(trace_cfg, PRODUCER_SHARD);
+        let mut dropped = vec![false; n];
+        let mut quota_exceeded: BTreeMap<usize, JobError> = BTreeMap::new();
+        let emit_plan = submit_tracer.enabled() && !plan.decisions.is_empty();
+        let mut steal_cursor = 0usize;
+        let mut tenant_submitted: Vec<u64> = workload
+            .tenant_specs()
+            .map_or_else(Vec::new, |specs| vec![0; specs.len()]);
+        for (i, req) in requests.iter().enumerate() {
+            if overload.is_some() {
+                if let (Some(t), Some(specs)) = (workload.tenant_of(i), workload.tenant_specs()) {
+                    if let Some(quota) = specs.get(t as usize).and_then(|s| s.quota) {
+                        let count = &mut tenant_submitted[t as usize];
+                        *count += 1;
+                        if *count > quota {
+                            dropped[i] = true;
+                            quota_exceeded.insert(
+                                i,
+                                JobError::QuotaExceeded {
+                                    algo_id: req.algo_id,
+                                    tenant: t,
+                                    quota,
+                                },
+                            );
+                            continue;
                         }
                     }
                 }
-                let shard = assignment[i];
-                let run = &mut pending[shard];
-                if !run.is_empty() && (run[0].algo_id != req.algo_id || run.len() >= BATCH_MAX) {
-                    queues[shard].push(std::mem::take(run));
-                }
-                let job = job_at(i);
-                let arrival = job.arrival;
-                if emit_plan {
-                    while steal_cursor < plan.steals.len()
-                        && plan.steals[steal_cursor].at_index <= i
-                    {
-                        let s = &plan.steals[steal_cursor];
-                        producer_tracer.record(
-                            arrival,
-                            EventKind::Steal {
-                                job: s.job as u64,
-                                algo: s.algo_id,
-                                from: s.from,
-                                to: s.to,
-                            },
-                        );
-                        steal_cursor += 1;
-                    }
-                    let d = plan.decisions[i];
-                    producer_tracer.record(
-                        arrival,
-                        EventKind::Dispatch {
-                            job: i as u64,
-                            algo: req.algo_id,
-                            to: d.shard,
-                            affinity: d.affinity,
-                        },
-                    );
-                }
-                producer_tracer.record(
-                    arrival,
-                    EventKind::Enqueue {
-                        job: i as u64,
-                        algo: req.algo_id,
-                        to: shard as u32,
-                    },
-                );
-                run.push(job);
             }
+            if !submit_tracer.enabled() {
+                continue;
+            }
+            let arrival = arrival_of(i);
             if emit_plan {
-                // the final drain epoch's steals trigger past the last
-                // submission index
-                let end = overload.map_or(SimTime::ZERO, |oc| {
-                    arrival_time(&oc, workload, n - 1) + oc.interarrival
-                });
-                while steal_cursor < plan.steals.len() {
+                while steal_cursor < plan.steals.len() && plan.steals[steal_cursor].at_index <= i {
                     let s = &plan.steals[steal_cursor];
-                    producer_tracer.record(
-                        end,
+                    submit_tracer.record(
+                        arrival,
                         EventKind::Steal {
                             job: s.job as u64,
                             algo: s.algo_id,
@@ -998,13 +806,76 @@ impl Engine {
                     );
                     steal_cursor += 1;
                 }
+                let d = plan.decisions[i];
+                submit_tracer.record(
+                    arrival,
+                    EventKind::Dispatch {
+                        job: i as u64,
+                        algo: req.algo_id,
+                        to: d.shard,
+                        affinity: d.affinity,
+                    },
+                );
             }
-            for (shard, run) in pending.into_iter().enumerate() {
-                if !run.is_empty() {
-                    queues[shard].push(run);
-                }
-                queues[shard].close();
+            submit_tracer.record(
+                arrival,
+                EventKind::Enqueue {
+                    job: i as u64,
+                    algo: req.algo_id,
+                    to: assignment[i] as u32,
+                },
+            );
+        }
+        if emit_plan {
+            // the final drain epoch's steals trigger past the last
+            // submission index
+            let end = overload.map_or(SimTime::ZERO, |oc| {
+                arrival_time(&oc, workload, n - 1) + oc.interarrival
+            });
+            for s in &plan.steals[steal_cursor..] {
+                submit_tracer.record(
+                    end,
+                    EventKind::Steal {
+                        job: s.job as u64,
+                        algo: s.algo_id,
+                        from: s.from,
+                        to: s.to,
+                    },
+                );
             }
+        }
+
+        // One thread per shard, each walking its own slice of the
+        // stream. Batch boundaries (and with them the per-batch shared
+        // costs and the modelled makespan) are cut from that slice
+        // alone, so they are a pure function of the workload, never of
+        // thread timing.
+        let outcomes: Vec<Result<WorkerOutcome, CoreError>> = std::thread::scope(|scope| {
+            let (dropped, job_at) = (&dropped, &job_at);
+            let handles: Vec<_> = shard_algos
+                .iter()
+                .enumerate()
+                .map(|(shard, algos)| {
+                    let jobs = (0..n)
+                        .filter(move |&i| assignment[i] == shard && !dropped[i])
+                        .map(job_at);
+                    scope.spawn(move || {
+                        worker_loop(
+                            factory,
+                            jobs,
+                            algos,
+                            verify,
+                            collect,
+                            faults,
+                            overload,
+                            fairness,
+                            shard as u32,
+                            trace_cfg,
+                            predict,
+                        )
+                    })
+                })
+                .collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("engine worker panicked"))
@@ -1016,7 +887,6 @@ impl Engine {
         let mut stats = OsStats::default();
         let mut batches = 0u64;
         let mut coalesced = 0u64;
-        let mut quota_exceeded: BTreeMap<usize, JobError> = BTreeMap::new();
         let mut fault_stats = FaultStats::default();
         let mut overload_stats = OverloadStats::default();
         let mut recovery_latency = TimeAccumulator::new();
@@ -1049,20 +919,10 @@ impl Engine {
                 results.land(r);
             }
         }
-        // Quota drops happened at the producer, before any shard saw
-        // the job: account them here so conservation covers them.
-        for &(index, tenant, quota) in &quota_drops {
-            overload_stats.submitted += 1;
-            overload_stats.quota_exceeded += 1;
-            quota_exceeded.insert(
-                index,
-                JobError::QuotaExceeded {
-                    algo_id: requests[index].algo_id,
-                    tenant,
-                    quota,
-                },
-            );
-        }
+        // Quota drops happened at submission, before any shard saw the
+        // job: account them here so conservation covers them.
+        overload_stats.submitted += quota_exceeded.len() as u64;
+        overload_stats.quota_exceeded += quota_exceeded.len() as u64;
         let mut makespan =
             shard_busy
                 .iter()
@@ -1294,7 +1154,7 @@ impl Engine {
             None
         } else {
             trace_shards.push(engine_tracer.finish());
-            trace_shards.push(producer_tracer.finish());
+            trace_shards.push(submit_tracer.finish());
             Some(TraceReport::assemble(trace_shards))
         };
         Ok(EngineResult {
@@ -1360,8 +1220,11 @@ impl Engine {
                 let mut samples: Vec<SimTime> = requests.iter().map(|r| est[&r.algo_id]).collect();
                 samples.sort();
                 // nearest-rank percentile over the sorted estimates
-                let rank = ((pct / 100.0) * (samples.len() - 1) as f64).round() as usize;
-                let base = samples[rank.min(samples.len() - 1)];
+                // (an empty workload has no samples: the base is zero
+                // and the budget floors at 1 ps)
+                let rank =
+                    ((pct / 100.0) * samples.len().saturating_sub(1) as f64).round() as usize;
+                let base = samples.get(rank).copied().unwrap_or(SimTime::ZERO);
                 let ps = (base.as_ps() as f64 * multiplier).round() as u64;
                 Ok(SimTime::from_ps(ps.max(1)))
             }
@@ -1372,7 +1235,7 @@ impl Engine {
 #[allow(clippy::too_many_arguments)]
 fn worker_loop(
     factory: &(dyn Fn() -> CoProcessor + Send + Sync),
-    queue: &BoundedQueue,
+    jobs: impl Iterator<Item = Job>,
     algos: &BTreeSet<u16>,
     verify: bool,
     collect: bool,
@@ -1399,8 +1262,18 @@ fn worker_loop(
     // bring-up details (install-time ROM fetches, decompression, port
     // writes) are stamped at time zero: install is not serving time
     driver.flush_details(SimTime::ZERO);
-    while let Some(batch) = queue.pop_batch() {
-        let algo_id = batch[0].algo_id;
+    // Each batch is a maximal run of consecutive same-algorithm jobs in
+    // the shard's stream, capped at BATCH_MAX.
+    let mut jobs = jobs.peekable();
+    while let Some(first) = jobs.next() {
+        let algo_id = first.algo_id;
+        let mut batch = vec![first];
+        while batch.len() < BATCH_MAX {
+            match jobs.next_if(|j| j.algo_id == algo_id) {
+                Some(job) => batch.push(job),
+                None => break,
+            }
+        }
         driver.outcome.batches += 1;
         driver.outcome.coalesced += batch.len() as u64 - 1;
         if driver.tracer.enabled() {
@@ -1445,7 +1318,7 @@ fn worker_loop(
     // (evictions, cache outcomes, port writes) buffered; drain them so
     // the trace's eviction count stays in lock-step with the ledger.
     if predictor.is_some() {
-        driver.flush_details(driver.outcome.busy);
+        driver.flush_details(driver.clock());
     }
     driver.drain()?;
     driver.flush_details(driver.clock().max(driver.outcome.busy));
@@ -1506,7 +1379,7 @@ impl OverloadState {
     }
 }
 
-/// An admission decision for one popped job.
+/// An admission decision for one job.
 enum Admission {
     /// Serve it.
     Serve,
@@ -1683,7 +1556,7 @@ impl ShardDriver {
             .and_then(|_| self.cfg.plan.decide_latency(index as u64))
     }
 
-    /// Admission control for one popped job: counts the submission and
+    /// Admission control for one job: counts the submission and
     /// decides serve / shed / bounce at the shard's current clock.
     fn admit(&mut self, job: &Job) -> Admission {
         let Some(ov) = &mut self.overload else {
@@ -2359,6 +2232,43 @@ mod tests {
         assert_eq!(busiest, r.makespan);
     }
 
+    /// An independent recount of the batch rule under
+    /// [`ShardPolicy::AlgoModulo`]: per shard, the maximal runs of
+    /// consecutive same-algorithm requests in submission order, split
+    /// every 16. Requests failing `kept` (quota drops) are skipped;
+    /// with `split_at_drops` a drop also ends the run, the rule the
+    /// engine must *not* follow.
+    fn recount_batches(
+        w: &Workload,
+        workers: usize,
+        kept: impl Fn(usize) -> bool,
+        split_at_drops: bool,
+    ) -> u64 {
+        let mut batches = 0;
+        for shard in 0..workers {
+            let mut run: Option<(u16, usize)> = None;
+            for (i, req) in w.requests().iter().enumerate() {
+                if req.algo_id as usize % workers != shard {
+                    continue;
+                }
+                if !kept(i) {
+                    if split_at_drops {
+                        run = None;
+                    }
+                    continue;
+                }
+                match &mut run {
+                    Some((algo, len)) if *algo == req.algo_id && *len < 16 => *len += 1,
+                    _ => {
+                        batches += 1;
+                        run = Some((req.algo_id, 1));
+                    }
+                }
+            }
+        }
+        batches
+    }
+
     #[test]
     fn bursty_workload_batches_requests() {
         let w = Workload::bursty(&FIT_SET, 64, 8, 32, 7);
@@ -2374,16 +2284,99 @@ mod tests {
         );
         assert!(r.coalesced > 0);
         assert_eq!(r.batches + r.coalesced, 64);
+        assert_eq!(r.batches, recount_batches(&w, 2, |_| true, false));
+
+        // A quota-dropped request inside a same-algorithm run leaves
+        // the run whole: the drop is skipped, not a batch boundary.
+        let w = Workload::multi_tenant(&two_tenant_specs(Some(10)), 200, 9);
+        let r = Engine::new(EngineConfig {
+            workers: 2,
+            overload: Some(OverloadConfig {
+                interarrival: SimTime::from_us(100),
+                deadline: DeadlinePolicy::Absolute(SimTime::from_secs(100)),
+                ..OverloadConfig::default()
+            }),
+            ..EngineConfig::default()
+        })
+        .serve(&w)
+        .unwrap();
+        let kept = |i: usize| !r.quota_exceeded.contains_key(&i);
+        assert!(!r.quota_exceeded.is_empty());
+        assert_eq!(
+            r.batches + r.coalesced,
+            (w.len() - r.quota_exceeded.len()) as u64
+        );
+        assert_eq!(r.batches, recount_batches(&w, 2, kept, false));
+        assert_ne!(
+            r.batches,
+            recount_batches(&w, 2, kept, true),
+            "some quota drop must sit inside a same-algorithm run"
+        );
     }
 
+    /// An empty workload takes the general serving path and reports
+    /// what any run reports for no work: zero requests and time, one
+    /// idle shard per worker, and in overload mode the resolved
+    /// deadline budget and a closed breaker on every shard.
     #[test]
     fn empty_workload_is_empty_result() {
         let w = Workload::from_trace(std::iter::empty::<u16>(), 8);
-        let r = Engine::new(EngineConfig::default()).serve(&w).unwrap();
-        assert_eq!(r.requests, 0);
-        assert!(r.makespan.is_zero());
-        assert_eq!(r.speedup(), 0.0);
-        assert_eq!(r.outputs.unwrap().len(), 0);
+        let closed = vec![vec![(SimTime::ZERO, BreakerState::Closed)]; 4];
+        for shard in [
+            ShardPolicy::AlgoModulo,
+            ShardPolicy::RoundRobin,
+            ShardPolicy::Balanced,
+            ShardPolicy::Dynamic,
+            ShardPolicy::Auction,
+        ] {
+            let cfg = EngineConfig {
+                shard,
+                trace: TraceConfig::full(),
+                ..EngineConfig::default()
+            };
+            let r = Engine::new(cfg).serve(&w).unwrap();
+            assert_eq!(r.requests, 0);
+            assert!(r.makespan.is_zero());
+            assert_eq!(r.speedup(), 0.0);
+            assert_eq!(r.outputs.unwrap().len(), 0);
+            assert_eq!(r.shard_busy, vec![SimTime::ZERO; 4]);
+            assert_eq!(r.stats, OsStats::default());
+            assert_eq!(r.batches, 0);
+            assert_eq!(r.dispatch, DispatchStats::default());
+            assert_eq!(r.deadline_budget, None);
+            assert!(r.shard_health.is_empty());
+            assert_eq!(r.trace, Some(TraceReport::default()));
+            for (deadline, budget) in [
+                (
+                    DeadlinePolicy::Absolute(SimTime::from_ms(1)),
+                    SimTime::from_ms(1),
+                ),
+                (
+                    DeadlinePolicy::Percentile {
+                        pct: 95.0,
+                        multiplier: 3.0,
+                    },
+                    SimTime::from_ps(1),
+                ),
+            ] {
+                let r = Engine::new(EngineConfig {
+                    overload: Some(OverloadConfig {
+                        deadline,
+                        ..OverloadConfig::default()
+                    }),
+                    ..cfg
+                })
+                .serve(&w)
+                .unwrap();
+                assert_eq!(r.requests, 0);
+                assert!(r.makespan.is_zero());
+                assert_eq!(r.stats, OsStats::default());
+                assert_eq!(r.overload, OverloadStats::default());
+                assert!(r.tenants.is_empty());
+                assert_eq!(r.deadline_budget, Some(budget), "{}", shard.name());
+                assert_eq!(r.shard_health, closed, "{}", shard.name());
+            }
+        }
     }
 
     #[test]
@@ -2767,7 +2760,7 @@ mod tests {
         assert!(flood.shed > 0, "the flood pays for the lift");
     }
 
-    /// A tenant quota drops excess submissions at the producer:
+    /// A tenant quota drops excess submissions before any shard sees them:
     /// exactly `submitted − quota` jobs land in `quota_exceeded`,
     /// are never enqueued, and conservation still balances.
     #[test]
@@ -2850,7 +2843,9 @@ mod tests {
     /// Per-shard event streams must carry monotone non-decreasing
     /// modelled timestamps, balanced open/close pairs, and stage spans
     /// nested inside their job's open/close window — in clean, chaos
-    /// and overload modes alike.
+    /// and overload modes alike, and with the prefetcher evicting on
+    /// an over-committed card under open-loop arrivals, where idle gaps
+    /// put the shard clock ahead of its busy time.
     #[test]
     fn trace_streams_are_well_formed_in_every_mode() {
         use crate::breaker::BreakerConfig;
@@ -2888,8 +2883,35 @@ mod tests {
             )),
             ..clean
         };
-        for (label, cfg) in [("clean", clean), ("chaos", chaos), ("overload", overload)] {
-            let r = Engine::new(cfg).serve(&w).unwrap();
+        // AES-128, 3DES and SHA-256 overcommit a 52-frame card, so the
+        // prefetch after the final batch evicts.
+        let churn = Workload::round_robin(&[ids::AES128, ids::TDES, ids::SHA256], 241, 64);
+        let predict = EngineConfig {
+            workers: 1,
+            overload: Some(OverloadConfig {
+                interarrival: SimTime::from_us(500),
+                deadline: DeadlinePolicy::Absolute(SimTime::from_ms(50)),
+                ..OverloadConfig::default()
+            }),
+            predict: Some(crate::predict::PredictConfig::default()),
+            ..clean
+        };
+        let churn_card = || {
+            CoProcessor::builder()
+                .geometry(aaod_fabric::DeviceGeometry::new(52, 16))
+                .build()
+        };
+        let runs = [
+            ("clean", Engine::new(clean).serve(&w)),
+            ("chaos", Engine::new(chaos).serve(&w)),
+            ("overload", Engine::new(overload).serve(&w)),
+            (
+                "overload + predict",
+                Engine::with_factory(predict, churn_card).serve(&churn),
+            ),
+        ];
+        for (label, r) in runs {
+            let r = r.unwrap();
             let t = r.trace.as_ref().unwrap();
             let mut last: BTreeMap<u32, SimTime> = BTreeMap::new();
             let mut open_jobs: BTreeMap<(u32, u64), SimTime> = BTreeMap::new();

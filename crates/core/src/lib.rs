@@ -61,7 +61,7 @@ pub use overload::{
     DeadlinePolicy, FairnessConfig, OverloadConfig, OverloadStats, TenantStats, WatchdogConfig,
 };
 pub use predict::{Flip, FlipRecord, HysteresisGate, PredictConfig, PredictModel};
-pub use runner::{run_workload, run_workload_traced, Executor, RunResult};
+pub use runner::{run_workload, Executor, RunResult};
 
 // Re-export the pieces users compose with.
 pub use aaod_mcu::ReconfigMode;

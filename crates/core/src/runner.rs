@@ -3,10 +3,8 @@
 
 use crate::baselines::{FixedFunctionCoProcessor, SoftwareExecutor};
 use crate::coproc::CoProcessor;
-use crate::engine::trace_clean_job;
 use crate::error::CoreError;
 use aaod_sim::stats::TimeAccumulator;
-use aaod_sim::trace::{TraceConfig, TraceLevel, TraceReport, Tracer};
 use aaod_sim::SimTime;
 use aaod_workload::Workload;
 
@@ -123,9 +121,6 @@ pub struct RunResult {
     pub scrub_repairs: Option<u64>,
     /// Corrupt ROM images re-downloaded afresh, if applicable.
     pub redownloads: Option<u64>,
-    /// The run's trace (only populated by [`run_workload_traced`] at a
-    /// level above [`TraceLevel::Off`]).
-    pub trace: Option<TraceReport>,
 }
 
 impl RunResult {
@@ -236,95 +231,6 @@ pub fn run_workload(
         scrub_repairs: recovery(|s| s.1),
         redownloads: recovery(|s| s.2),
         latency,
-        trace: None,
-    })
-}
-
-/// [`run_workload`] on a [`CoProcessor`] with the observability layer
-/// on: every request gets a full stage-span tree laid on a serial
-/// modelled clock, component details are attributed to the job that
-/// produced them, and the assembled [`TraceReport`] rides on the
-/// result. Tracing only observes durations — the timing fields are
-/// identical to an untraced run.
-///
-/// # Errors
-///
-/// Propagates executor errors and reports
-/// [`CoreError::OutputMismatch`] on a verification failure.
-pub fn run_workload_traced(
-    cp: &mut CoProcessor,
-    workload: &Workload,
-    verify: bool,
-    trace: TraceConfig,
-) -> Result<RunResult, CoreError> {
-    let golden = aaod_algos::AlgorithmBank::standard();
-    let mut tracer = Tracer::new(trace, 0);
-    let mut details_buf: Vec<aaod_sim::DetailEvent> = Vec::new();
-    if tracer.enabled() {
-        cp.set_trace(true);
-        // bring-up details left over from installs predate the run
-        cp.take_details_into(&mut details_buf);
-        tracer.details(SimTime::ZERO, &details_buf);
-    }
-    let cache_before = cp.cache_stats();
-    let decoded_before = cp.decoded_stats();
-    let recovery_before = cp.recovery_stats();
-    let mut latency = TimeAccumulator::new();
-    let mut input_bytes = 0u64;
-    let mut cursor = SimTime::ZERO;
-    for (i, req) in workload.requests().iter().enumerate() {
-        let input = workload.input(i);
-        input_bytes += input.len() as u64;
-        let (output, report) = cp.invoke(req.algo_id, &input)?;
-        if tracer.enabled() {
-            cp.take_details_into(&mut details_buf);
-            tracer.details(cursor, &details_buf);
-            cursor = trace_clean_job(&mut tracer, cursor, i, req.algo_id, &report);
-        }
-        latency.push(report.total());
-        if verify {
-            let expected = golden
-                .execute_software(req.algo_id, &input)
-                .map_err(CoreError::Algo)?;
-            if output != expected {
-                return Err(CoreError::OutputMismatch {
-                    algo_id: req.algo_id,
-                    index: i,
-                });
-            }
-        }
-    }
-    let sub = |before: Option<(u64, u64, u64)>,
-               after: Option<(u64, u64, u64)>,
-               f: fn(&(u64, u64, u64)) -> u64| {
-        match (before, after) {
-            (Some(b), Some(a)) => Some(f(&a) - f(&b)),
-            (None, Some(a)) => Some(f(&a)),
-            _ => None,
-        }
-    };
-    let cache_after = cp.cache_stats();
-    let decoded_after = cp.decoded_stats();
-    let recovery_after = cp.recovery_stats();
-    let report =
-        (trace.level != TraceLevel::Off).then(|| TraceReport::assemble(vec![tracer.finish()]));
-    Ok(RunResult {
-        executor: cp.name(),
-        workload: workload.name().to_string(),
-        requests: workload.len(),
-        input_bytes,
-        total_time: latency.total(),
-        hits: sub(cache_before, cache_after, |s| s.0),
-        misses: sub(cache_before, cache_after, |s| s.1),
-        evictions: sub(cache_before, cache_after, |s| s.2),
-        decoded_hits: sub(decoded_before, decoded_after, |s| s.0),
-        decoded_misses: sub(decoded_before, decoded_after, |s| s.1),
-        decoded_bytes_saved: sub(decoded_before, decoded_after, |s| s.2),
-        scrubs: sub(recovery_before, recovery_after, |s| s.0),
-        scrub_repairs: sub(recovery_before, recovery_after, |s| s.1),
-        redownloads: sub(recovery_before, recovery_after, |s| s.2),
-        latency,
-        trace: report,
     })
 }
 
@@ -414,70 +320,5 @@ mod tests {
         let r = run_workload(&mut sw, &w, false).unwrap();
         assert_eq!(r.mean_latency(), SimTime::ZERO);
         assert_eq!(r.throughput_mb_s(), 0.0);
-    }
-
-    /// The traced runner's timing and cache fields must match the
-    /// untraced runner exactly — tracing only observes durations.
-    #[test]
-    fn traced_run_matches_untraced_timing() {
-        let algos = [ids::CRC32, ids::SHA1, ids::PARITY8];
-        let w = Workload::uniform(&algos, 30, 64, 7);
-        let base = run_workload(&mut installed_coproc(&algos), &w, true).unwrap();
-        let traced =
-            run_workload_traced(&mut installed_coproc(&algos), &w, true, TraceConfig::full())
-                .unwrap();
-        assert_eq!(traced.total_time, base.total_time);
-        assert_eq!(traced.hits, base.hits);
-        assert_eq!(traced.misses, base.misses);
-        assert_eq!(traced.decoded_hits, base.decoded_hits);
-        assert_eq!(traced.decoded_misses, base.decoded_misses);
-        assert!(traced.trace.is_some());
-        assert!(base.trace.is_none());
-        let off = run_workload_traced(&mut installed_coproc(&algos), &w, true, TraceConfig::off())
-            .unwrap();
-        assert!(off.trace.is_none(), "Off level must not build a report");
-        assert_eq!(off.total_time, base.total_time);
-    }
-
-    /// The serial trace is a single monotone stream whose stage spans
-    /// partition the total modelled time and whose counters reconcile
-    /// with the runner's own cache deltas.
-    #[test]
-    fn traced_run_spans_partition_total_time() {
-        let algos = [ids::CRC32, ids::SHA1, ids::XTEA];
-        let mut cp = installed_coproc(&algos);
-        let w = Workload::zipf(&algos, 40, 1.1, 48, 5);
-        let r = run_workload_traced(&mut cp, &w, true, TraceConfig::full()).unwrap();
-        let t = r.trace.as_ref().unwrap();
-        let c = &t.metrics.counters;
-        assert_eq!(c.jobs_opened, 40);
-        assert_eq!(c.jobs_completed, 40);
-        assert_eq!(c.residency_hits, r.hits.unwrap());
-        assert_eq!(c.residency_misses, r.misses.unwrap());
-        assert_eq!(c.decoded_hits, r.decoded_hits.unwrap());
-        // bring-up installs decode too, so only the delta must match
-        assert!(c.decoded_misses >= r.decoded_misses.unwrap());
-        let staged: SimTime = t
-            .metrics
-            .stage_time
-            .values()
-            .map(|h| h.total())
-            .fold(SimTime::ZERO, |a, b| a + b);
-        assert_eq!(staged, r.total_time);
-        let mut last = SimTime::ZERO;
-        for e in &t.events {
-            assert_eq!(e.shard, 0, "serial runner uses one shard");
-            assert!(e.ts >= last, "time went backwards at seq {}", e.seq);
-            last = e.ts;
-        }
-        // Determinism: a fresh identical run exports identical bytes.
-        let again =
-            run_workload_traced(&mut installed_coproc(&algos), &w, true, TraceConfig::full())
-                .unwrap();
-        assert_eq!(
-            again.trace.as_ref().unwrap().to_jsonl(),
-            t.to_jsonl(),
-            "same (workload, config) must trace identically"
-        );
     }
 }

@@ -32,8 +32,8 @@
 //! construction); per-shard event streams are deterministic and are
 //! merged into a single [`TraceReport`] ordered by `(shard, seq)`.
 //! Two pseudo-shards carry engine-level events: [`PRODUCER_SHARD`]
-//! (admission / enqueue) and [`ENGINE_SHARD`] (redistribution and
-//! requeue rescue).
+//! (the submission walk: dispatch, steal and enqueue) and
+//! [`ENGINE_SHARD`] (redistribution and requeue rescue).
 //!
 //! # Export
 //!
@@ -45,7 +45,8 @@
 use crate::time::SimTime;
 use std::collections::{BTreeMap, VecDeque};
 
-/// Pseudo-shard id for engine-level admission/enqueue events.
+/// Pseudo-shard id for the engine's submission walk (dispatch, steal
+/// and enqueue events).
 pub const PRODUCER_SHARD: u32 = u32::MAX;
 
 /// Pseudo-shard id for engine-level redistribution/requeue events.
@@ -475,7 +476,7 @@ pub enum EventKind {
         /// The shard that stole it.
         to: u32,
     },
-    /// The producer pushed a job onto a shard queue.
+    /// The submission walk routed a job to its shard.
     Enqueue {
         /// Submission index of the job.
         job: u64,
@@ -484,7 +485,7 @@ pub enum EventKind {
         /// Destination shard.
         to: u32,
     },
-    /// A worker popped a job from its queue.
+    /// A shard started the batch holding the job.
     Dequeue {
         /// Submission index of the job.
         job: u64,

@@ -22,7 +22,7 @@
 //! default.
 
 use aaod_algos::AlgorithmBank;
-use aaod_core::{Cluster, ClusterConfig, CoProcessor, JobError, TraceConfig};
+use aaod_core::{BreakerState, Cluster, ClusterConfig, CoProcessor, JobError, TraceConfig};
 use aaod_sim::{CardFault, CardFaultRates, ClusterFaultPlan, SimTime};
 use aaod_workload::mixes::fleet_workload;
 use aaod_workload::Workload;
@@ -372,6 +372,19 @@ fn empty_workload_yields_an_empty_balanced_result() {
     assert!(result.stats.accounted());
     assert!(result.stats.reconciled());
     assert_eq!(result.goodput(), 1.0);
+    assert!(result.makespan.is_zero());
+    assert_eq!(result.outputs, Some(Vec::new()));
+    // The general path reports what any run does for an idle card: it
+    // served nothing, and its breaker starts (and stays) closed.
+    assert_eq!(result.card_health.len(), 8);
+    for health in &result.card_health {
+        assert_eq!(health.served, 0);
+        assert_eq!(health.trips, 0);
+        assert_eq!(
+            health.breaker_timeline,
+            vec![(SimTime::ZERO, BreakerState::Closed)]
+        );
+    }
 }
 
 #[test]

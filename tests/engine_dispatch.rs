@@ -177,7 +177,7 @@ fn trace_events_reconcile_with_dispatch_stats() {
     assert_eq!(c.steals, r.dispatch.steals);
     assert_eq!(c.enqueued, workload.len() as u64);
 
-    // Replay the producer's event stream per job. Steals are narrated
+    // Replay the submission walk's event stream per job. Steals are narrated
     // at their trigger index, which is always *after* the stolen job's
     // own enqueue (the enqueue already reflects the final assignment),
     // so the enqueue target is checked against the fully-replayed
