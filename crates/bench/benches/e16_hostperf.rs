@@ -12,16 +12,21 @@
 //! 2. Ablation: the bit-sliced batch netlist evaluator
 //!    ([`run_decoded_netlist_batch`], 64 lanes per walk) against the
 //!    scalar per-input walk ([`run_decoded_netlist`]) on the bank's
-//!    LUT netlists with E11-sized (256 B) inputs — the miss-batch
-//!    evaluation path the controller takes on
-//!    [`aaod_mcu::MiniOs::invoke_batch`].
+//!    LUT netlists with E11-sized (256 B) inputs. The controller's
+//!    [`aaod_mcu::MiniOs::invoke_batch`] runs netlists of up to 16
+//!    inputs and outputs from a truth table whose blocks this
+//!    evaluator fills, and wider netlists on it directly.
+//! 3. Card hits: a warm resident hit through
+//!    [`CoProcessor::invoke`] against the kernel's
+//!    `execute_software`, for the four LUT-netlist kernels at 1500 B.
 //!
 //! Regression floors this bench commits to (and CI re-asserts):
-//! **combinational bit-sliced speedup ≥ 4×** over the scalar walk, and
+//! **combinational bit-sliced speedup ≥ 4×** over the scalar walk,
+//! **a warm CRC-8 card hit at 1500 B ≤ 10× `execute_software`**, and
 //! absolute req/s floors set conservatively (~half of the recorded
 //! baseline in `BENCH_hostperf.json`) so shared-runner noise cannot
-//! trip them but losing an allocation-free or bit-sliced hot path
-//! will.
+//! trip them but losing an allocation-free, bit-sliced or tabulated
+//! hot path will.
 
 use aaod_bench::criterion_fast;
 use aaod_core::{run_workload, CoProcessor, Engine, EngineConfig, ShardPolicy};
@@ -74,6 +79,9 @@ const FLOOR_FRACTION: f64 = 0.8;
 /// The acceptance floor for the tentpole: bit-sliced combinational
 /// evaluation must beat the scalar walk by at least this factor.
 const FLOOR_COMBINATIONAL_SPEEDUP: f64 = 4.0;
+/// A warm CRC-8 card hit at 1500 B may cost at most this many times
+/// the kernel's `execute_software`. A ratio, so it holds on any runner.
+const CEILING_CRC8_HIT_OVER_SOFTWARE: f64 = 10.0;
 
 fn print_throughput_table() {
     let reps = 5;
@@ -257,9 +265,83 @@ fn print_ablation_table() {
     );
 }
 
+/// Mean wall time of `f` over `calls` calls, after `warmup` calls that
+/// are not timed, in seconds. `f` receives the call index.
+fn mean_wall_s<F: FnMut(usize)>(warmup: usize, calls: usize, mut f: F) -> f64 {
+    for i in 0..warmup {
+        f(i);
+    }
+    let t = Instant::now();
+    for i in warmup..warmup + calls {
+        f(i);
+    }
+    t.elapsed().as_secs_f64() / calls as f64
+}
+
+fn print_card_hit_table() {
+    let (warmup, calls, len) = (50, 200, 1500);
+    let bank = aaod_algos::AlgorithmBank::standard();
+    let mut rng = aaod_sim::SplitMix64::new(1500);
+    let inputs: Vec<Vec<u8>> = (0..warmup + calls)
+        .map(|_| {
+            let mut v = vec![0u8; len];
+            rng.fill(&mut v);
+            v
+        })
+        .collect();
+    let mut t = Table::new(
+        "E16c: warm card hit vs execute_software (1500 B, mean of 200 calls)",
+        &["kernel", "card hit", "software", "ratio"],
+    );
+    let mut json_rows = Vec::new();
+    let mut crc8_ratio = f64::INFINITY;
+    for (name, algo) in [
+        ("crc8", aaod_algos::ids::CRC8),
+        ("adder8", aaod_algos::ids::ADDER8),
+        ("popcount8", aaod_algos::ids::POPCNT8),
+        ("parity8", aaod_algos::ids::PARITY8),
+    ] {
+        let mut cp = CoProcessor::default();
+        cp.install(algo).expect("install");
+        let hit_s = mean_wall_s(warmup, calls, |i| {
+            black_box(cp.invoke(algo, &inputs[i]).expect("card hit"));
+        });
+        let sw_s = mean_wall_s(warmup, calls, |i| {
+            black_box(bank.execute_software(algo, &inputs[i]).expect("software"));
+        });
+        let ratio = hit_s / sw_s;
+        if algo == aaod_algos::ids::CRC8 {
+            crc8_ratio = ratio;
+        }
+        t.row_owned(vec![
+            name.to_string(),
+            format!("{:.1}us", hit_s * 1e6),
+            format!("{:.1}us", sw_s * 1e6),
+            format!("{ratio:.1}x"),
+        ]);
+        json_rows.push(format!(
+            "{{\"kernel\":\"{name}\",\"bytes\":{len},\"calls\":{calls},\
+             \"card_hit_us\":{:.2},\"software_us\":{:.2},\"ratio\":{ratio:.2}}}",
+            hit_s * 1e6,
+            sw_s * 1e6,
+        ));
+    }
+    println!("{t}");
+    assert!(
+        crc8_ratio <= CEILING_CRC8_HIT_OVER_SOFTWARE,
+        "regression: a warm CRC-8 card hit costs {crc8_ratio:.1}x execute_software \
+         (ceiling {CEILING_CRC8_HIT_OVER_SOFTWARE}x)"
+    );
+    println!(
+        "BENCH_JSON {{\"experiment\":\"e16_hostperf_card_hit\",\"rows\":[{}]}}",
+        json_rows.join(",")
+    );
+}
+
 fn bench(c: &mut Criterion) {
     print_throughput_table();
     print_ablation_table();
+    print_card_hit_table();
     let w = e11_mix();
     let mut group = c.benchmark_group("e16_hostperf");
     let engine = Engine::new(EngineConfig {

@@ -639,6 +639,169 @@ pub fn run_decoded_netlist_batch(
     }
 }
 
+/// Widest netlist a [`NetlistTable`] tabulates: `2^16` `u16` entries,
+/// 128 KiB, at most.
+const TABLE_MAX_INPUTS: usize = 16;
+/// Most outputs a [`NetlistTable`] entry holds (one `u16` pattern).
+const TABLE_MAX_OUTPUTS: usize = 16;
+
+/// Lane masks for one table-filling [`Netlist::eval_words`] walk: lane
+/// `L` carries pattern bit `i` exactly when bit `i` of `L` is set, so
+/// the 64 lanes enumerate the low six bits of an aligned block.
+const LANE_PATTERN_MASKS: [u64; 6] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+];
+
+/// A decoded netlist with a lazily filled truth table,
+/// `input pattern → output pattern`, for netlists of at most 16 inputs
+/// and 16 outputs.
+///
+/// Input bit `i` of a pattern is netlist input `i`, and output bit `k`
+/// of an entry is output `k`. A missing entry fills its whole aligned
+/// 64-entry block with one bit-sliced walk of the netlist, so every
+/// entry is still computed LUT by LUT from the decoded bits; the table
+/// only spares re-walking a pattern it has seen. Storage is
+/// `2^n_inputs` entries plus one "filled" bit per block.
+///
+/// The table is a pure function of the netlist's value: it stays valid
+/// for any netlist `==` to [`NetlistTable::netlist`], whichever frames
+/// that netlist was decoded from.
+///
+/// # Examples
+///
+/// ```
+/// use aaod_fabric::{run_decoded_netlist, NetlistBuilder, NetlistMode, NetlistTable};
+///
+/// let mut b = NetlistBuilder::new();
+/// let data = b.inputs(8);
+/// let state = b.inputs(8);
+/// let next = b.xor_vec(&data, &state);
+/// b.output_vec(&next);
+/// let netlist = b.finish().unwrap();
+/// let mut table = NetlistTable::new(netlist.clone()).expect("16 inputs fit");
+/// let input: &[u8] = &[0xA5, 0x5A, 0xFF];
+/// let out = table.run_batch(NetlistMode::Streaming, &[input]).unwrap();
+/// assert_eq!(out[0], run_decoded_netlist(&netlist, NetlistMode::Streaming, input).unwrap());
+/// ```
+#[derive(Debug, Clone)]
+pub struct NetlistTable {
+    netlist: Netlist,
+    entries: Vec<u16>,
+    filled: Vec<u64>,
+    in_words: Vec<u64>,
+    out_words: Vec<u64>,
+    nets: Vec<u64>,
+}
+
+impl NetlistTable {
+    /// An empty table for `netlist`, or `None` when the netlist has
+    /// more than 16 inputs or more than 16 outputs.
+    pub fn new(netlist: Netlist) -> Option<Self> {
+        if netlist.n_inputs() > TABLE_MAX_INPUTS || netlist.n_outputs() > TABLE_MAX_OUTPUTS {
+            return None;
+        }
+        let n_entries = 1usize << netlist.n_inputs();
+        Some(NetlistTable {
+            entries: vec![0; n_entries],
+            filled: vec![0; n_entries.div_ceil(64).div_ceil(64)],
+            in_words: vec![0; netlist.n_inputs()],
+            out_words: vec![0; netlist.n_outputs()],
+            nets: Vec::new(),
+            netlist,
+        })
+    }
+
+    /// The netlist this table tabulates.
+    pub fn netlist(&self) -> &Netlist {
+        &self.netlist
+    }
+
+    /// How many 64-entry blocks have been filled so far.
+    pub fn filled_blocks(&self) -> usize {
+        self.filled.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// The output pattern of `pattern`, filling its block on first use.
+    #[inline]
+    fn lookup(&mut self, pattern: usize) -> u16 {
+        let block = pattern >> 6;
+        if (self.filled[block >> 6] >> (block & 63)) & 1 == 0 {
+            self.fill(block);
+        }
+        self.entries[pattern]
+    }
+
+    /// Evaluates the 64 patterns of `block` in one walk: the low six
+    /// bits come from [`LANE_PATTERN_MASKS`], the high bits are
+    /// broadcast. A table of fewer than 64 entries writes only those.
+    #[cold]
+    fn fill(&mut self, block: usize) {
+        let base = block << 6;
+        for (i, w) in self.in_words.iter_mut().enumerate() {
+            *w = match LANE_PATTERN_MASKS.get(i) {
+                Some(&mask) => mask,
+                None => 0u64.wrapping_sub(((base >> i) & 1) as u64),
+            };
+        }
+        self.netlist
+            .eval_words(&self.in_words, &mut self.out_words, &mut self.nets);
+        let lanes = self.entries.len().min(64);
+        for (lane, entry) in self.entries[base..base + lanes].iter_mut().enumerate() {
+            *entry = self
+                .out_words
+                .iter()
+                .enumerate()
+                .fold(0, |acc, (k, w)| acc | (((w >> lane) & 1) as u16) << k);
+        }
+        self.filled[block >> 6] |= 1 << (block & 63);
+    }
+
+    /// Executes the tabulated netlist on a batch of inputs, one output
+    /// vector per input, byte-identical to [`run_decoded_netlist`] on
+    /// each. A combinational block is one lookup of its little-endian
+    /// bytes (zero-padded at the tail); a streaming step is one lookup
+    /// of `byte | state << 8`.
+    ///
+    /// # Errors
+    ///
+    /// As [`run_decoded_netlist_batch`], with identical width
+    /// validation.
+    pub fn run_batch(
+        &mut self,
+        mode: NetlistMode,
+        inputs: &[&[u8]],
+    ) -> Result<Vec<Vec<u8>>, FabricError> {
+        let (in_bytes, out_bytes) = netlist_io_bytes(&self.netlist, mode)?;
+        Ok(inputs
+            .iter()
+            .map(|input| match mode {
+                NetlistMode::Combinational => {
+                    let mut out = Vec::with_capacity(input.len().div_ceil(in_bytes) * out_bytes);
+                    for block in input.chunks(in_bytes) {
+                        let pattern = block
+                            .iter()
+                            .rev()
+                            .fold(0usize, |acc, &b| acc << 8 | b as usize);
+                        out.extend_from_slice(&self.lookup(pattern).to_le_bytes()[..out_bytes]);
+                    }
+                    out
+                }
+                NetlistMode::Streaming => {
+                    let state = input.iter().fold(0u16, |state, &byte| {
+                        self.lookup(byte as usize | (state as usize) << 8)
+                    });
+                    state.to_le_bytes()[..out_bytes].to_vec()
+                }
+            })
+            .collect())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -807,6 +970,58 @@ mod tests {
         let img = FunctionImage::from_netlist(1, nl.clone(), NetlistMode::Combinational, 1, 1);
         let out = run_decoded_netlist(&nl, NetlistMode::Combinational, &[0x42, 0x99]).unwrap();
         assert_eq!(out, img.run_netlist(&[0x42, 0x99]).unwrap());
+    }
+
+    #[test]
+    fn table_lookup_matches_eval_at_every_width() {
+        // Every input width 0..=16, so tables smaller than one 64-entry
+        // block are covered; every pattern up to 10 inputs, a seeded
+        // sample above that.
+        for n_inputs in 0..=TABLE_MAX_INPUTS {
+            let mut rng = aaod_sim::SplitMix64::new(0x7ab1e + n_inputs as u64);
+            let mut b = NetlistBuilder::new();
+            let mut nets = vec![b.zero(), b.one()];
+            nets.extend(b.inputs(n_inputs));
+            for _ in 0..1 + rng.index(40) {
+                let ins = [0; 4].map(|_| nets[rng.index(nets.len())]);
+                let out = b.lut4(rng.next_u64() as u16, ins);
+                nets.push(out);
+            }
+            for _ in 0..1 + rng.index(TABLE_MAX_OUTPUTS) {
+                b.output(nets[rng.index(nets.len())]);
+            }
+            let nl = b.finish().unwrap();
+            let mut table = NetlistTable::new(nl.clone()).expect("width fits");
+            let n_entries = 1usize << n_inputs;
+            let patterns: Vec<usize> = if n_inputs <= 10 {
+                (0..n_entries).collect()
+            } else {
+                (0..2000).map(|_| rng.index(n_entries)).collect()
+            };
+            for p in patterns {
+                let bits: Vec<bool> = (0..n_inputs).map(|i| (p >> i) & 1 == 1).collect();
+                let want = nl
+                    .eval(&bits)
+                    .iter()
+                    .enumerate()
+                    .fold(0u16, |acc, (k, &o)| acc | (o as u16) << k);
+                assert_eq!(table.lookup(p), want, "{n_inputs} inputs, pattern {p:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn table_refuses_netlists_wider_than_sixteen() {
+        let mut b = NetlistBuilder::new();
+        let ins = b.inputs(TABLE_MAX_INPUTS + 1);
+        b.output(ins[0]);
+        assert!(NetlistTable::new(b.finish().unwrap()).is_none());
+        let mut b = NetlistBuilder::new();
+        let x = b.input();
+        for _ in 0..=TABLE_MAX_OUTPUTS {
+            b.output(x);
+        }
+        assert!(NetlistTable::new(b.finish().unwrap()).is_none());
     }
 
     #[test]

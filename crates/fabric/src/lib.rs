@@ -46,6 +46,6 @@ pub use error::FabricError;
 pub use geometry::{DeviceGeometry, FrameAddress, CLB_CONFIG_BYTES};
 pub use image::{
     run_decoded_netlist, run_decoded_netlist_batch, BatchScratch, FunctionImage, FunctionKind,
-    NetlistMode,
+    NetlistMode, NetlistTable,
 };
 pub use netlist::{NetId, Netlist, NetlistBuilder};

@@ -11,7 +11,8 @@
 //!    evicting per the replacement policy when the list is
 //!    insufficient — and configure them window by window;
 //! 3. stage the operands through the data-input module;
-//! 4. execute **from the configured frame bits** (netlist evaluation or
+//! 4. execute **from the configured frame bits** (netlist evaluation,
+//!    through a truth table of the decoded netlist where it fits, or
 //!    digest-checked behavioural dispatch);
 //! 5. collect the result through the output-collection module.
 //!
@@ -29,8 +30,8 @@ use aaod_algos::{AlgoError, AlgorithmBank};
 use aaod_bitstream::codec::{registry, CodecId};
 use aaod_bitstream::{Bitstream, BitstreamHeader, FrameStore, HEADER_BYTES};
 use aaod_fabric::{
-    run_decoded_netlist, run_decoded_netlist_batch, BatchScratch, ConfigPort, Device,
-    DeviceGeometry, FrameAddress, FunctionKind,
+    run_decoded_netlist_batch, BatchScratch, ConfigPort, Device, DeviceGeometry, FrameAddress,
+    FunctionKind, Netlist, NetlistTable,
 };
 use aaod_mem::{FunctionRecord, LocalRam, MemError, MemTiming, RecordFields, Rom, RECORD_BYTES};
 use aaod_sim::{Clock, SimTime, SplitMix64};
@@ -178,6 +179,14 @@ struct ResidentDecode {
     kind: Arc<FunctionKind>,
 }
 
+/// How [`MiniOs::execute_one`] obtains each input's output.
+enum Evaluation<'a> {
+    /// Netlist outputs, evaluated for the whole batch up front.
+    Netlist(std::vec::IntoIter<Vec<u8>>),
+    /// A behavioural kernel's parameters, executed per input.
+    Behavioral(&'a [u8]),
+}
+
 /// The outcome of one scrub pass over the resident functions.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ScrubReport {
@@ -217,13 +226,19 @@ pub struct MiniOs {
     predictor: crate::prefetch::MarkovPredictor,
     prefetched: std::collections::BTreeSet<u16>,
     last_invoked: Option<u16>,
-    /// Reusable word buffers for bit-sliced netlist batches.
+    /// Reusable word buffers for bit-sliced batches of netlists too
+    /// wide for a [`NetlistTable`].
     batch_scratch: BatchScratch,
     /// Reusable flat buffer for frame readback decode.
     frame_flat: Vec<u8>,
     /// Last successful frame decode per function; see
     /// [`ResidentDecode`].
     resident_decodes: BTreeMap<u16, ResidentDecode>,
+    /// Truth table of each function's last decoded netlist, kept across
+    /// eviction, reconfiguration and `reset()`: it is valid for any
+    /// fresh decode whose netlist is `==` to the one it was built from,
+    /// and is rebuilt empty on every other fresh decode.
+    netlist_tables: BTreeMap<u16, NetlistTable>,
 }
 
 impl std::fmt::Debug for MiniOs {
@@ -273,6 +288,7 @@ impl MiniOs {
             batch_scratch: BatchScratch::default(),
             frame_flat: Vec::new(),
             resident_decodes: BTreeMap::new(),
+            netlist_tables: BTreeMap::new(),
         }
     }
 
@@ -401,6 +417,9 @@ impl MiniOs {
                     )));
                 }
                 let kind = Arc::new(image.kind()?);
+                if let FunctionKind::Netlist { netlist, .. } = kind.as_ref() {
+                    self.sync_netlist_table(algo_id, netlist);
+                }
                 self.resident_decodes.insert(
                     algo_id,
                     ResidentDecode {
@@ -412,27 +431,31 @@ impl MiniOs {
             }
         };
 
-        // 4. netlist functions evaluate every input bit-sliced in one
-        // pass (64 lanes per netlist walk) before the per-input
-        // staging loop.
-        let mut sliced_outputs = match kind.as_ref() {
-            FunctionKind::Netlist { netlist, mode } => Some(run_decoded_netlist_batch(
-                netlist,
-                *mode,
-                inputs,
-                &mut self.batch_scratch,
-            )?),
-            FunctionKind::Behavioral { .. } => None,
+        // 4. netlist functions evaluate every input before the
+        // per-input staging loop: through the function's truth table
+        // when the netlist has one, else bit-sliced (64 lanes per
+        // netlist walk).
+        let mut evaluation = match kind.as_ref() {
+            FunctionKind::Netlist { netlist, mode } => {
+                let outputs = match self.netlist_tables.get_mut(&algo_id) {
+                    Some(table) => {
+                        debug_assert!(table.netlist() == netlist, "truth table out of sync");
+                        table.run_batch(*mode, inputs)?
+                    }
+                    None => {
+                        run_decoded_netlist_batch(netlist, *mode, inputs, &mut self.batch_scratch)?
+                    }
+                };
+                Evaluation::Netlist(outputs.into_iter())
+            }
+            FunctionKind::Behavioral { params } => Evaluation::Behavioral(params),
         };
 
         // 5. stage/execute/collect each input
         let mut results = Vec::with_capacity(inputs.len());
         for (i, &input) in inputs.iter().enumerate() {
-            let precomputed = sliced_outputs
-                .as_mut()
-                .map(|outs| std::mem::take(&mut outs[i]));
             let (output, input_time, exec_time, output_time) =
-                self.execute_one(algo_id, &record, &kind, input, precomputed)?;
+                self.execute_one(algo_id, &record, &mut evaluation, input)?;
             let first = i == 0;
             let report = InvokeReport {
                 algo_id,
@@ -477,6 +500,23 @@ impl MiniOs {
             self.maybe_prefetch();
         }
         Ok(results)
+    }
+
+    /// Keeps `algo_id`'s truth table if it was built from a netlist
+    /// `==` to the freshly decoded `netlist`, else replaces it with an
+    /// empty one (or drops it when the netlist is too wide to tabulate).
+    fn sync_netlist_table(&mut self, algo_id: u16, netlist: &Netlist) {
+        if self
+            .netlist_tables
+            .get(&algo_id)
+            .is_some_and(|table| table.netlist() == netlist)
+        {
+            return;
+        }
+        match NetlistTable::new(netlist.clone()) {
+            Some(table) => self.netlist_tables.insert(algo_id, table),
+            None => self.netlist_tables.remove(&algo_id),
+        };
     }
 
     /// Looks the function record up, charging the probe cost.
@@ -699,17 +739,16 @@ impl MiniOs {
         Ok((report, rom_time, false))
     }
 
-    /// Stages one input, executes the decoded payload on it, and
-    /// collects the output. Netlist batches are evaluated bit-sliced
-    /// up front by [`MiniOs::invoke_batch`] and arrive here as
-    /// `precomputed`; a `None` falls back to the scalar walk.
+    /// Stages one input, takes or computes its output, and collects
+    /// it. Netlist outputs were evaluated for the whole batch by
+    /// [`MiniOs::invoke_batch`]; behavioural kernels execute here, one
+    /// input at a time.
     fn execute_one(
         &mut self,
         algo_id: u16,
         record: &FunctionRecord,
-        kind: &FunctionKind,
+        evaluation: &mut Evaluation<'_>,
         input: &[u8],
-        precomputed: Option<Vec<u8>>,
     ) -> Result<(Vec<u8>, SimTime, SimTime, SimTime), McuError> {
         let (_, input_time) = self.data_in.stage(
             &mut self.ram,
@@ -718,12 +757,9 @@ impl MiniOs {
             input,
             record.input_width,
         )?;
-        let output = match (precomputed, kind) {
-            (Some(out), _) => out,
-            (None, FunctionKind::Netlist { netlist, mode }) => {
-                run_decoded_netlist(netlist, *mode, input)?
-            }
-            (None, FunctionKind::Behavioral { params }) => {
+        let output = match evaluation {
+            Evaluation::Netlist(outputs) => outputs.next().expect("one output per input"),
+            Evaluation::Behavioral(params) => {
                 let kernel = self
                     .bank
                     .kernel(algo_id)
@@ -2079,7 +2115,9 @@ mod tests {
             )));
         }
         Ok(match image.kind()? {
-            FunctionKind::Netlist { netlist, mode } => run_decoded_netlist(&netlist, mode, input)?,
+            FunctionKind::Netlist { netlist, mode } => {
+                aaod_fabric::run_decoded_netlist(&netlist, mode, input)?
+            }
             FunctionKind::Behavioral { params } => os
                 .bank()
                 .kernel(algo)
@@ -2122,11 +2160,10 @@ mod tests {
         // Rewrite CRC8's frame with a *valid* image for the same id
         // whose netlist XOR-folds the stream instead: the digest
         // passes, so only a fresh decode can notice the new function.
+        // Warm CRC8's truth table first: the patched netlist differs,
+        // so the fresh decode must replace the table, not reuse it.
         let mut os = os_with(&[ids::CRC8]);
-        assert_eq!(
-            invoke_checked(&mut os, ids::CRC8, b"123456789").unwrap(),
-            vec![0xF4]
-        );
+        let inputs = warm_crc8(&mut os);
         let mut b = aaod_fabric::NetlistBuilder::new();
         let ins = b.inputs(16); // 8 data bits + 8 state bits
         for i in 0..8 {
@@ -2146,11 +2183,150 @@ mod tests {
         for (addr, frame) in frames.iter().zip(&encoded) {
             os.device_mut().write_frame(*addr, frame).unwrap();
         }
-        let xor_fold = b"123456789".iter().fold(0u8, |acc, b| acc ^ b);
-        assert_eq!(
-            invoke_checked(&mut os, ids::CRC8, b"123456789").unwrap(),
-            vec![xor_fold]
+        for input in &inputs {
+            let xor_fold = input.iter().fold(0u8, |acc, b| acc ^ b);
+            assert_eq!(
+                invoke_checked(&mut os, ids::CRC8, input).unwrap(),
+                vec![xor_fold]
+            );
+        }
+    }
+
+    #[test]
+    fn netlists_too_wide_to_tabulate_run_bit_sliced() {
+        // Patch CRC8's frames with a valid 24-input netlist that XORs
+        // each 3-byte block down to one byte: no truth table fits it,
+        // so the fresh decode drops CRC8's table and evaluation falls
+        // back to bit slicing. Restoring the bank image rebuilds it.
+        let mut os = os_with(&[ids::CRC8]);
+        let inputs = warm_crc8(&mut os);
+        let frames = os.table().get(ids::CRC8).unwrap().frames.clone();
+        let patch = |os: &mut MiniOs, image: aaod_fabric::FunctionImage| {
+            let encoded = image.encode(os.geometry());
+            assert_eq!(encoded.len(), frames.len());
+            for (addr, frame) in frames.iter().zip(&encoded) {
+                os.device_mut().write_frame(*addr, frame).unwrap();
+            }
+        };
+        let mut b = aaod_fabric::NetlistBuilder::new();
+        let ins = b.inputs(24);
+        for i in 0..8 {
+            let x = b.xor3(ins[i], ins[8 + i], ins[16 + i]);
+            b.output(x);
+        }
+        let wide = aaod_fabric::FunctionImage::from_netlist(
+            ids::CRC8,
+            b.finish().unwrap(),
+            aaod_fabric::NetlistMode::Combinational,
+            1,
+            1,
         );
+        patch(&mut os, wide);
+        for input in inputs.iter().take(40) {
+            let want: Vec<u8> = input
+                .chunks(3)
+                .map(|c| c.iter().fold(0, |acc, b| acc ^ b))
+                .collect();
+            assert_eq!(invoke_checked(&mut os, ids::CRC8, input).unwrap(), want);
+        }
+        assert!(!os.netlist_tables.contains_key(&ids::CRC8));
+        let restored = os.bank().build_image(ids::CRC8, os.geometry()).unwrap();
+        patch(&mut os, restored);
+        assert_eq!(invoke_checked(&mut os, ids::CRC8, b"1").unwrap(), [0x97]);
+        assert_eq!(
+            crc8_filled_blocks(&os),
+            1,
+            "the restored table starts empty"
+        );
+    }
+
+    /// Invokes CRC8 on 200 seeded inputs of 0..=300 bytes, checking
+    /// each against the uncached decode and `crc8_reference`, which
+    /// fills most of its truth table. Returns the inputs.
+    fn warm_crc8(os: &mut MiniOs) -> Vec<Vec<u8>> {
+        let mut rng = SplitMix64::new(0xc8c8);
+        let inputs: Vec<Vec<u8>> = (0..200)
+            .map(|_| {
+                let mut v = vec![0u8; rng.index(301)];
+                rng.fill(&mut v);
+                v
+            })
+            .collect();
+        for input in &inputs {
+            assert_eq!(
+                invoke_checked(os, ids::CRC8, input).unwrap(),
+                vec![aaod_algos::netlists::crc8_reference(input)]
+            );
+        }
+        inputs
+    }
+
+    fn crc8_filled_blocks(os: &MiniOs) -> usize {
+        os.netlist_tables[&ids::CRC8].filled_blocks()
+    }
+
+    #[test]
+    fn upsets_after_a_warm_table_surface_and_scrub_restores_crc8() {
+        let mut os = os_with(&[ids::CRC8]);
+        let inputs = warm_crc8(&mut os);
+        let warm = crc8_filled_blocks(&os);
+        let mut changed = 0;
+        for seed in 0..8 {
+            assert!(os.inject_seu(ids::CRC8, &mut SplitMix64::new(seed)));
+            for input in inputs.iter().take(20) {
+                let got = invoke_checked(&mut os, ids::CRC8, input);
+                if got != Ok(vec![aaod_algos::netlists::crc8_reference(input)]) {
+                    changed += 1;
+                }
+            }
+            assert_eq!(os.scrub().unwrap().repaired, vec![ids::CRC8]);
+            // the repaired frames decode to an equal netlist, so the
+            // table filled before the upset is still the one in use
+            assert_eq!(invoke_checked(&mut os, ids::CRC8, b"1").unwrap(), [0x97]);
+            assert!(
+                crc8_filled_blocks(&os) >= warm,
+                "seed {seed} dropped the table"
+            );
+            for input in inputs.iter().take(20) {
+                assert_eq!(
+                    invoke_checked(&mut os, ids::CRC8, input).unwrap(),
+                    vec![aaod_algos::netlists::crc8_reference(input)]
+                );
+            }
+        }
+        assert!(changed > 0, "no upset changed CRC8's output");
+    }
+
+    #[test]
+    fn eviction_reconfiguration_and_reset_keep_crc8_outputs_and_table() {
+        let mut os = os_with(&[ids::CRC32, ids::CRC8]);
+        let inputs = warm_crc8(&mut os);
+        let want: Vec<Vec<u8>> = inputs
+            .iter()
+            .map(|input| vec![aaod_algos::netlists::crc8_reference(input)])
+            .collect();
+        let warm = crc8_filled_blocks(&os);
+        let before = os.table().get(ids::CRC8).unwrap().frames.clone();
+        os.evict(ids::CRC8).unwrap();
+        // CRC32 takes the lowest freed frames, pushing CRC8 elsewhere
+        invoke_checked(&mut os, ids::CRC32, b"x").unwrap();
+        invoke_checked(&mut os, ids::CRC8, b"1").unwrap();
+        assert_ne!(os.table().get(ids::CRC8).unwrap().frames, before);
+        assert_eq!(
+            crc8_filled_blocks(&os),
+            warm,
+            "reconfiguration dropped the table"
+        );
+        for (input, want) in inputs.iter().zip(&want) {
+            assert_eq!(&invoke_checked(&mut os, ids::CRC8, input).unwrap(), want);
+        }
+        let warm = crc8_filled_blocks(&os);
+        os.reset();
+        invoke_checked(&mut os, ids::CRC8, b"1").unwrap();
+        assert_eq!(crc8_filled_blocks(&os), warm, "reset dropped the table");
+        for (input, want) in inputs.iter().zip(&want) {
+            assert_eq!(&invoke_checked(&mut os, ids::CRC8, input).unwrap(), want);
+        }
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //!   exact fixed-point rounding would just restate the kernel).
 //!   Edge shapes ride along: a 1×N partial record, a
 //!   non-power-of-two batch with a ragged tail, all-zero input and
-//!   the saturating worst case. The nine behavioural standard kernels
-//!   ride along on the same three paths with pinned fingerprints.
+//!   the saturating worst case. All thirteen standard kernels ride
+//!   along on the same three paths with pinned fingerprints, and the
+//!   four LUT-netlist kernels also run warm on one card per kernel.
 //! * **system identity** — serving the canonical E19 kernel mix
 //!   through the concurrent `Engine` (every sharding policy) and
 //!   through a healthy `Cluster` yields outputs byte-identical to a
@@ -238,13 +239,15 @@ fn golden_fingerprints_pin_all_kernels() {
 /// 1504 B MTU-sized packet the fleet workloads send.
 const STANDARD_SIZES: [usize; 3] = [256, 1501, 1504];
 
-/// Pinned golden fingerprints (FNV-1a 64) of the nine behavioural
-/// standard kernels over `seeded_bytes(len, 0xE12 + len)` at each of
-/// `STANDARD_SIZES`, taken through all three execution paths. They
-/// pin byte identity across any rewrite of a kernel's host
-/// implementation (the cipher kernels are table-driven; the values
-/// were recorded from the bit-serial originals).
-const GOLDEN_STANDARD: [(u16, [u64; 3]); 9] = [
+/// Pinned golden fingerprints (FNV-1a 64) of all thirteen standard
+/// kernels (nine behavioural, four LUT netlists) over
+/// `seeded_bytes(len, 0xE12 + len)` at each of `STANDARD_SIZES`,
+/// taken through all three execution paths. They pin byte identity
+/// across any rewrite of a kernel's host implementation (the cipher
+/// kernels are table-driven and the netlists run from truth tables;
+/// the values were recorded from the bit-serial ciphers and the
+/// bit-sliced netlist evaluator).
+const GOLDEN_STANDARD: [(u16, [u64; 3]); 13] = [
     (
         ids::AES128,
         [0xd3b82d2454c52d02, 0x8713872c6597f091, 0x87774e2da8f76ffd],
@@ -281,6 +284,22 @@ const GOLDEN_STANDARD: [(u16, [u64; 3]); 9] = [
         ids::MATMUL8,
         [0xedd351b05b6cbd5e, 0x6a79dfa7c9ee3de3, 0x895dd294d65cffc7],
     ),
+    (
+        ids::CRC8,
+        [0xaf646b4c8602df89, 0xaf64454c86029ef7, 0xaf63b94c8601b113],
+    ),
+    (
+        ids::ADDER8,
+        [0x15dcfa6e1a6e6683, 0x5130a3788a614fcf, 0xa2c142704ad5437b],
+    ),
+    (
+        ids::POPCNT8,
+        [0xfcf2fc8a4ae44d05, 0xd28e93aa180c6b63, 0x678aa98335a319c0],
+    ),
+    (
+        ids::PARITY8,
+        [0xcc3be93e514c664f, 0xd7a0dc4c19f40647, 0x1126736c7878aeec],
+    ),
 ];
 
 #[test]
@@ -298,6 +317,33 @@ fn golden_fingerprints_pin_standard_kernels() {
         "standard kernel outputs drifted; got {:#018x?}",
         got
     );
+}
+
+/// One warm card per LUT-netlist kernel serves 300 seeded inputs of
+/// 0..=1504 bytes through `invoke`: after the first few calls most
+/// outputs come from filled truth-table entries, and every one must
+/// still equal the kernel's software `execute`.
+#[test]
+fn warm_card_netlist_kernels_match_software() {
+    let bank = AlgorithmBank::standard();
+    for algo in [ids::CRC8, ids::ADDER8, ids::POPCNT8, ids::PARITY8] {
+        let kernel = bank.kernel(algo).expect("kernel registered");
+        let params = kernel.default_params();
+        let mut cp = CoProcessor::default();
+        cp.install(algo).unwrap();
+        let mut rng = aaod_sim::SplitMix64::new(0xca4d + algo as u64);
+        for i in 0..300 {
+            let mut input = vec![0u8; rng.index(1505)];
+            rng.fill(&mut input);
+            let (card, _) = cp.invoke(algo, &input).unwrap();
+            assert_eq!(
+                card,
+                kernel.execute(&params, &input).unwrap(),
+                "algo {algo} call {i} ({} bytes) diverged from software",
+                input.len()
+            );
+        }
+    }
 }
 
 /// Serves `workload` serially on one kernel card with every

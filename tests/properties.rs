@@ -287,14 +287,14 @@ proptest! {
         }
     }
 
-    /// The byte-level batch runner matches the scalar runner on the
-    /// real bank netlists for arbitrary mixed-length inputs, in both
-    /// combinational and streaming modes.
+    /// The byte-level batch runner and the truth-table runner match
+    /// the scalar runner on the real bank netlists for arbitrary
+    /// mixed-length inputs, in both combinational and streaming modes.
     #[test]
     fn run_netlist_batch_matches_scalar(
         inputs in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..80), 0..90),
     ) {
-        use aaod_fabric::{run_decoded_netlist, run_decoded_netlist_batch, BatchScratch};
+        use aaod_fabric::{run_decoded_netlist, run_decoded_netlist_batch, BatchScratch, NetlistTable};
         let cases = [
             (aaod_algos::netlists::adder8_netlist(), NetlistMode::Combinational),
             (aaod_algos::netlists::crc8_netlist(), NetlistMode::Streaming),
@@ -303,6 +303,9 @@ proptest! {
         for (netlist, mode) in cases {
             let refs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
             let batched = run_decoded_netlist_batch(&netlist, mode, &refs, &mut scratch).unwrap();
+            let mut table = NetlistTable::new(netlist.clone()).expect("bank netlists fit");
+            let tabulated = table.run_batch(mode, &refs).unwrap();
+            prop_assert_eq!(&tabulated, &batched);
             for (input, got) in inputs.iter().zip(&batched) {
                 prop_assert_eq!(got, &run_decoded_netlist(&netlist, mode, input).unwrap());
             }
