@@ -58,8 +58,8 @@ pub struct ClusterConfig {
     pub card_workers: usize,
     /// Modelled gap between consecutive job arrivals.
     pub interarrival: SimTime,
-    /// Per-job latency budget from arrival; `None` disables deadline
-    /// accounting.
+    /// Per-job latency budget from arrival; `None` is a deadline that
+    /// never passes.
     pub deadline: Option<SimTime>,
     /// Redirections (failovers + hedges) allowed per job.
     pub max_failovers: u32,
@@ -394,7 +394,7 @@ impl Cluster {
         // Routing: the deterministic health-checked walk.
         let params = RouteParams {
             interarrival: cfg.interarrival,
-            deadline: cfg.deadline,
+            deadline: cfg.deadline.unwrap_or(SimTime::MAX),
             max_failovers: cfg.max_failovers,
             backoff: cfg.backoff,
             breaker: cfg.breaker,
@@ -423,7 +423,11 @@ impl Cluster {
             let result = engine.serve(&sub)?;
             card_busy[c] = result.makespan;
             for (k, &idx) in indices.iter().enumerate() {
-                if let Some(err) = result.failed.get(&k) {
+                // A card engine applies the tenant quotas the workload
+                // carries, on the card's share of the stream; a job it
+                // drops that way is faulted here, never silently lost.
+                let failed_at = result.failed.get(&k);
+                if let Some(err) = failed_at.or_else(|| result.quota_exceeded.get(&k)) {
                     faulted += 1;
                     failed.insert(idx, err.clone());
                 } else if let (Some(out), Some(card_out)) =
@@ -663,6 +667,54 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aaod_algos::ids;
+    use aaod_workload::TenantSpec;
+
+    /// A card engine applies the tenant quotas the workload carries,
+    /// on the card's share of the stream. A job it drops that way is a
+    /// typed failure in the fleet's ledger, never a completed job with
+    /// no output.
+    #[test]
+    fn card_quota_drops_are_failed_not_lost() {
+        let spec = |name: &str, algo: u16, quota: Option<u64>| TenantSpec {
+            name: name.into(),
+            algos: vec![algo],
+            weight: 1,
+            offered: 1,
+            input_len: 32,
+            quota,
+        };
+        let w = Workload::multi_tenant(
+            &[
+                spec("open", ids::CRC32, None),
+                spec("capped", ids::SHA1, Some(2)),
+            ],
+            60,
+            3,
+        );
+        let r = Cluster::new(ClusterConfig {
+            cards: 2,
+            replication: 1,
+            verify: true,
+            ..ClusterConfig::default()
+        })
+        .serve(&w, &AlgorithmBank::standard())
+        .unwrap();
+        let dropped = r
+            .failed
+            .values()
+            .filter(|e| matches!(e, JobError::QuotaExceeded { tenant: 1, .. }))
+            .count();
+        assert!(dropped > 0, "the capped tenant must overrun its quota");
+        assert_eq!(r.stats.faulted, r.failed.len() as u64);
+        let outputs = r.outputs.as_ref().unwrap();
+        for (i, out) in outputs.iter().enumerate() {
+            let refused = r.failed.contains_key(&i)
+                || r.shed.contains_key(&i)
+                || r.deadline_missed.contains_key(&i);
+            assert_eq!(refused, out.is_empty(), "job {i}");
+        }
+    }
 
     #[test]
     fn unbalanced_cluster_job_ledger_is_a_typed_error() {

@@ -30,9 +30,13 @@
 //!
 //! # Overload layer
 //!
-//! With [`EngineConfig::overload`] set, the engine additionally
-//! defends itself against *time-domain* failure, all in modelled
-//! time:
+//! The overload layer always runs: it is how the engine defends
+//! itself against *time-domain* failure, all in modelled time. The
+//! paper's closed loop, where the host hands over each request as
+//! soon as the last one is served, is one configuration of it: with
+//! [`EngineConfig::overload`] `None`, every request arrives at time
+//! zero, no deadline ever passes and the breaker never opens, so
+//! nothing is shed, missed or bounced. With an [`OverloadConfig`]:
 //!
 //! * every request arrives at `index × interarrival` and carries a
 //!   deadline per [`crate::DeadlinePolicy`];
@@ -50,14 +54,16 @@
 //! Every terminal state is counted in
 //! [`crate::OverloadStats`], whose
 //! [`accounted`](crate::OverloadStats::accounted) identity guarantees
-//! no job is silently lost.
+//! no job is silently lost. It is checked on every run, closed loop
+//! included.
 
+use crate::breaker::BreakerConfig;
 use crate::breaker::{BreakerState, CircuitBreaker};
 use crate::coproc::{CoProcessor, HostReport};
 use crate::dispatch::{self, DispatchPlan, DispatchStats};
 use crate::error::CoreError;
 use crate::fault::{FaultConfig, FaultStats, JobError};
-use crate::overload::{DeadlinePolicy, OverloadConfig, OverloadStats, TenantStats};
+use crate::overload::{DeadlinePolicy, OverloadConfig, OverloadStats, TenantStats, WatchdogConfig};
 use aaod_mcu::OsStats;
 use aaod_sim::stats::TimeAccumulator;
 use aaod_sim::trace::{
@@ -204,8 +210,10 @@ pub struct EngineConfig {
     /// first shard error aborts the run.
     pub faults: Option<FaultConfig>,
     /// Deadline, admission-control, watchdog and breaker layer.
-    /// `None` (the default) keeps the legacy closed-loop behaviour:
-    /// no arrivals, no deadlines, no latency-fault injection.
+    /// `None` (the default) is the closed loop: every request arrives
+    /// at time zero with a deadline that never passes, and the
+    /// breaker never opens. Latency faults the plan schedules and
+    /// tenant quotas the workload carries still apply.
     pub overload: Option<OverloadConfig>,
     /// Observability layer. [`TraceLevel::Off`] (the default) records
     /// nothing and leaves the hot path untouched; tracing only
@@ -279,7 +287,7 @@ pub struct EngineResult {
     /// Modelled detection-to-healthy latency of each recovery.
     pub recovery_latency: TimeAccumulator,
     /// Jobs shed at admission ([`JobError::Shed`]), by submission
-    /// index. Always empty without [`EngineConfig::overload`].
+    /// index. Always empty in the closed loop.
     pub shed: BTreeMap<usize, JobError>,
     /// Jobs served past their deadline
     /// ([`JobError::DeadlineExceeded`]), by submission index. Their
@@ -287,25 +295,26 @@ pub struct EngineResult {
     pub deadline_missed: BTreeMap<usize, JobError>,
     /// Jobs dropped at submission by their tenant's hard quota
     /// ([`JobError::QuotaExceeded`]), by submission index. They were
-    /// never enqueued. Always empty without [`EngineConfig::overload`]
-    /// or without tenant quotas in the workload.
+    /// never enqueued. Always empty without tenant quotas in the
+    /// workload.
     pub quota_exceeded: BTreeMap<usize, JobError>,
     /// Per-tenant outcome totals, in tenant-spec order. Populated
-    /// only for overload runs over a workload carrying tenant specs.
+    /// for every run over a workload carrying tenant specs.
     pub tenants: Vec<TenantStats>,
-    /// Overload-layer counters, merged across shards (all zero
-    /// without [`EngineConfig::overload`]).
+    /// Overload-layer counters, merged across shards. In the closed
+    /// loop every submission ends completed, faulted or
+    /// quota-exceeded.
     pub overload: OverloadStats,
-    /// The resolved per-job deadline budget (`None` without
-    /// [`EngineConfig::overload`]).
+    /// The resolved per-job deadline budget (`None` in the closed
+    /// loop, whose jobs have no deadline).
     pub deadline_budget: Option<SimTime>,
     /// Each shard's circuit-breaker health timeline: `(modelled time,
-    /// new state)` transitions, starting closed at time zero. Empty
-    /// without [`EngineConfig::overload`].
+    /// new state)` transitions, starting closed at time zero. A
+    /// closed-loop shard stays `[(0, Closed)]`.
     pub shard_health: Vec<Vec<(SimTime, BreakerState)>>,
     /// Arrival-to-completion (queueing + service) modelled time of
-    /// every completed job. Only populated in overload mode, where
-    /// jobs have arrival times.
+    /// every completed job. Closed-loop jobs all arrive at time zero,
+    /// so theirs is the shard clock at completion.
     pub sojourn: TimeAccumulator,
     /// The assembled trace (`None` when [`EngineConfig::trace`] is
     /// [`TraceLevel::Off`]). Events are in canonical `(shard, seq)`
@@ -341,8 +350,8 @@ impl EngineResult {
     }
 
     /// Fraction of submitted jobs that completed within deadline —
-    /// the goodput ratio against offered load (zero without
-    /// [`EngineConfig::overload`] submissions).
+    /// the goodput ratio against offered load (zero for an empty
+    /// workload).
     pub fn goodput(&self) -> f64 {
         self.overload.goodput()
     }
@@ -355,11 +364,11 @@ struct Job {
     input: Vec<u8>,
     /// Modelled arrival time (`index × interarrival`, scaled by the
     /// workload's arrival tick when it carries a traffic model; zero
-    /// without the overload layer).
+    /// in the closed loop).
     arrival: SimTime,
-    /// Absolute modelled deadline (`None` without the overload
-    /// layer).
-    deadline: Option<SimTime>,
+    /// Absolute modelled deadline ([`SimTime::MAX`] in the closed
+    /// loop).
+    deadline: SimTime,
     /// The submitting tenant's index in the workload's spec list
     /// (`None` for untagged workloads).
     tenant: Option<u16>,
@@ -389,6 +398,24 @@ struct FairnessState {
     admitted_total: u64,
 }
 
+/// The overload configuration [`EngineConfig::overload`] `None`
+/// resolves to: the closed loop. Every request arrives at time zero,
+/// no deadline ever passes, the breaker never opens and admission is
+/// plain drop-newest, so nothing is shed, missed or bounced and each
+/// shard serves its stream back to back.
+fn closed_loop() -> OverloadConfig {
+    OverloadConfig {
+        interarrival: SimTime::ZERO,
+        deadline: DeadlinePolicy::Absolute(SimTime::MAX),
+        watchdog: WatchdogConfig::default(),
+        breaker: BreakerConfig {
+            failure_threshold: u32::MAX,
+            ..BreakerConfig::default()
+        },
+        fairness: None,
+    }
+}
+
 /// Modelled arrival time of request `i`: the workload's arrival tick
 /// (in milli-interarrivals) scales the configured interarrival when
 /// the workload carries a traffic model; otherwise arrivals are
@@ -409,8 +436,8 @@ struct JobResult {
     time: SimTime,
     /// Set when the job degraded instead of producing an output.
     error: Option<JobError>,
-    /// Arrival-to-completion time (completed overload-mode jobs).
-    sojourn: Option<SimTime>,
+    /// Arrival-to-completion time (completed jobs only).
+    sojourn: SimTime,
 }
 
 impl JobResult {
@@ -422,7 +449,7 @@ impl JobResult {
             hit: false,
             time: SimTime::ZERO,
             error: Some(error),
-            sojourn: None,
+            sojourn: SimTime::ZERO,
         }
     }
 }
@@ -456,9 +483,6 @@ impl Assembly {
     fn land(&mut self, r: JobResult) {
         self.per_request_hit[r.index] = r.hit;
         self.times[r.index] = r.time;
-        if let Some(t) = r.sojourn {
-            self.sojourn.push(t);
-        }
         match r.error {
             Some(e @ JobError::Shed { .. }) => {
                 self.shed.insert(r.index, e);
@@ -470,6 +494,7 @@ impl Assembly {
                 self.failed.insert(r.index, e);
             }
             None => {
+                self.sojourn.push(r.sojourn);
                 if let Some(outs) = self.outputs.as_mut() {
                     outs[r.index] = r.output;
                 }
@@ -480,12 +505,12 @@ impl Assembly {
 
 /// Decides a served job's terminal state: the one classifier every
 /// served job goes through, whether a shard, the redistribution pass
-/// or the rescue pass served it. A job that carries a deadline
-/// (overload mode) and finished past it is deadline-exceeded, and its
-/// output is dropped unverified. Every other job completes: its output
-/// is verified and kept when collecting, and an overload-mode job
-/// records its arrival-to-finish sojourn. Without the overload layer
-/// no job carries a deadline, so every served job completes.
+/// or the rescue pass served it. A job that finished past its
+/// deadline is deadline-exceeded, and its output is dropped
+/// unverified. Every other job completes: its output is verified and
+/// kept when collecting, and it records its arrival-to-finish sojourn.
+/// A closed-loop deadline never passes, so there every served job
+/// completes.
 fn complete(
     job: &Job,
     output: Vec<u8>,
@@ -495,10 +520,10 @@ fn complete(
     golden: Option<&aaod_algos::AlgorithmBank>,
     collect: bool,
 ) -> Result<JobResult, CoreError> {
-    if let Some(deadline) = job.deadline.filter(|&d| finish > d) {
+    if finish > job.deadline {
         let error = JobError::DeadlineExceeded {
             algo_id: job.algo_id,
-            deadline,
+            deadline: job.deadline,
             finished: finish,
         };
         return Ok(JobResult {
@@ -524,7 +549,7 @@ fn complete(
         hit,
         time,
         error: None,
-        sojourn: job.deadline.map(|_| finish - job.arrival),
+        sojourn: finish - job.arrival,
     })
 }
 
@@ -537,7 +562,7 @@ fn job_outcome(r: &JobResult) -> JobOutcome {
     }
 }
 
-/// Counts a served overload-mode job under its terminal state.
+/// Counts a served job under its terminal state.
 fn tally(stats: &mut OverloadStats, r: &JobResult) {
     match job_outcome(r) {
         JobOutcome::Completed => stats.completed += 1,
@@ -550,29 +575,14 @@ fn tally(stats: &mut OverloadStats, r: &JobResult) {
 struct WorkerOutcome {
     results: Vec<JobResult>,
     busy: SimTime,
-    stats: OsStats,
     batches: u64,
     coalesced: u64,
     faults: FaultStats,
     recovery_latency: TimeAccumulator,
-    /// Overload-layer counters for this shard.
-    overload: OverloadStats,
     /// Jobs bounced by this shard's open breaker, in stream order; the
     /// engine redistributes them to healthy shards after the pool
     /// drains.
     rejected: Vec<Job>,
-    /// The shard's modelled clock at drain: service plus idle gaps
-    /// waiting for arrivals (overload mode only; `ZERO` otherwise).
-    finish: SimTime,
-    /// Breaker health timeline (overload mode only).
-    breaker_timeline: Vec<(SimTime, BreakerState)>,
-    /// Whether the breaker ended the run open (shard unhealthy).
-    breaker_open: bool,
-    /// The shard's card, returned so redistribution can serve bounced
-    /// jobs on it (overload mode only).
-    cp: Option<CoProcessor>,
-    /// The shard's trace stream (absent at [`TraceLevel::Off`]).
-    trace: Option<TraceShard>,
 }
 
 /// The fault sites that live in the fabric's configuration frames: a
@@ -701,10 +711,8 @@ impl Engine {
         }
         let verify = self.config.verify;
         let collect = self.config.collect_outputs;
-        let overload = self.config.overload;
-        if let Some(oc) = &overload {
-            oc.validate();
-        }
+        let oc = self.config.overload.unwrap_or_else(closed_loop);
+        oc.validate();
         // A fault-free run is a zero-rate plan: every shard drives the
         // same serving path, and the plan decides "no fault" for every
         // index.
@@ -712,14 +720,11 @@ impl Engine {
             .config
             .faults
             .unwrap_or_else(|| FaultConfig::new(FaultPlan::new(0, FaultRates::ZERO)));
-        let deadline_budget = match overload {
-            None => None,
-            Some(oc) => Some(self.resolve_deadline_budget(workload, oc)?),
-        };
+        let budget = self.resolve_deadline_budget(workload, oc)?;
         // Weighted-fair admission engages only when both halves are
         // present: a fairness config on the overload layer and tenant
         // specs on the workload.
-        let fairness_share = match (overload.and_then(|oc| oc.fairness), workload.tenant_specs()) {
+        let fairness_share = match (oc.fairness, workload.tenant_specs()) {
             (Some(fc), Some(specs)) if !specs.is_empty() => {
                 let weights: Vec<u64> = specs.iter().map(|s| s.weight as u64).collect();
                 let total = weights.iter().sum::<u64>().max(1);
@@ -736,17 +741,15 @@ impl Engine {
         let factory = &self.factory;
         let trace_cfg = self.config.trace;
         let predict = self.config.predict;
-        let arrival_of =
-            |i: usize| overload.map_or(SimTime::ZERO, |oc| arrival_time(&oc, workload, i));
         // Request `i` as a job: on its shard, and again for a rescue.
         let job_at = |i: usize| {
-            let arrival = arrival_of(i);
+            let arrival = arrival_time(&oc, workload, i);
             Job {
                 index: i,
                 algo_id: requests[i].algo_id,
                 input: workload.input(i),
                 arrival,
-                deadline: deadline_budget.map(|b| arrival + b),
+                deadline: arrival.saturating_add(budget),
                 tenant: workload.tenant_of(i),
             }
         };
@@ -768,30 +771,28 @@ impl Engine {
             .tenant_specs()
             .map_or_else(Vec::new, |specs| vec![0; specs.len()]);
         for (i, req) in requests.iter().enumerate() {
-            if overload.is_some() {
-                if let (Some(t), Some(specs)) = (workload.tenant_of(i), workload.tenant_specs()) {
-                    if let Some(quota) = specs.get(t as usize).and_then(|s| s.quota) {
-                        let count = &mut tenant_submitted[t as usize];
-                        *count += 1;
-                        if *count > quota {
-                            dropped[i] = true;
-                            quota_exceeded.insert(
-                                i,
-                                JobError::QuotaExceeded {
-                                    algo_id: req.algo_id,
-                                    tenant: t,
-                                    quota,
-                                },
-                            );
-                            continue;
-                        }
+            if let (Some(t), Some(specs)) = (workload.tenant_of(i), workload.tenant_specs()) {
+                if let Some(quota) = specs.get(t as usize).and_then(|s| s.quota) {
+                    let count = &mut tenant_submitted[t as usize];
+                    *count += 1;
+                    if *count > quota {
+                        dropped[i] = true;
+                        quota_exceeded.insert(
+                            i,
+                            JobError::QuotaExceeded {
+                                algo_id: req.algo_id,
+                                tenant: t,
+                                quota,
+                            },
+                        );
+                        continue;
                     }
                 }
             }
             if !submit_tracer.enabled() {
                 continue;
             }
-            let arrival = arrival_of(i);
+            let arrival = arrival_time(&oc, workload, i);
             if emit_plan {
                 while steal_cursor < plan.steals.len() && plan.steals[steal_cursor].at_index <= i {
                     let s = &plan.steals[steal_cursor];
@@ -829,9 +830,7 @@ impl Engine {
         if emit_plan {
             // the final drain epoch's steals trigger past the last
             // submission index
-            let end = overload.map_or(SimTime::ZERO, |oc| {
-                arrival_time(&oc, workload, n - 1) + oc.interarrival
-            });
+            let end = arrival_time(&oc, workload, n - 1) + oc.interarrival;
             for s in &plan.steals[steal_cursor..] {
                 submit_tracer.record(
                     end,
@@ -850,7 +849,7 @@ impl Engine {
         // costs and the modelled makespan) are cut from that slice
         // alone, so they are a pure function of the workload, never of
         // thread timing.
-        let outcomes: Vec<Result<WorkerOutcome, CoreError>> = std::thread::scope(|scope| {
+        let outcomes: Vec<Result<ShardDriver, CoreError>> = std::thread::scope(|scope| {
             let (dropped, job_at) = (&dropped, &job_at);
             let handles: Vec<_> = shard_algos
                 .iter()
@@ -867,7 +866,7 @@ impl Engine {
                             verify,
                             collect,
                             faults,
-                            overload,
+                            oc,
                             fairness,
                             shard as u32,
                             trace_cfg,
@@ -890,30 +889,42 @@ impl Engine {
         let mut fault_stats = FaultStats::default();
         let mut overload_stats = OverloadStats::default();
         let mut recovery_latency = TimeAccumulator::new();
-        let mut shard_health = Vec::new();
+        let mut shard_health = Vec::with_capacity(workers);
         let mut shard_finish = Vec::with_capacity(workers);
-        let mut shard_cp: Vec<Option<CoProcessor>> = Vec::with_capacity(workers);
+        let mut shard_cp = Vec::with_capacity(workers);
         let mut shard_open = Vec::with_capacity(workers);
         let mut rejected: Vec<Job> = Vec::new();
         let mut trace_shards: Vec<TraceShard> = Vec::new();
-        for outcome in outcomes {
-            let outcome = outcome?;
+        for driver in outcomes {
+            // the drained shard hands back its results, overload state,
+            // trace stream and card
+            let ShardDriver {
+                cp,
+                tracer,
+                outcome,
+                overload: ov,
+                ..
+            } = driver?;
             shard_busy.push(outcome.busy);
-            if let Some(shard_trace) = outcome.trace {
-                trace_shards.push(shard_trace);
+            if tracer.enabled() {
+                trace_shards.push(tracer.finish());
             }
-            stats.merge(&outcome.stats);
+            // what watchdog resets wiped off the card
+            stats.merge(&ov.lost_stats);
             batches += outcome.batches;
             coalesced += outcome.coalesced;
             fault_stats.merge(&outcome.faults);
-            overload_stats.merge(&outcome.overload);
+            overload_stats.merge(&OverloadStats {
+                breaker_trips: ov.breaker.trips(),
+                breaker_rejections: ov.breaker.rejections(),
+                probes: ov.breaker.probes(),
+                ..ov.stats
+            });
             recovery_latency.merge(&outcome.recovery_latency);
-            shard_finish.push(outcome.finish);
-            shard_cp.push(outcome.cp);
-            shard_open.push(outcome.breaker_open);
-            if overload.is_some() {
-                shard_health.push(outcome.breaker_timeline);
-            }
+            shard_finish.push(ov.clock);
+            shard_cp.push(cp);
+            shard_open.push(ov.breaker.is_open());
+            shard_health.push(ov.breaker.timeline().to_vec());
             rejected.extend(outcome.rejected);
             for r in outcome.results {
                 results.land(r);
@@ -932,97 +943,96 @@ impl Engine {
         // shared drain buffer for the per-job redistribution and
         // rescue loops below — reused instead of a fresh Vec per job
         let mut details_buf: Vec<aaod_sim::DetailEvent> = Vec::new();
-        if overload.is_some() {
-            // Redistribution: jobs an open breaker bounced are
-            // re-served in submission order on the healthy shard that
-            // frees up first. A job whose deadline passed while it
-            // waited — or with no healthy shard left — is shed.
-            rejected.sort_by_key(|j| j.index);
-            let golden = verify.then(aaod_algos::AlgorithmBank::standard);
-            for job in rejected {
-                let target = (0..workers)
-                    .filter(|&s| !shard_open[s] && shard_cp[s].is_some())
-                    .min_by_key(|&s| (shard_finish[s], s));
-                let now = target.map_or(makespan, |s| shard_finish[s].max(job.arrival));
-                let deadline = job.deadline.unwrap_or(SimTime::ZERO);
-                let Some(s) = target.filter(|_| deadline > now) else {
-                    overload_stats.shed += 1;
-                    engine_tracer.record(
-                        now,
-                        EventKind::Shed {
-                            job: job.index as u64,
-                            algo: job.algo_id,
-                        },
-                    );
-                    results.land(JobResult::dropped(
-                        job.index,
-                        JobError::Shed {
-                            algo_id: job.algo_id,
-                            deadline,
-                            decided_at: now,
-                        },
-                    ));
-                    continue;
-                };
-                let cp = shard_cp[s].as_mut().expect("candidate shard has a card");
-                if !shard_algos[s].contains(&job.algo_id) {
-                    // the healthy shard never hosted this function:
-                    // bring-up install, same convention as pool start
-                    cp.install(job.algo_id)?;
-                    shard_algos[s].insert(job.algo_id);
-                }
-                let r = match cp.invoke(job.algo_id, &job.input) {
-                    Ok((output, report)) => {
-                        let t = report.total();
-                        shard_finish[s] = now + t;
-                        overload_stats.redistributed += 1;
-                        if engine_tracer.enabled() {
-                            cp.take_details_into(&mut details_buf);
-                            engine_tracer.details(now, &details_buf);
-                            engine_tracer.record(
-                                now,
-                                EventKind::Redistributed {
-                                    job: job.index as u64,
-                                    algo: job.algo_id,
-                                    to: s as u32,
-                                },
-                            );
-                        }
-                        let hit = report.hit();
-                        complete(&job, output, hit, t, now + t, golden.as_ref(), collect)?
-                    }
-                    Err(CoreError::Mcu(detail)) => {
-                        fault_stats.failed_jobs += 1;
-                        JobResult::dropped(
-                            job.index,
-                            JobError::Faulted {
-                                algo_id: job.algo_id,
-                                attempts: 0,
-                                detail: detail.to_string(),
+        // Redistribution: jobs an open breaker bounced are re-served in
+        // submission order on the healthy shard that frees up first. A
+        // job whose deadline passed while it waited — or with no
+        // healthy shard left — is shed. A closed-loop breaker never
+        // opens, so there is nothing to redistribute.
+        rejected.sort_by_key(|j| j.index);
+        let golden = (verify && !rejected.is_empty()).then(aaod_algos::AlgorithmBank::standard);
+        for job in rejected {
+            let target = (0..workers)
+                .filter(|&s| !shard_open[s])
+                .min_by_key(|&s| (shard_finish[s], s));
+            let now = target.map_or(makespan, |s| shard_finish[s].max(job.arrival));
+            let Some(s) = target.filter(|_| job.deadline > now) else {
+                overload_stats.shed += 1;
+                engine_tracer.record(
+                    now,
+                    EventKind::Shed {
+                        job: job.index as u64,
+                        algo: job.algo_id,
+                    },
+                );
+                results.land(JobResult::dropped(
+                    job.index,
+                    JobError::Shed {
+                        algo_id: job.algo_id,
+                        deadline: job.deadline,
+                        decided_at: now,
+                    },
+                ));
+                continue;
+            };
+            let cp = &mut shard_cp[s];
+            if !shard_algos[s].contains(&job.algo_id) {
+                // the healthy shard never hosted this function:
+                // bring-up install, same convention as pool start
+                cp.install(job.algo_id)?;
+                shard_algos[s].insert(job.algo_id);
+            }
+            let r = match cp.invoke(job.algo_id, &job.input) {
+                Ok((output, report)) => {
+                    let t = report.total();
+                    shard_finish[s] = now + t;
+                    overload_stats.redistributed += 1;
+                    if engine_tracer.enabled() {
+                        cp.take_details_into(&mut details_buf);
+                        engine_tracer.details(now, &details_buf);
+                        engine_tracer.record(
+                            now,
+                            EventKind::Redistributed {
+                                job: job.index as u64,
+                                algo: job.algo_id,
+                                to: s as u32,
                             },
-                        )
+                        );
                     }
-                    Err(other) => return Err(other),
-                };
-                tally(&mut overload_stats, &r);
-                results.land(r);
-            }
-            // After redistribution every card is done: merge their
-            // controller stats (deferred to here so redistributed
-            // work is counted exactly once) and extend the makespan
-            // to the slowest shard's clock, idle gaps included.
-            for cp in shard_cp.into_iter().flatten() {
-                stats.merge(&cp.stats());
-            }
-            makespan = shard_finish.iter().copied().fold(makespan, |a, b| a.max(b));
+                    let hit = report.hit();
+                    complete(&job, output, hit, t, now + t, golden.as_ref(), collect)?
+                }
+                Err(CoreError::Mcu(detail)) => {
+                    fault_stats.failed_jobs += 1;
+                    JobResult::dropped(
+                        job.index,
+                        JobError::Faulted {
+                            algo_id: job.algo_id,
+                            attempts: 0,
+                            detail: detail.to_string(),
+                        },
+                    )
+                }
+                Err(other) => return Err(other),
+            };
+            tally(&mut overload_stats, &r);
+            results.land(r);
         }
+        // After redistribution every card is done: merge their
+        // controller stats (deferred to here so redistributed work is
+        // counted exactly once) and extend the makespan to the slowest
+        // shard's clock, idle gaps included. A closed-loop shard's
+        // clock stops at its last job, within its busy time.
+        for cp in &shard_cp {
+            stats.merge(&cp.stats());
+        }
+        makespan = shard_finish.iter().copied().fold(makespan, |a, b| a.max(b));
         if faults.requeue && !results.failed.is_empty() {
             // Rescue pass: re-serve degraded jobs on a fresh spare card
             // once the pool has drained; the spare runs after the
-            // pool, so its busy time extends the makespan serially. In
-            // overload mode the rescue clock starts at the makespan: a
-            // job whose deadline already passed is not rescued, and
-            // one that finishes past it is deadline-missed.
+            // pool, so its busy time extends the makespan serially.
+            // The rescue clock starts at the makespan: a job whose
+            // deadline already passed is not rescued, and one that
+            // finishes past it is deadline-missed.
             let mut spare = (self.factory)();
             if engine_tracer.enabled() {
                 spare.set_trace(true);
@@ -1043,7 +1053,7 @@ impl Engine {
             for index in indices {
                 let job = job_at(index);
                 let cursor = makespan + rescue_busy;
-                if job.deadline.is_some_and(|d| d <= cursor) {
+                if job.deadline <= cursor {
                     continue; // stays failed: no budget left
                 }
                 let Ok((output, report)) = spare.invoke(job.algo_id, &job.input) else {
@@ -1077,10 +1087,8 @@ impl Engine {
                 if rescued {
                     fault_stats.requeues += 1;
                 }
-                if overload.is_some() {
-                    overload_stats.faulted -= 1;
-                    tally(&mut overload_stats, &r);
-                }
+                overload_stats.faulted -= 1;
+                tally(&mut overload_stats, &r);
                 results.failed.remove(&index);
                 results.land(r);
             }
@@ -1105,48 +1113,43 @@ impl Engine {
             latency.push(t);
             total_service_time += t;
         }
-        if overload.is_some() {
-            overload_stats.check()?;
-        }
-        // Per-tenant outcome totals: classify every submission by its
-        // terminal map. Only meaningful for overload runs over a
-        // tenant-tagged workload.
+        overload_stats.check()?;
+        // Per-tenant outcome totals: classify every submission of a
+        // tenant-tagged workload by its terminal map.
         let mut tenants: Vec<TenantStats> = Vec::new();
-        if overload.is_some() {
-            if let Some(specs) = workload.tenant_specs() {
-                tenants = specs
-                    .iter()
-                    .enumerate()
-                    .map(|(t, s)| TenantStats {
-                        tenant: t as u16,
-                        name: s.name.clone(),
-                        weight: s.weight,
-                        ..TenantStats::default()
-                    })
-                    .collect();
-                for i in 0..n {
-                    let Some(t) = workload.tenant_of(i) else {
-                        continue;
-                    };
-                    let Some(ts) = tenants.get_mut(t as usize) else {
-                        continue;
-                    };
-                    ts.submitted += 1;
-                    if quota_exceeded.contains_key(&i) {
-                        ts.quota_exceeded += 1;
-                    } else if shed.contains_key(&i) {
-                        ts.shed += 1;
-                    } else if deadline_missed.contains_key(&i) {
-                        ts.deadline_missed += 1;
-                    } else if failed.contains_key(&i) {
-                        ts.faulted += 1;
-                    } else {
-                        ts.completed += 1;
-                    }
+        if let Some(specs) = workload.tenant_specs() {
+            tenants = specs
+                .iter()
+                .enumerate()
+                .map(|(t, s)| TenantStats {
+                    tenant: t as u16,
+                    name: s.name.clone(),
+                    weight: s.weight,
+                    ..TenantStats::default()
+                })
+                .collect();
+            for i in 0..n {
+                let Some(t) = workload.tenant_of(i) else {
+                    continue;
+                };
+                let Some(ts) = tenants.get_mut(t as usize) else {
+                    continue;
+                };
+                ts.submitted += 1;
+                if quota_exceeded.contains_key(&i) {
+                    ts.quota_exceeded += 1;
+                } else if shed.contains_key(&i) {
+                    ts.shed += 1;
+                } else if deadline_missed.contains_key(&i) {
+                    ts.deadline_missed += 1;
+                } else if failed.contains_key(&i) {
+                    ts.faulted += 1;
+                } else {
+                    ts.completed += 1;
                 }
-                for t in &tenants {
-                    t.check()?;
-                }
+            }
+            for t in &tenants {
+                t.check()?;
             }
         }
         let input_bytes = requests.iter().map(|r| r.input_len as u64).sum();
@@ -1179,7 +1182,8 @@ impl Engine {
             quota_exceeded,
             tenants,
             overload: overload_stats,
-            deadline_budget,
+            // a closed-loop run reports no budget: its jobs have none
+            deadline_budget: self.config.overload.map(|_| budget),
             shard_health,
             sojourn,
             trace,
@@ -1232,6 +1236,8 @@ impl Engine {
     }
 }
 
+/// Brings up one shard, serves its stream batch by batch and drains
+/// it.
 #[allow(clippy::too_many_arguments)]
 fn worker_loop(
     factory: &(dyn Fn() -> CoProcessor + Send + Sync),
@@ -1240,12 +1246,12 @@ fn worker_loop(
     verify: bool,
     collect: bool,
     faults: FaultConfig,
-    overload: Option<OverloadConfig>,
+    overload: OverloadConfig,
     fairness: Option<&FairnessShare>,
     shard: u32,
     trace: TraceConfig,
     predict: Option<crate::predict::PredictConfig>,
-) -> Result<WorkerOutcome, CoreError> {
+) -> Result<ShardDriver, CoreError> {
     let mut predictor = predict.map(|p| crate::predict::PredictModel::new(p.ewma_shift));
     let mut driver = ShardDriver::new(
         factory(),
@@ -1290,8 +1296,8 @@ fn worker_loop(
         }
         driver.serve_batch(batch)?;
         // the fault machinery interleaves serving and recovery, so
-        // per-stage attribution is not available: what the batch left
-        // buffered is stamped at the shard's clock after it
+        // per-stage attribution is not available: what a faulted job
+        // left buffered is stamped at the shard's clock after it
         driver.flush_details(driver.clock());
         // Online prefetch: feed the shard's (deterministic) batch
         // sequence into the model and pre-configure the predicted
@@ -1322,7 +1328,7 @@ fn worker_loop(
     }
     driver.drain()?;
     driver.flush_details(driver.clock().max(driver.outcome.busy));
-    Ok(driver.finish())
+    Ok(driver)
 }
 
 /// The overload-layer half of a shard's driver: its modelled
@@ -1395,9 +1401,12 @@ enum Admission {
 /// fault-free run as one batch, activates the faults the plan
 /// schedules, detects corruption at the next use of the faulted
 /// function, and runs the backoff→repair→retry recovery loop, all in
-/// modelled time. A fault-free run is a zero-rate plan. With the
-/// overload layer on it additionally runs admission control, the
-/// breaker, latency-fault injection and the watchdog.
+/// modelled time. A fault-free run is a zero-rate plan. It also runs
+/// admission control, the breaker, latency-fault injection and the
+/// watchdog; the closed loop is the overload configuration under
+/// which admission always serves and the breaker never opens. Once
+/// drained, the driver itself goes back to the engine, card included,
+/// so redistribution can serve bounced jobs on it.
 struct ShardDriver {
     cp: CoProcessor,
     tracer: Tracer,
@@ -1417,8 +1426,8 @@ struct ShardDriver {
     /// corruption persists, so later jobs degrade without burning
     /// more retries.
     poisoned: BTreeSet<u16>,
-    /// Overload layer; `None` keeps the closed-loop behaviour.
-    overload: Option<OverloadState>,
+    /// The overload layer's clock, breaker and counters.
+    overload: OverloadState,
     /// Breaker timeline entries already emitted to the trace (the
     /// initial closed state is never an event).
     breaker_emitted: usize,
@@ -1429,7 +1438,7 @@ impl ShardDriver {
         mut cp: CoProcessor,
         tracer: Tracer,
         cfg: FaultConfig,
-        overload: Option<OverloadConfig>,
+        overload: OverloadConfig,
         fairness: Option<&FairnessShare>,
         verify: bool,
         collect: bool,
@@ -1447,10 +1456,10 @@ impl ShardDriver {
             cfg,
             outstanding: BTreeMap::new(),
             poisoned: BTreeSet::new(),
-            overload: overload.map(|oc| OverloadState {
-                cfg: oc,
+            overload: OverloadState {
+                cfg: overload,
                 clock: SimTime::ZERO,
-                breaker: CircuitBreaker::new(oc.breaker),
+                breaker: CircuitBreaker::new(overload.breaker),
                 stats: OverloadStats::default(),
                 lost_stats: OsStats::default(),
                 fairness: fairness.map(|share| FairnessState {
@@ -1458,19 +1467,17 @@ impl ShardDriver {
                     admitted_total: 0,
                     share: share.clone(),
                 }),
-            }),
+            },
             breaker_emitted: 1,
         }
     }
 
-    /// The shard's modelled clock: the overload layer's wall clock
-    /// (service plus idle gaps waiting for arrivals), or the
-    /// cumulative busy time of a closed-loop shard. A job starts at
-    /// `clock().max(arrival)`; closed-loop arrivals are all zero.
+    /// The shard's modelled clock: service plus idle gaps waiting
+    /// for arrivals. A job starts at `clock().max(arrival)`; in the
+    /// closed loop arrivals are all zero, so the clock is the busy
+    /// time until the final drain.
     fn clock(&self) -> SimTime {
-        self.overload
-            .as_ref()
-            .map_or(self.outcome.busy, |ov| ov.clock)
+        self.overload.clock
     }
 
     /// Moves the card's buffered details into the trace, stamped at
@@ -1482,34 +1489,6 @@ impl ShardDriver {
         }
     }
 
-    /// Hands the shard's results back to the engine.
-    fn finish(self) -> WorkerOutcome {
-        let mut outcome = self.outcome;
-        match self.overload {
-            Some(ov) => {
-                // Overload mode: the card travels back to the engine
-                // so redistribution can re-serve bounced jobs on it,
-                // and its controller stats are merged there (exactly
-                // once). Here we only carry what watchdog resets
-                // zeroed away, plus the breaker's final tallies.
-                outcome.overload = ov.stats;
-                outcome.overload.breaker_trips = ov.breaker.trips();
-                outcome.overload.breaker_rejections = ov.breaker.rejections();
-                outcome.overload.probes = ov.breaker.probes();
-                outcome.finish = ov.clock;
-                outcome.breaker_open = ov.breaker.is_open();
-                outcome.breaker_timeline = ov.breaker.timeline().to_vec();
-                outcome.stats = ov.lost_stats;
-                outcome.cp = Some(self.cp);
-            }
-            None => outcome.stats = self.cp.stats(),
-        }
-        if self.tracer.enabled() {
-            outcome.trace = Some(self.tracer.finish());
-        }
-        outcome
-    }
-
     /// Emits any breaker transitions recorded since the last sync.
     /// Called right after every breaker interaction so the shard
     /// stream stays time-ordered; `floor` lifts back-dated
@@ -1517,10 +1496,7 @@ impl ShardDriver {
     /// probe's *admission* time) up to the observation point — the
     /// faithful back-dated times stay in the `shard_health` timeline.
     fn sync_breaker(&mut self, floor: SimTime) {
-        let Some(ov) = &self.overload else {
-            return;
-        };
-        let timeline = ov.breaker.timeline();
+        let timeline = self.overload.breaker.timeline();
         for pair in timeline[self.breaker_emitted - 1..].windows(2) {
             let ((_, from), (ts, to)) = (pair[0], pair[1]);
             self.tracer.record(
@@ -1548,24 +1524,13 @@ impl ShardDriver {
         !self.poisoned.contains(&algo_id) && !self.outstanding.contains_key(&algo_id)
     }
 
-    /// The latency fault (if any) the plan schedules for `index`.
-    /// Latency faults only fire through the overload layer.
-    fn latency_for(&self, index: usize) -> Option<LatencySite> {
-        self.overload
-            .as_ref()
-            .and_then(|_| self.cfg.plan.decide_latency(index as u64))
-    }
-
     /// Admission control for one job: counts the submission and
     /// decides serve / shed / bounce at the shard's current clock.
     fn admit(&mut self, job: &Job) -> Admission {
-        let Some(ov) = &mut self.overload else {
-            return Admission::Serve;
-        };
+        let ov = &mut self.overload;
         ov.stats.submitted += 1;
         let now = ov.clock.max(job.arrival);
-        let deadline = job.deadline.expect("overload jobs carry deadlines");
-        if deadline <= now {
+        if job.deadline <= now {
             ov.stats.shed += 1;
             return Admission::Shed { decided_at: now };
         }
@@ -1594,15 +1559,13 @@ impl ShardDriver {
             );
         }
         if let Some(site) = self.cfg.plan.decide_latency(index as u64) {
-            if let Some(ov) = &mut self.overload {
-                ov.stats.latency_inert += 1;
-                self.tracer.record(
-                    ts,
-                    EventKind::FaultInert {
-                        kind: latency_kind(site),
-                    },
-                );
-            }
+            self.overload.stats.latency_inert += 1;
+            self.tracer.record(
+                ts,
+                EventKind::FaultInert {
+                    kind: latency_kind(site),
+                },
+            );
         }
     }
 
@@ -1627,7 +1590,7 @@ impl ShardDriver {
                         job.index,
                         JobError::Shed {
                             algo_id,
-                            deadline: job.deadline.unwrap_or(SimTime::ZERO),
+                            deadline: job.deadline,
                             decided_at,
                         },
                     ));
@@ -1648,44 +1611,36 @@ impl ShardDriver {
                 }
             }
             let scheduled = self.cfg.plan.decide(job.index as u64);
-            let latency = self.latency_for(job.index);
+            let latency = self.cfg.plan.decide_latency(job.index as u64);
             if scheduled.is_some() || latency.is_some() || !self.algo_clean(algo_id) {
                 self.serve_one(&job, scheduled, latency)?;
                 continue;
             }
-            // Maximal fault-free run: serve it as one batch. In
-            // overload mode the whole run is admitted at the current
-            // clock, so only jobs that would pass admission now may
-            // ride along; their own deadlines are still checked at
-            // completion.
+            // Maximal fault-free run: serve it as one batch. The whole
+            // run is admitted at the current clock, so only jobs that
+            // would pass admission now may ride along; their own
+            // deadlines are still checked at completion.
             let mut run = vec![job];
             while let Some(next) = jobs.peek() {
+                let ov = &self.overload;
                 let clean = self.cfg.plan.decide(next.index as u64).is_none()
-                    && self.latency_for(next.index).is_none();
-                let admissible = match &self.overload {
-                    None => true,
-                    Some(ov) => {
-                        next.deadline.expect("overload jobs carry deadlines")
-                            > ov.clock.max(next.arrival)
-                            && !ov.fair_shed_decision(next)
-                    }
-                };
+                    && self.cfg.plan.decide_latency(next.index as u64).is_none();
+                let admissible =
+                    next.deadline > ov.clock.max(next.arrival) && !ov.fair_shed_decision(next);
                 if !(clean && admissible) {
                     break;
                 }
                 let next = jobs.next().expect("peeked");
-                if let Some(ov) = &mut self.overload {
-                    ov.stats.submitted += 1;
-                    ov.note_admitted(&next);
-                }
+                self.overload.stats.submitted += 1;
+                self.overload.note_admitted(&next);
                 run.push(next);
             }
             let inputs: Vec<&[u8]> = run.iter().map(|j| j.input.as_slice()).collect();
             let served = self.cp.invoke_batch(algo_id, &inputs)?;
-            if self.overload.is_none() {
-                // a closed-loop run's details are stamped at its start
-                self.flush_details(self.outcome.busy);
-            }
+            // the run's details (residency, ROM fetch, decompression,
+            // port writes) are stamped at its start, before the jobs
+            // they delayed open
+            self.flush_details(self.clock().max(run[0].arrival));
             for (job, (output, report)) in run.iter().zip(served) {
                 let start = self.clock().max(job.arrival);
                 let time = report.total();
@@ -1701,8 +1656,8 @@ impl ShardDriver {
 
     /// Lands a job served from `start` for `time` in its terminal
     /// state: a degraded job stays faulted, any other is classified by
-    /// [`complete`]. In overload mode it also advances the shard clock
-    /// and drives the breaker.
+    /// [`complete`]. It also advances the shard clock and drives the
+    /// breaker.
     fn finish_served(
         &mut self,
         job: &Job,
@@ -1725,14 +1680,13 @@ impl ShardDriver {
             }
         };
         let outcome = job_outcome(&result);
-        if let Some(ov) = &mut self.overload {
-            ov.clock = finish;
-            tally(&mut ov.stats, &result);
-            if outcome == JobOutcome::Completed {
-                ov.breaker.record_success();
-            } else {
-                ov.breaker.record_failure(finish);
-            }
+        let ov = &mut self.overload;
+        ov.clock = finish;
+        tally(&mut ov.stats, &result);
+        if outcome == JobOutcome::Completed {
+            ov.breaker.record_success();
+        } else {
+            ov.breaker.record_failure(finish);
         }
         self.tracer.record(
             finish,
@@ -1760,9 +1714,8 @@ impl ShardDriver {
     ) -> Result<(), CoreError> {
         let algo_id = job.algo_id;
         let mut job_time = SimTime::ZERO;
-        // The job's modelled start: the shard clock (overload) or its
-        // cumulative busy time (closed loop). Recovery spans are laid
-        // from a cursor advancing from here.
+        // The job's modelled start on the shard clock. Recovery spans
+        // are laid from a cursor advancing from here.
         let t0 = self.clock().max(job.arrival);
         self.tracer.record(
             t0,
@@ -1780,7 +1733,7 @@ impl ShardDriver {
             // Snapshot the controller stats first — the reset zeroes
             // them, and that work must stay counted.
             let t_reset = {
-                let ov = self.overload.as_mut().expect("latency implies overload");
+                let ov = &mut self.overload;
                 ov.lost_stats.merge(&self.cp.stats());
                 let timeout = ov.cfg.watchdog.timeout();
                 let t_reset = self.cp.os_mut().reset();
@@ -1943,7 +1896,7 @@ impl ShardDriver {
         }
         match latency {
             Some(LatencySite::StallConfig) => {
-                let ov = self.overload.as_mut().expect("latency implies overload");
+                let ov = &mut self.overload;
                 if self.cp.os().armed_config_stall() > 0 {
                     // the job was a residency hit: the stall never got
                     // a reconfiguration to hang
@@ -1969,7 +1922,7 @@ impl ShardDriver {
             }
             Some(LatencySite::SlowPci) => {
                 self.cp.bus_mut().disarm_slow();
-                let ov = self.overload.as_mut().expect("latency implies overload");
+                let ov = &mut self.overload;
                 if pci1.slowed_transfers > pci0.slowed_transfers {
                     ov.stats.slow_transfers_injected += 1;
                     if !transient_fired {
@@ -2100,8 +2053,9 @@ impl ShardDriver {
     /// Post-run sweep: repair latent faults the workload never
     /// touched again, so no corruption outlives the run.
     fn drain(&mut self) -> Result<(), CoreError> {
-        // In overload mode the shard stream is stamped on the shard
-        // clock (>= busy); the sweep stamps at whichever is later so
+        // The shard clock stops at the last job (an open-loop clock
+        // runs ahead of the busy time, a closed-loop one does not
+        // count this sweep); the sweep stamps at whichever is later so
         // the stream stays time-ordered.
         let frame_faults = self.outstanding_at(&FRAME_SITES);
         if !frame_faults.is_empty() {
@@ -2316,8 +2270,8 @@ mod tests {
 
     /// An empty workload takes the general serving path and reports
     /// what any run reports for no work: zero requests and time, one
-    /// idle shard per worker, and in overload mode the resolved
-    /// deadline budget and a closed breaker on every shard.
+    /// idle shard per worker with a closed breaker, and in overload
+    /// mode the resolved deadline budget.
     #[test]
     fn empty_workload_is_empty_result() {
         let w = Workload::from_trace(std::iter::empty::<u16>(), 8);
@@ -2344,7 +2298,7 @@ mod tests {
             assert_eq!(r.batches, 0);
             assert_eq!(r.dispatch, DispatchStats::default());
             assert_eq!(r.deadline_budget, None);
-            assert!(r.shard_health.is_empty());
+            assert_eq!(r.shard_health, closed, "{}", shard.name());
             assert_eq!(r.trace, Some(TraceReport::default()));
             for (deadline, budget) in [
                 (
@@ -2377,6 +2331,81 @@ mod tests {
                 assert_eq!(r.shard_health, closed, "{}", shard.name());
             }
         }
+    }
+
+    /// The closed loop is one configuration of the overload layer:
+    /// `overload: None` and an explicit [`closed_loop`] serve the same
+    /// workload identically, down to the trace bytes, under every
+    /// shard policy with degrading faults, the requeue rescue and
+    /// prefetch engaged. Only the reported deadline budget differs.
+    #[test]
+    fn closed_loop_is_an_open_loop_configuration() {
+        use aaod_sim::{FaultPlan, FaultRates};
+        // 3DES, SHA-256, XTEA and AES-128 overcommit a 34-frame card,
+        // so prefetches evict; with no retries every fault degrades
+        // and the rescue pass has work.
+        let w = Workload::zipf(
+            &[ids::TDES, ids::SHA256, ids::XTEA, ids::AES128],
+            160,
+            1.1,
+            48,
+            5,
+        );
+        let card = || {
+            CoProcessor::builder()
+                .geometry(aaod_fabric::DeviceGeometry::new(34, 16))
+                .build()
+        };
+        let faults = FaultConfig {
+            max_retries: 0,
+            requeue: true,
+            ..FaultConfig::new(FaultPlan::new(0xC0FFEE, FaultRates::uniform(0.02)))
+        };
+        let mut prefetches = 0;
+        for shard in [
+            ShardPolicy::AlgoModulo,
+            ShardPolicy::RoundRobin,
+            ShardPolicy::Balanced,
+            ShardPolicy::Dynamic,
+            ShardPolicy::Auction,
+        ] {
+            let cfg = EngineConfig {
+                workers: 2,
+                verify: true,
+                shard,
+                faults: Some(faults),
+                trace: TraceConfig::full(),
+                predict: Some(crate::predict::PredictConfig::default()),
+                ..EngineConfig::default()
+            };
+            let closed = Engine::with_factory(cfg, card).serve(&w).unwrap();
+            let mut open = Engine::with_factory(
+                EngineConfig {
+                    overload: Some(closed_loop()),
+                    ..cfg
+                },
+                card,
+            )
+            .serve(&w)
+            .unwrap();
+            let name = shard.name();
+            assert!(closed.faults.requeues > 0, "{name}: nothing rescued");
+            assert_eq!(closed.deadline_budget, None);
+            assert_eq!(open.deadline_budget, Some(SimTime::MAX));
+            open.deadline_budget = None;
+            assert_eq!(format!("{open:?}"), format!("{closed:?}"), "{name}");
+            assert_eq!(
+                open.trace.as_ref().map(TraceReport::to_jsonl),
+                closed.trace.as_ref().map(TraceReport::to_jsonl),
+                "{name}"
+            );
+            // the closed loop keeps the overload ledger too
+            assert_eq!(closed.overload.submitted, w.len() as u64);
+            assert!(closed.overload.accounted(), "{name}");
+            assert_eq!(closed.sojourn.count() as u64, closed.overload.completed);
+            prefetches += closed.stats.prefetches;
+        }
+        assert!(prefetches > 0, "the sweep must prefetch");
     }
 
     #[test]

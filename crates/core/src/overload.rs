@@ -1,8 +1,9 @@
 //! Deadline, admission-control, watchdog and overload accounting
 //! types for the serving engine.
 //!
-//! The engine's overload layer (enabled through
-//! [`EngineConfig::overload`](crate::EngineConfig)) gives every job a
+//! The engine's overload layer (configured through
+//! [`EngineConfig::overload`](crate::EngineConfig), whose `None` is the
+//! closed loop) gives every job a
 //! modelled-time deadline, sheds work that cannot meet it, detects
 //! stalled cards with a watchdog, and quarantines failing shards with
 //! a per-shard [`CircuitBreaker`](crate::CircuitBreaker). Everything
@@ -302,7 +303,7 @@ impl OverloadStats {
     }
 }
 
-/// Per-tenant outcome totals for a multi-tenant overload run,
+/// Per-tenant outcome totals for a multi-tenant engine run,
 /// computed by the engine after serving from the per-job outcome maps
 /// and the workload's tenant tags.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

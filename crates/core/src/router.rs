@@ -108,9 +108,9 @@ pub(crate) fn place(
 pub(crate) struct RouteParams {
     /// Modelled gap between consecutive job arrivals.
     pub(crate) interarrival: SimTime,
-    /// Per-job latency budget from arrival; `None` disables deadline
-    /// accounting entirely.
-    pub(crate) deadline: Option<SimTime>,
+    /// Per-job latency budget from arrival; [`SimTime::MAX`] is a
+    /// deadline that never passes.
+    pub(crate) deadline: SimTime,
     /// Redirections (failovers + hedges) allowed per job.
     pub(crate) max_failovers: u32,
     /// Base modelled backoff; redirection `k` waits `backoff * 2^(k-1)`.
@@ -267,7 +267,7 @@ pub(crate) fn route(
             .get(&req.algo_id)
             .map(Vec::as_slice)
             .unwrap_or(&[]);
-        let deadline_abs = params.deadline.map(|d| arrival + d);
+        let deadline_abs = arrival.saturating_add(params.deadline);
 
         let mut tried: BTreeSet<u32> = BTreeSet::new();
         let mut attempts = 0u32;
@@ -337,14 +337,12 @@ pub(crate) fn route(
                 );
                 break 'job;
             }
-            if let Some(d) = deadline_abs {
-                if now >= d {
-                    route = Route::Shed {
-                        deadline: d,
-                        decided_at: now,
-                    };
-                    break 'job;
-                }
+            if now >= deadline_abs {
+                route = Route::Shed {
+                    deadline: deadline_abs,
+                    decided_at: now,
+                };
+                break 'job;
             }
             tried.insert(card);
             let c = card as usize;
@@ -445,18 +443,7 @@ pub(crate) fn route(
                     (finish, card)
                 }
             };
-            route = match deadline_abs {
-                Some(d) if win_finish > d => Route::DeadlineMissed {
-                    card: win_card,
-                    deadline: d,
-                    finish: win_finish,
-                },
-                _ => Route::Completed {
-                    card: win_card,
-                    arrival,
-                    finish: win_finish,
-                },
-            };
+            route = landed(win_card, arrival, deadline_abs, win_finish);
             break 'job;
         }
         if let Route::Completed { finish, .. } | Route::DeadlineMissed { finish, .. } = route {
@@ -562,7 +549,7 @@ fn finish_or_lose(
     wasted: &mut SimTime,
     svc: SimTime,
     arrival: SimTime,
-    deadline_abs: Option<SimTime>,
+    deadline_abs: SimTime,
     clocks: &mut [SimTime],
     attempts: u32,
     now: SimTime,
@@ -575,18 +562,7 @@ fn finish_or_lose(
         *hedge_duplicates += extra;
         *wasted += svc * extra;
         clocks[card as usize] = clocks[card as usize].max(finish);
-        return match deadline_abs {
-            Some(d) if finish > d => Route::DeadlineMissed {
-                card,
-                deadline: d,
-                finish,
-            },
-            _ => Route::Completed {
-                card,
-                arrival,
-                finish,
-            },
-        };
+        return landed(card, arrival, deadline_abs, finish);
     }
     match last_strand {
         // The job died with a card mid-service and nothing survived.
@@ -597,6 +573,24 @@ fn finish_or_lose(
             attempts,
             decided_at: now,
         },
+    }
+}
+
+/// A job's surviving result landed on `card` at `finish`: completed,
+/// or deadline-missed when it finished past `deadline`.
+fn landed(card: u32, arrival: SimTime, deadline: SimTime, finish: SimTime) -> Route {
+    if finish > deadline {
+        Route::DeadlineMissed {
+            card,
+            deadline,
+            finish,
+        }
+    } else {
+        Route::Completed {
+            card,
+            arrival,
+            finish,
+        }
     }
 }
 

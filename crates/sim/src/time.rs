@@ -33,6 +33,10 @@ impl SimTime {
     /// The zero duration.
     pub const ZERO: SimTime = SimTime(0);
 
+    /// The largest representable instant: a deadline that never
+    /// passes.
+    pub const MAX: SimTime = SimTime(u64::MAX);
+
     /// Creates a duration from picoseconds.
     pub const fn from_ps(ps: u64) -> Self {
         SimTime(ps)
@@ -86,6 +90,11 @@ impl SimTime {
     /// Saturating subtraction; clamps at [`SimTime::ZERO`].
     pub fn saturating_sub(self, rhs: SimTime) -> SimTime {
         SimTime(self.0.saturating_sub(rhs.0))
+    }
+
+    /// Saturating addition; clamps at [`SimTime::MAX`].
+    pub fn saturating_add(self, rhs: SimTime) -> SimTime {
+        SimTime(self.0.saturating_add(rhs.0))
     }
 
     /// Returns `true` if this is the zero duration.
@@ -207,6 +216,14 @@ mod tests {
         let b = SimTime::from_ns(2);
         assert_eq!(a.saturating_sub(b), SimTime::ZERO);
         assert_eq!(b.saturating_sub(a), SimTime::from_ns(1));
+    }
+
+    #[test]
+    fn saturating_add_clamps_at_max() {
+        let a = SimTime::from_ns(1);
+        assert_eq!(a.saturating_add(a), SimTime::from_ns(2));
+        assert_eq!(a.saturating_add(SimTime::MAX), SimTime::MAX);
+        assert!(SimTime::MAX > a);
     }
 
     #[test]

@@ -277,6 +277,58 @@ fn flash_crowd_golden_scenario_is_under_pressure() {
     assert!(sheds > 0, "flash-crowd golden lost its overload pressure");
 }
 
+/// Every job that reconfigures was delayed by a residency miss the
+/// trace stamps before it: the miss's card details (residency, ROM
+/// fetch, decompression, port writes) open no later than the job they
+/// delayed, in the closed loop and the open loop alike. Each
+/// reconfiguring job consumes one earlier miss for its algorithm on
+/// its shard's stream.
+#[test]
+fn residency_misses_precede_the_jobs_they_delay() {
+    use std::collections::BTreeMap;
+    for (label, jsonl) in [
+        ("quickstart seed 1", traced_jsonl(1, 2)),
+        ("quickstart seed 42", traced_jsonl(42, 2)),
+        ("flash crowd seed 5", flash_crowd_jsonl(5)),
+    ] {
+        // stamps of the not yet consumed misses per (shard, algo)
+        let mut misses: BTreeMap<(u64, u64), Vec<u64>> = BTreeMap::new();
+        // open jobs per (shard, job): (algo, open stamp, misses seen)
+        let mut open: BTreeMap<(u64, u64), (u64, u64, usize)> = BTreeMap::new();
+        let mut reconfigs = 0;
+        for line in jsonl.lines() {
+            let shard = field(line, "shard").expect("shard field");
+            let ts = field(line, "ts_ps").expect("ts_ps field");
+            match str_field(line, "event") {
+                Some("residency") if line.contains("\"hit\":false") => {
+                    let algo = field(line, "algo").expect("algo field");
+                    misses.entry((shard, algo)).or_default().push(ts);
+                }
+                Some("job_open") => {
+                    let job = field(line, "job").expect("job field");
+                    let algo = field(line, "algo").expect("algo field");
+                    let before = misses.get(&(shard, algo)).map_or(0, Vec::len);
+                    open.insert((shard, job), (algo, ts, before));
+                }
+                Some("stage_open") if str_field(line, "stage") == Some("reconfig") => {
+                    let job = field(line, "job").expect("job field");
+                    let (algo, opened, before) = open[&(shard, job)];
+                    let pending = misses.entry((shard, algo)).or_default();
+                    assert!(
+                        before > 0 && pending.first().is_some_and(|&t| t <= opened),
+                        "{label}: job {job} reconfigures algo {algo} on shard {shard} \
+                         with no residency miss stamped before it opened at {opened} ps"
+                    );
+                    pending.remove(0);
+                    reconfigs += 1;
+                }
+                _ => {}
+            }
+        }
+        assert!(reconfigs > 0, "{label}: no job reconfigured");
+    }
+}
+
 /// The online predictive router's hysteresis flip sequence for a
 /// pinned flash-crowd stream, one JSON line per flip in submission
 /// order. The hot id rides the tail Zipf rank so the golden pins a
