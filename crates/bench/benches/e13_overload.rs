@@ -59,7 +59,6 @@ fn config_at(load: f64, capacity_interarrival: SimTime, budget: SimTime) -> Over
         breaker: BreakerConfig {
             failure_threshold: 1,
             cooldown: SimTime::from_us(100),
-            ..BreakerConfig::default()
         },
         fairness: None,
     }

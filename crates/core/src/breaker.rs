@@ -13,13 +13,10 @@
 //! The state machine is deliberately independent of its driver: it
 //! only sees "now", successes and failures, which keeps it unit
 //! testable and reusable. The engine drives one breaker per shard;
-//! the cluster router drives one per card. A flapping resource that
-//! keeps failing its half-open probes can be held off progressively
-//! longer via [`BreakerConfig::penalty_growth`]: every re-open
-//! multiplies the effective cool-down by the growth factor (capped at
-//! [`BreakerConfig::penalty_cap`] doublings), and a successful probe
-//! resets the penalty. The default growth of 1 reproduces the legacy
-//! fixed-cool-down behaviour exactly.
+//! the cluster router drives one per card. The cool-down is fixed: a
+//! flapping resource that keeps failing its half-open probes is
+//! probed again every [`BreakerConfig::cooldown`], measured from the
+//! failed probe.
 //!
 //! # Examples
 //!
@@ -30,7 +27,6 @@
 //! let mut b = CircuitBreaker::new(BreakerConfig {
 //!     failure_threshold: 2,
 //!     cooldown: SimTime::from_ms(1),
-//!     ..BreakerConfig::default()
 //! });
 //! let t = SimTime::from_us(10);
 //! b.record_failure(t);
@@ -79,17 +75,6 @@ pub struct BreakerConfig {
     pub failure_threshold: u32,
     /// Modelled time an open breaker waits before half-opening.
     pub cooldown: SimTime,
-    /// Cool-down multiplier applied per consecutive re-open (a
-    /// half-open probe that fails again). `1` (the default) keeps the
-    /// cool-down fixed — the legacy behaviour; `2` doubles the penalty
-    /// window every time a flapping resource fails its probe, so the
-    /// probe schedule backs off instead of hammering a card that
-    /// bounces every probe. A successful probe resets the penalty.
-    pub penalty_growth: u32,
-    /// Most growth applications the penalty may accumulate (bounds the
-    /// cool-down at `cooldown × growth^cap`). Irrelevant when the
-    /// growth factor is 1.
-    pub penalty_cap: u32,
 }
 
 impl Default for BreakerConfig {
@@ -97,8 +82,6 @@ impl Default for BreakerConfig {
         BreakerConfig {
             failure_threshold: 3,
             cooldown: SimTime::from_ms(5),
-            penalty_growth: 1,
-            penalty_cap: 8,
         }
     }
 }
@@ -109,29 +92,12 @@ impl BreakerConfig {
     /// # Panics
     ///
     /// Panics if the failure threshold is zero (the breaker would trip
-    /// before the first request) or the penalty growth is zero (the
-    /// cool-down would collapse to nothing on the first re-open).
+    /// before the first request).
     pub fn validate(&self) {
         assert!(
             self.failure_threshold >= 1,
             "breaker failure threshold must be at least 1"
         );
-        assert!(
-            self.penalty_growth >= 1,
-            "breaker penalty growth must be at least 1"
-        );
-    }
-
-    /// The effective cool-down at penalty level `level`:
-    /// `cooldown × growth^min(level, cap)`, saturating.
-    pub fn cooldown_at(&self, level: u32) -> SimTime {
-        let mut ps = self.cooldown.as_ps();
-        if self.penalty_growth > 1 {
-            for _ in 0..level.min(self.penalty_cap) {
-                ps = ps.saturating_mul(self.penalty_growth as u64);
-            }
-        }
-        SimTime::from_ps(ps)
     }
 }
 
@@ -142,7 +108,6 @@ pub struct CircuitBreaker {
     state: BreakerState,
     consecutive_failures: u32,
     opened_at: SimTime,
-    penalty_level: u32,
     trips: u64,
     reopens: u64,
     rejections: u64,
@@ -164,7 +129,6 @@ impl CircuitBreaker {
             state: BreakerState::Closed,
             consecutive_failures: 0,
             opened_at: SimTime::ZERO,
-            penalty_level: 0,
             trips: 0,
             reopens: 0,
             rejections: 0,
@@ -188,7 +152,7 @@ impl CircuitBreaker {
         match self.state {
             BreakerState::Closed | BreakerState::HalfOpen => true,
             BreakerState::Open => {
-                if now >= self.opened_at + self.config.cooldown_at(self.penalty_level) {
+                if now >= self.opened_at + self.config.cooldown {
                     self.transition(now, BreakerState::HalfOpen);
                     self.probes += 1;
                     true
@@ -200,15 +164,14 @@ impl CircuitBreaker {
         }
     }
 
-    /// Records a served request: resets the failure streak (and the
-    /// penalty level) and closes a half-open breaker.
+    /// Records a served request: resets the failure streak and closes
+    /// a half-open breaker.
     pub fn record_success(&mut self) {
         self.consecutive_failures = 0;
         if self.state == BreakerState::HalfOpen {
             // the probe came back healthy — close at the time the
             // probe was admitted (already in the timeline)
             let at = self.timeline.last().map_or(SimTime::ZERO, |&(t, _)| t);
-            self.penalty_level = 0;
             self.transition(at, BreakerState::Closed);
         }
     }
@@ -222,7 +185,6 @@ impl CircuitBreaker {
         match self.state {
             BreakerState::HalfOpen => {
                 self.reopens += 1;
-                self.penalty_level = (self.penalty_level + 1).min(self.config.penalty_cap);
                 self.opened_at = now;
                 self.transition(now, BreakerState::Open);
             }
@@ -284,13 +246,6 @@ impl CircuitBreaker {
         self.failures
     }
 
-    /// Current penalty level: consecutive re-opens since the last
-    /// successful probe, capped at the configured maximum. The
-    /// effective cool-down is [`BreakerConfig::cooldown_at`] of this.
-    pub fn penalty_level(&self) -> u32 {
-        self.penalty_level
-    }
-
     /// The tuning this breaker runs with.
     pub fn config(&self) -> BreakerConfig {
         self.config
@@ -311,16 +266,6 @@ mod tests {
         CircuitBreaker::new(BreakerConfig {
             failure_threshold: threshold,
             cooldown: SimTime::from_us(cooldown_us),
-            ..BreakerConfig::default()
-        })
-    }
-
-    fn escalating(threshold: u32, cooldown_us: u64, growth: u32, cap: u32) -> CircuitBreaker {
-        CircuitBreaker::new(BreakerConfig {
-            failure_threshold: threshold,
-            cooldown: SimTime::from_us(cooldown_us),
-            penalty_growth: growth,
-            penalty_cap: cap,
         })
     }
 
@@ -480,16 +425,6 @@ mod tests {
         let _ = CircuitBreaker::new(BreakerConfig {
             failure_threshold: 0,
             cooldown: SimTime::ZERO,
-            ..BreakerConfig::default()
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "penalty growth must be at least 1")]
-    fn zero_penalty_growth_panics() {
-        let _ = CircuitBreaker::new(BreakerConfig {
-            penalty_growth: 0,
-            ..BreakerConfig::default()
         });
     }
 
@@ -508,82 +443,55 @@ mod tests {
 
     #[test]
     fn default_growth_keeps_legacy_cooldown() {
-        // growth 1: re-opens never stretch the cool-down, byte-for-byte
-        // the pre-escalation behaviour the golden traces pin
+        // re-opens never stretch the cool-down: every probe that fails
+        // again is followed by the next one exactly `cooldown` later,
+        // the schedule the golden traces pin
         let mut b = breaker(1, 100);
         b.record_failure(SimTime::from_us(0));
         for k in 1..5u64 {
             let probe_at = SimTime::from_us(k * 100);
+            assert!(!b.allow(probe_at - SimTime::from_ps(1)), "probe {k} early");
             assert!(b.allow(probe_at), "probe {k}");
             b.record_failure(probe_at);
         }
-        assert_eq!(
-            b.config().cooldown_at(b.penalty_level()),
-            SimTime::from_us(100)
-        );
-    }
-
-    #[test]
-    fn probe_refault_escalates_the_penalty() {
-        // a half-open probe that faults *again* during its probe
-        // window must push the next probe further out
-        let mut b = escalating(1, 100, 2, 8);
-        b.record_failure(SimTime::from_us(0));
-        // level 0: probe admitted at 100 µs, faults immediately
-        assert!(b.allow(SimTime::from_us(100)));
-        b.record_failure(SimTime::from_us(100));
-        assert_eq!(b.penalty_level(), 1);
-        // level 1: the cool-down is now 200 µs from the re-open
-        assert!(!b.allow(SimTime::from_us(250)));
-        assert!(b.allow(SimTime::from_us(300)));
-        b.record_failure(SimTime::from_us(300));
-        assert_eq!(b.penalty_level(), 2);
-        // level 2: 400 µs
-        assert!(!b.allow(SimTime::from_us(650)));
-        assert!(b.allow(SimTime::from_us(700)));
-        // a healthy probe resets the ladder
-        b.record_success();
-        assert_eq!(b.penalty_level(), 0);
-        assert_eq!(b.state(), BreakerState::Closed);
+        assert_eq!(b.reopens(), 4);
+        assert_eq!(b.failures(), 5);
+        assert_eq!(b.probes(), 4);
+        assert_eq!(b.trips(), 1);
     }
 
     #[test]
     fn flapping_faster_than_the_penalty_period_backs_off() {
-        // a card that fails every probe: with growth 2 the admitted
-        // probes must space out geometrically instead of tracking the
-        // flap frequency
-        let mut b = escalating(1, 10, 2, 4);
+        // a card that fails every probe, polled far faster than the
+        // cool-down: the admitted probes space out at exactly the
+        // cool-down instead of tracking the poll frequency
+        let mut b = breaker(1, 10);
         b.record_failure(SimTime::ZERO);
         let mut admitted = Vec::new();
         let mut now = SimTime::ZERO;
         for _ in 0..2_000u64 {
-            now += SimTime::from_us(1); // poll far faster than any penalty
+            now += SimTime::from_us(1);
             if b.allow(now) {
                 admitted.push(now);
                 b.record_failure(now); // the flap strikes again
             }
         }
-        // gaps between consecutive admitted probes: 10, 20, 40, 80,
-        // then capped at 160 µs
-        let gaps: Vec<u64> = admitted
-            .windows(2)
-            .map(|w| (w[1] - w[0]).as_ps() / 1_000_000)
-            .collect();
+        assert_eq!(admitted[0], SimTime::from_us(10));
+        let gaps: Vec<SimTime> = admitted.windows(2).map(|w| w[1] - w[0]).collect();
         assert!(gaps.len() >= 5, "{gaps:?}");
-        assert_eq!(&gaps[..4], &[20, 40, 80, 160], "{gaps:?}");
-        assert!(gaps[4..].iter().all(|&g| g == 160), "{gaps:?}");
-        assert_eq!(b.penalty_level(), 4, "cap holds");
+        assert!(gaps.iter().all(|&g| g == SimTime::from_us(10)), "{gaps:?}");
         // the ledger still balances: every admitted probe re-opened,
-        // every failure was counted
+        // every failure was counted, every other poll was rejected
         assert_eq!(b.reopens() as usize, admitted.len());
         assert_eq!(b.failures() as usize, admitted.len() + 1);
         assert_eq!(b.probes() as usize, admitted.len());
+        assert_eq!(b.rejections() as usize, 2_000 - admitted.len());
     }
 
     #[test]
     fn escalating_timeline_is_still_monotonic_and_replayable() {
         let run = || {
-            let mut b = escalating(2, 50, 3, 3);
+            let mut b = breaker(2, 50);
             let mut now = SimTime::ZERO;
             for i in 0..60u64 {
                 now += SimTime::from_us(25);

@@ -217,26 +217,6 @@ impl ClusterStats {
         }
         self.completed as f64 / self.submitted as f64
     }
-
-    /// Accumulates another run's ledger into this one.
-    pub fn merge(&mut self, o: &ClusterStats) {
-        self.submitted += o.submitted;
-        self.completed += o.completed;
-        self.shed += o.shed;
-        self.deadline_missed += o.deadline_missed;
-        self.faulted += o.faulted;
-        self.lost_unrecoverable += o.lost_unrecoverable;
-        self.failovers += o.failovers;
-        self.hedges += o.hedges;
-        self.hedge_duplicates += o.hedge_duplicates;
-        self.breaker_rejections += o.breaker_rejections;
-        self.card_failures += o.card_failures;
-        self.card_downs += o.card_downs;
-        self.card_ups += o.card_ups;
-        self.wasted_time += o.wasted_time;
-        self.replicates += o.replicates;
-        self.dereplicates += o.dereplicates;
-    }
 }
 
 /// One card's health history over a fleet run.

@@ -415,12 +415,6 @@ impl CoProcessor {
     pub fn bus_mut(&mut self) -> &mut PciBus {
         &mut self.bus
     }
-
-    /// Builds the default agile co-processor with the given policy and
-    /// everything else standard.
-    pub fn with_policy(policy: Box<dyn ReplacementPolicy>) -> Self {
-        CoProcessor::builder().policy(policy).build()
-    }
 }
 
 impl Default for CoProcessor {

@@ -1221,14 +1221,13 @@ impl Engine {
                     let (_, report) = scratch.invoke(algo, input)?;
                     est.insert(algo, report.total());
                 }
-                let mut samples: Vec<SimTime> = requests.iter().map(|r| est[&r.algo_id]).collect();
-                samples.sort();
-                // nearest-rank percentile over the sorted estimates
-                // (an empty workload has no samples: the base is zero
-                // and the budget floors at 1 ps)
-                let rank =
-                    ((pct / 100.0) * samples.len().saturating_sub(1) as f64).round() as usize;
-                let base = samples.get(rank).copied().unwrap_or(SimTime::ZERO);
+                let mut samples = TimeAccumulator::new();
+                for r in requests {
+                    samples.push(est[&r.algo_id]);
+                }
+                // an empty workload has no samples: the base is zero
+                // and the budget floors at 1 ps
+                let base = samples.quantile(pct / 100.0);
                 let ps = (base.as_ps() as f64 * multiplier).round() as u64;
                 Ok(SimTime::from_ps(ps.max(1)))
             }

@@ -152,19 +152,6 @@ impl Device {
         Ok(())
     }
 
-    /// Copies the frames at `addrs` (in order) — the readback path used
-    /// to decode a configured function.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FabricError::FrameOutOfRange`].
-    pub fn read_region(&self, addrs: &[FrameAddress]) -> Result<Vec<Vec<u8>>, FabricError> {
-        addrs
-            .iter()
-            .map(|&a| self.read_frame(a).map(<[u8]>::to_vec))
-            .collect()
-    }
-
     /// Decodes the function image configured at `addrs`.
     ///
     /// This is the bit-faithful execution entry point: whatever bytes

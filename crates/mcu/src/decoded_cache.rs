@@ -95,12 +95,6 @@ impl DecodedCache {
         self.entries.get(key).map(|e| Arc::clone(&e.frames))
     }
 
-    /// Decoded bytes held under `key` (0 when absent); what a hit's
-    /// borrowed return avoids cloning.
-    pub fn entry_bytes(&self, key: &DecodedKey) -> usize {
-        self.entries.get(key).map_or(0, |e| e.bytes)
-    }
-
     /// Lookups performed via [`DecodedCache::get`].
     pub fn lookups(&self) -> u64 {
         self.lookups

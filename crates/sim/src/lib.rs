@@ -13,8 +13,9 @@
 //! * [`FaultPlan`] — a seeded, per-request fault schedule for the
 //!   chaos/recovery experiments; decisions are pure functions of
 //!   `(seed, request index)`.
-//! * [`stats`] — mean / percentile / histogram helpers used by the
-//!   workload metrics.
+//! * [`stats`] — [`stats::TimeAccumulator`], the one sample store for
+//!   modelled time, and its nearest-rank [`stats::Summary`]; every
+//!   reported latency distribution is one of these.
 //! * [`report`] — fixed-width table rendering used by the benches and
 //!   examples to print paper-style result tables.
 //! * [`trace`] — the deterministic modelled-time event/span recorder

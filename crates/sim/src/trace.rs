@@ -42,6 +42,7 @@
 //! [`TraceReport::to_chrome_trace`] writes Chrome `trace_event` JSON
 //! loadable in `about:tracing` or [Perfetto](https://ui.perfetto.dev).
 
+use crate::stats::TimeAccumulator;
 use crate::time::SimTime;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -625,6 +626,51 @@ pub enum EventKind {
     },
 }
 
+impl EventKind {
+    /// The event's name: the JSONL `"event"` value and the Chrome
+    /// instant name.
+    pub fn name(self) -> &'static str {
+        match self {
+            EventKind::JobOpen { .. } => "job_open",
+            EventKind::JobClose { .. } => "job_close",
+            EventKind::StageOpen { .. } => "stage_open",
+            EventKind::StageClose { .. } => "stage_close",
+            EventKind::Dispatch { .. } => "dispatch",
+            EventKind::Steal { .. } => "steal",
+            EventKind::Enqueue { .. } => "enqueue",
+            EventKind::Dequeue { .. } => "dequeue",
+            EventKind::Shed { .. } => "shed",
+            EventKind::Bounced { .. } => "bounced",
+            EventKind::Redistributed { .. } => "redistributed",
+            EventKind::Requeued { .. } => "requeued",
+            EventKind::Detail(d) => match d {
+                DetailEvent::Residency { .. } => "residency",
+                DetailEvent::DecodedCache { .. } => "decoded_cache",
+                DetailEvent::Eviction { .. } => "eviction",
+                DetailEvent::RomFetch { .. } => "rom_fetch",
+                DetailEvent::Decompress { .. } => "decompress",
+                DetailEvent::PortWrite { .. } => "port_write",
+                DetailEvent::ConfigStall { .. } => "config_stall",
+                DetailEvent::PciBurst { .. } => "pci_burst",
+            },
+            EventKind::FaultInjected { .. } => "fault_injected",
+            EventKind::FaultInert { .. } => "fault_inert",
+            EventKind::FaultRepair { .. } => "fault_repair",
+            EventKind::FaultFailed { .. } => "fault_failed",
+            EventKind::Retry { .. } => "retry",
+            EventKind::WatchdogReset { .. } => "watchdog_reset",
+            EventKind::Breaker { .. } => "breaker",
+            EventKind::CardDown { .. } => "card_down",
+            EventKind::CardUp { .. } => "card_up",
+            EventKind::Failover { .. } => "failover",
+            EventKind::Hedge { .. } => "hedge",
+            EventKind::Prefetch { .. } => "prefetch",
+            EventKind::Replicate { .. } => "replicate",
+            EventKind::Evict { .. } => "evict",
+        }
+    }
+}
+
 /// One recorded event: modelled timestamp, shard, per-shard sequence
 /// number and payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -637,73 +683,6 @@ pub struct TraceEvent {
     pub seq: u64,
     /// The payload.
     pub kind: EventKind,
-}
-
-/// Deterministic integer histogram of modelled durations.
-///
-/// Samples are stored as raw picoseconds so summaries and equality are
-/// exact (no floating-point accumulation order effects).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct TimeHist {
-    samples: Vec<u64>,
-}
-
-impl TimeHist {
-    /// Records one duration.
-    pub fn push(&mut self, t: SimTime) {
-        self.samples.push(t.as_ps());
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.samples.len() as u64
-    }
-
-    /// Sum of all samples.
-    pub fn total(&self) -> SimTime {
-        SimTime::from_ps(self.samples.iter().sum())
-    }
-
-    /// Smallest sample ([`SimTime::ZERO`] when empty).
-    pub fn min(&self) -> SimTime {
-        SimTime::from_ps(self.samples.iter().copied().min().unwrap_or(0))
-    }
-
-    /// Largest sample ([`SimTime::ZERO`] when empty).
-    pub fn max(&self) -> SimTime {
-        SimTime::from_ps(self.samples.iter().copied().max().unwrap_or(0))
-    }
-
-    /// Mean sample ([`SimTime::ZERO`] when empty).
-    pub fn mean(&self) -> SimTime {
-        if self.samples.is_empty() {
-            SimTime::ZERO
-        } else {
-            self.total() / self.samples.len() as u64
-        }
-    }
-
-    /// Nearest-rank quantile, `q` in `[0, 1]` (matches
-    /// [`crate::stats::Accumulator::quantile`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> SimTime {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
-        if self.samples.is_empty() {
-            return SimTime::ZERO;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_unstable();
-        let rank = ((sorted.len() - 1) as f64 * q).round() as usize;
-        SimTime::from_ps(sorted[rank])
-    }
-
-    /// Appends another histogram's samples.
-    pub fn merge(&mut self, other: &TimeHist) {
-        self.samples.extend_from_slice(&other.samples);
-    }
 }
 
 /// Flat event counters derived from the trace stream.
@@ -834,11 +813,11 @@ pub struct MetricsRegistry {
     /// Flat event counters.
     pub counters: TraceCounters,
     /// Duration histogram per stage.
-    pub stage_time: BTreeMap<Stage, TimeHist>,
+    pub stage_time: BTreeMap<Stage, TimeAccumulator>,
     /// Reconfiguration time per algorithm.
-    pub algo_reconfig: BTreeMap<u16, TimeHist>,
+    pub algo_reconfig: BTreeMap<u16, TimeAccumulator>,
     /// Execution time per algorithm.
-    pub algo_exec: BTreeMap<u16, TimeHist>,
+    pub algo_exec: BTreeMap<u16, TimeAccumulator>,
 }
 
 impl MetricsRegistry {
@@ -1148,14 +1127,20 @@ fn jsonl_line(out: &mut String, e: &TraceEvent) {
     use std::fmt::Write;
     let _ = write!(
         out,
-        "{{\"shard\":{},\"seq\":{},\"ts_ps\":{}",
+        "{{\"shard\":{},\"seq\":{},\"ts_ps\":{},\"event\":\"{}\"",
         e.shard,
         e.seq,
-        e.ts.as_ps()
+        e.ts.as_ps(),
+        e.kind.name()
     );
     match e.kind {
-        EventKind::JobOpen { job, algo } => {
-            let _ = write!(out, ",\"event\":\"job_open\",\"job\":{job},\"algo\":{algo}");
+        EventKind::JobOpen { job, algo }
+        | EventKind::Dequeue { job, algo }
+        | EventKind::Shed { job, algo }
+        | EventKind::Bounced { job, algo }
+        | EventKind::Requeued { job, algo }
+        | EventKind::FaultFailed { job, algo } => {
+            let _ = write!(out, ",\"job\":{job},\"algo\":{algo}");
         }
         EventKind::JobClose {
             job,
@@ -1165,23 +1150,12 @@ fn jsonl_line(out: &mut String, e: &TraceEvent) {
         } => {
             let _ = write!(
                 out,
-                ",\"event\":\"job_close\",\"job\":{job},\"algo\":{algo},\"outcome\":\"{}\",\"hit\":{hit}",
+                ",\"job\":{job},\"algo\":{algo},\"outcome\":\"{}\",\"hit\":{hit}",
                 outcome.name()
             );
         }
-        EventKind::StageOpen { job, stage } => {
-            let _ = write!(
-                out,
-                ",\"event\":\"stage_open\",\"job\":{job},\"stage\":\"{}\"",
-                stage.name()
-            );
-        }
-        EventKind::StageClose { job, stage } => {
-            let _ = write!(
-                out,
-                ",\"event\":\"stage_close\",\"job\":{job},\"stage\":\"{}\"",
-                stage.name()
-            );
+        EventKind::StageOpen { job, stage } | EventKind::StageClose { job, stage } => {
+            let _ = write!(out, ",\"job\":{job},\"stage\":\"{}\"", stage.name());
         }
         EventKind::Dispatch {
             job,
@@ -1191,7 +1165,7 @@ fn jsonl_line(out: &mut String, e: &TraceEvent) {
         } => {
             let _ = write!(
                 out,
-                ",\"event\":\"dispatch\",\"job\":{job},\"algo\":{algo},\"to\":{to},\"affinity\":{affinity}"
+                ",\"job\":{job},\"algo\":{algo},\"to\":{to},\"affinity\":{affinity}"
             );
         }
         EventKind::Steal {
@@ -1199,60 +1173,36 @@ fn jsonl_line(out: &mut String, e: &TraceEvent) {
             algo,
             from,
             to,
+        }
+        | EventKind::Failover {
+            job,
+            algo,
+            from,
+            to,
+        }
+        | EventKind::Hedge {
+            job,
+            algo,
+            from,
+            to,
         } => {
             let _ = write!(
                 out,
-                ",\"event\":\"steal\",\"job\":{job},\"algo\":{algo},\"from\":{from},\"to\":{to}"
+                ",\"job\":{job},\"algo\":{algo},\"from\":{from},\"to\":{to}"
             );
         }
-        EventKind::Enqueue { job, algo, to } => {
-            let _ = write!(
-                out,
-                ",\"event\":\"enqueue\",\"job\":{job},\"algo\":{algo},\"to\":{to}"
-            );
-        }
-        EventKind::Dequeue { job, algo } => {
-            let _ = write!(out, ",\"event\":\"dequeue\",\"job\":{job},\"algo\":{algo}");
-        }
-        EventKind::Shed { job, algo } => {
-            let _ = write!(out, ",\"event\":\"shed\",\"job\":{job},\"algo\":{algo}");
-        }
-        EventKind::Bounced { job, algo } => {
-            let _ = write!(out, ",\"event\":\"bounced\",\"job\":{job},\"algo\":{algo}");
-        }
-        EventKind::Redistributed { job, algo, to } => {
-            let _ = write!(
-                out,
-                ",\"event\":\"redistributed\",\"job\":{job},\"algo\":{algo},\"to\":{to}"
-            );
-        }
-        EventKind::Requeued { job, algo } => {
-            let _ = write!(out, ",\"event\":\"requeued\",\"job\":{job},\"algo\":{algo}");
+        EventKind::Enqueue { job, algo, to } | EventKind::Redistributed { job, algo, to } => {
+            let _ = write!(out, ",\"job\":{job},\"algo\":{algo},\"to\":{to}");
         }
         EventKind::Detail(d) => match d {
-            DetailEvent::Residency { algo, hit } => {
-                let _ = write!(
-                    out,
-                    ",\"event\":\"residency\",\"algo\":{algo},\"hit\":{hit}"
-                );
+            DetailEvent::Residency { algo, hit } | DetailEvent::DecodedCache { algo, hit } => {
+                let _ = write!(out, ",\"algo\":{algo},\"hit\":{hit}");
             }
-            DetailEvent::DecodedCache { algo, hit } => {
-                let _ = write!(
-                    out,
-                    ",\"event\":\"decoded_cache\",\"algo\":{algo},\"hit\":{hit}"
-                );
-            }
-            DetailEvent::Eviction { algo, frames } => {
-                let _ = write!(
-                    out,
-                    ",\"event\":\"eviction\",\"algo\":{algo},\"frames\":{frames}"
-                );
+            DetailEvent::Eviction { algo, frames } | DetailEvent::PortWrite { algo, frames } => {
+                let _ = write!(out, ",\"algo\":{algo},\"frames\":{frames}");
             }
             DetailEvent::RomFetch { algo, bytes } => {
-                let _ = write!(
-                    out,
-                    ",\"event\":\"rom_fetch\",\"algo\":{algo},\"bytes\":{bytes}"
-                );
+                let _ = write!(out, ",\"algo\":{algo},\"bytes\":{bytes}");
             }
             DetailEvent::Decompress {
                 algo,
@@ -1261,21 +1211,11 @@ fn jsonl_line(out: &mut String, e: &TraceEvent) {
             } => {
                 let _ = write!(
                     out,
-                    ",\"event\":\"decompress\",\"algo\":{algo},\"windows\":{windows},\"bytes\":{bytes}"
-                );
-            }
-            DetailEvent::PortWrite { algo, frames } => {
-                let _ = write!(
-                    out,
-                    ",\"event\":\"port_write\",\"algo\":{algo},\"frames\":{frames}"
+                    ",\"algo\":{algo},\"windows\":{windows},\"bytes\":{bytes}"
                 );
             }
             DetailEvent::ConfigStall { time } => {
-                let _ = write!(
-                    out,
-                    ",\"event\":\"config_stall\",\"stall_ps\":{}",
-                    time.as_ps()
-                );
+                let _ = write!(out, ",\"stall_ps\":{}", time.as_ps());
             }
             DetailEvent::PciBurst {
                 write,
@@ -1284,97 +1224,39 @@ fn jsonl_line(out: &mut String, e: &TraceEvent) {
             } => {
                 let _ = write!(
                     out,
-                    ",\"event\":\"pci_burst\",\"dir\":\"{}\",\"bytes\":{bytes},\"transactions\":{transactions}",
+                    ",\"dir\":\"{}\",\"bytes\":{bytes},\"transactions\":{transactions}",
                     if write { "write" } else { "read" }
                 );
             }
         },
-        EventKind::FaultInjected { kind } => {
-            let _ = write!(
-                out,
-                ",\"event\":\"fault_injected\",\"kind\":\"{}\"",
-                kind.name()
-            );
-        }
-        EventKind::FaultInert { kind } => {
-            let _ = write!(
-                out,
-                ",\"event\":\"fault_inert\",\"kind\":\"{}\"",
-                kind.name()
-            );
+        EventKind::FaultInjected { kind } | EventKind::FaultInert { kind } => {
+            let _ = write!(out, ",\"kind\":\"{}\"", kind.name());
         }
         EventKind::FaultRepair { kind } => {
-            let _ = write!(
-                out,
-                ",\"event\":\"fault_repair\",\"kind\":\"{}\"",
-                kind.name()
-            );
-        }
-        EventKind::FaultFailed { job, algo } => {
-            let _ = write!(
-                out,
-                ",\"event\":\"fault_failed\",\"job\":{job},\"algo\":{algo}"
-            );
+            let _ = write!(out, ",\"kind\":\"{}\"", kind.name());
         }
         EventKind::Retry { job, attempt } => {
-            let _ = write!(
-                out,
-                ",\"event\":\"retry\",\"job\":{job},\"attempt\":{attempt}"
-            );
+            let _ = write!(out, ",\"job\":{job},\"attempt\":{attempt}");
         }
         EventKind::WatchdogReset { job } => {
-            let _ = write!(out, ",\"event\":\"watchdog_reset\",\"job\":{job}");
+            let _ = write!(out, ",\"job\":{job}");
         }
         EventKind::Breaker { from, to } => {
             let _ = write!(
                 out,
-                ",\"event\":\"breaker\",\"from\":\"{}\",\"to\":\"{}\"",
+                ",\"from\":\"{}\",\"to\":\"{}\"",
                 from.name(),
                 to.name()
             );
         }
-        EventKind::CardDown { card } => {
-            let _ = write!(out, ",\"event\":\"card_down\",\"card\":{card}");
-        }
-        EventKind::CardUp { card } => {
-            let _ = write!(out, ",\"event\":\"card_up\",\"card\":{card}");
-        }
-        EventKind::Failover {
-            job,
-            algo,
-            from,
-            to,
-        } => {
-            let _ = write!(
-                out,
-                ",\"event\":\"failover\",\"job\":{job},\"algo\":{algo},\"from\":{from},\"to\":{to}"
-            );
-        }
-        EventKind::Hedge {
-            job,
-            algo,
-            from,
-            to,
-        } => {
-            let _ = write!(
-                out,
-                ",\"event\":\"hedge\",\"job\":{job},\"algo\":{algo},\"from\":{from},\"to\":{to}"
-            );
+        EventKind::CardDown { card } | EventKind::CardUp { card } => {
+            let _ = write!(out, ",\"card\":{card}");
         }
         EventKind::Prefetch { algo, shard } => {
-            let _ = write!(
-                out,
-                ",\"event\":\"prefetch\",\"algo\":{algo},\"prefetch_shard\":{shard}"
-            );
+            let _ = write!(out, ",\"algo\":{algo},\"prefetch_shard\":{shard}");
         }
-        EventKind::Replicate { algo, card } => {
-            let _ = write!(
-                out,
-                ",\"event\":\"replicate\",\"algo\":{algo},\"card\":{card}"
-            );
-        }
-        EventKind::Evict { algo, card } => {
-            let _ = write!(out, ",\"event\":\"evict\",\"algo\":{algo},\"card\":{card}");
+        EventKind::Replicate { algo, card } | EventKind::Evict { algo, card } => {
+            let _ = write!(out, ",\"algo\":{algo},\"card\":{card}");
         }
     }
     out.push('}');
@@ -1414,53 +1296,12 @@ fn chrome_record(out: &mut String, e: &TraceEvent) {
         _ => {
             // Everything else renders as a thread-scoped instant whose
             // name is the JSONL event name.
-            let name = instant_name(&e.kind);
+            let name = e.kind.name();
             let _ = write!(
                 out,
                 "{{\"name\":\"{name}\",\"cat\":\"mark\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":{tid},\"ts\":{ts}}}"
             );
         }
-    }
-}
-
-fn instant_name(kind: &EventKind) -> &'static str {
-    match kind {
-        EventKind::Dispatch { .. } => "dispatch",
-        EventKind::Steal { .. } => "steal",
-        EventKind::Enqueue { .. } => "enqueue",
-        EventKind::Dequeue { .. } => "dequeue",
-        EventKind::Shed { .. } => "shed",
-        EventKind::Bounced { .. } => "bounced",
-        EventKind::Redistributed { .. } => "redistributed",
-        EventKind::Requeued { .. } => "requeued",
-        EventKind::Detail(d) => match d {
-            DetailEvent::Residency { .. } => "residency",
-            DetailEvent::DecodedCache { .. } => "decoded_cache",
-            DetailEvent::Eviction { .. } => "eviction",
-            DetailEvent::RomFetch { .. } => "rom_fetch",
-            DetailEvent::Decompress { .. } => "decompress",
-            DetailEvent::PortWrite { .. } => "port_write",
-            DetailEvent::ConfigStall { .. } => "config_stall",
-            DetailEvent::PciBurst { .. } => "pci_burst",
-        },
-        EventKind::FaultInjected { .. } => "fault_injected",
-        EventKind::FaultInert { .. } => "fault_inert",
-        EventKind::FaultRepair { .. } => "fault_repair",
-        EventKind::FaultFailed { .. } => "fault_failed",
-        EventKind::Retry { .. } => "retry",
-        EventKind::WatchdogReset { .. } => "watchdog_reset",
-        EventKind::Breaker { .. } => "breaker",
-        EventKind::CardDown { .. } => "card_down",
-        EventKind::CardUp { .. } => "card_up",
-        EventKind::Failover { .. } => "failover",
-        EventKind::Hedge { .. } => "hedge",
-        EventKind::Prefetch { .. } => "prefetch",
-        EventKind::Replicate { .. } => "replicate",
-        EventKind::Evict { .. } => "evict",
-        EventKind::JobOpen { .. }
-        | EventKind::JobClose { .. }
-        | EventKind::StageOpen { .. }
-        | EventKind::StageClose { .. } => unreachable!("spans are not instants"),
     }
 }
 
@@ -1539,36 +1380,34 @@ mod tests {
         assert_eq!(shard.events.len(), 4);
         assert!(!shard.metrics.stage_time.contains_key(&Stage::RomFetch));
         assert_eq!(shard.metrics.algo_reconfig[&9].total(), SimTime::from_ns(4));
-        assert_eq!(shard.metrics.algo_exec[&9].mean(), SimTime::from_ns(6));
+        assert_eq!(shard.metrics.algo_exec[&9].summary_ns().mean, 6.0);
     }
 
     #[test]
     fn time_hist_summaries() {
-        let mut h = TimeHist::default();
+        let mut h = TimeAccumulator::new();
         assert_eq!(h.count(), 0);
-        assert_eq!(h.mean(), SimTime::ZERO);
         assert_eq!(h.quantile(0.5), SimTime::ZERO);
         for ns in [30u64, 10, 20] {
             h.push(SimTime::from_ns(ns));
         }
         assert_eq!(h.count(), 3);
         assert_eq!(h.total(), SimTime::from_ns(60));
-        assert_eq!(h.min(), SimTime::from_ns(10));
-        assert_eq!(h.max(), SimTime::from_ns(30));
-        assert_eq!(h.mean(), SimTime::from_ns(20));
+        assert_eq!(h.quantile(0.0), SimTime::from_ns(10));
         assert_eq!(h.quantile(0.5), SimTime::from_ns(20));
         assert_eq!(h.quantile(1.0), SimTime::from_ns(30));
-        let mut other = TimeHist::default();
+        assert_eq!(h.summary_ns().mean, 20.0);
+        let mut other = TimeAccumulator::new();
         other.push(SimTime::from_ns(40));
         h.merge(&other);
         assert_eq!(h.count(), 4);
-        assert_eq!(h.max(), SimTime::from_ns(40));
+        assert_eq!(h.quantile(1.0), SimTime::from_ns(40));
     }
 
     #[test]
     #[should_panic(expected = "quantile must be in [0, 1]")]
     fn time_hist_rejects_out_of_range_quantile() {
-        TimeHist::default().quantile(1.5);
+        TimeAccumulator::new().quantile(1.5);
     }
 
     #[test]
@@ -1720,24 +1559,20 @@ mod tests {
 
     #[test]
     fn empty_hist_is_all_zero() {
-        let h = TimeHist::default();
+        let h = TimeAccumulator::new();
         assert_eq!(h.count(), 0);
         assert_eq!(h.total(), SimTime::ZERO);
-        assert_eq!(h.min(), SimTime::ZERO);
-        assert_eq!(h.max(), SimTime::ZERO);
-        assert_eq!(h.mean(), SimTime::ZERO);
+        assert_eq!(h.quantile(0.0), SimTime::ZERO);
         assert_eq!(h.quantile(0.5), SimTime::ZERO);
         assert_eq!(h.quantile(1.0), SimTime::ZERO);
     }
 
     #[test]
     fn single_sample_hist_is_degenerate() {
-        let mut h = TimeHist::default();
+        let mut h = TimeAccumulator::new();
         h.push(SimTime::from_ns(42));
         assert_eq!(h.count(), 1);
-        assert_eq!(h.min(), SimTime::from_ns(42));
-        assert_eq!(h.max(), SimTime::from_ns(42));
-        assert_eq!(h.mean(), SimTime::from_ns(42));
+        assert_eq!(h.total(), SimTime::from_ns(42));
         for q in [0.0, 0.5, 0.95, 1.0] {
             assert_eq!(h.quantile(q), SimTime::from_ns(42));
         }
@@ -1745,11 +1580,11 @@ mod tests {
 
     #[test]
     fn all_equal_hist_collapses_quantiles() {
-        let mut h = TimeHist::default();
+        let mut h = TimeAccumulator::new();
         for _ in 0..32 {
             h.push(SimTime::from_us(3));
         }
-        assert_eq!(h.mean(), SimTime::from_us(3));
+        assert_eq!(h.quantile(0.0), SimTime::from_us(3));
         assert_eq!(h.quantile(0.5), SimTime::from_us(3));
         assert_eq!(h.quantile(0.99), SimTime::from_us(3));
         assert_eq!(h.total(), SimTime::from_us(3) * 32);
@@ -1758,19 +1593,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "quantile")]
     fn hist_quantile_out_of_range_panics() {
-        TimeHist::default().quantile(-0.1);
+        TimeAccumulator::new().quantile(-0.1);
     }
 
     #[test]
     fn hist_merge_appends_samples() {
-        let mut a = TimeHist::default();
+        let mut a = TimeAccumulator::new();
         a.push(SimTime::from_ns(10));
-        let mut b = TimeHist::default();
+        let mut b = TimeAccumulator::new();
         b.push(SimTime::from_ns(30));
         a.merge(&b);
         assert_eq!(a.count(), 2);
-        assert_eq!(a.max(), SimTime::from_ns(30));
-        a.merge(&TimeHist::default());
+        assert_eq!(a.quantile(1.0), SimTime::from_ns(30));
+        a.merge(&TimeAccumulator::new());
         assert_eq!(a.count(), 2, "merging empty is identity");
     }
 }

@@ -207,9 +207,9 @@ fn conservation_holds_under_drawn_fleet_chaos() {
 fn flapping_card_escalates_and_still_balances() {
     let workload = fleet_workload(400, plan_seed());
     let oracle = serial_oracle(&workload);
-    // One card flaps faster than the breaker's penalty period: the
-    // breaker must escalate (reopens) and the ledger must still
-    // balance, with the flapping card's failures reconciled.
+    // One card flaps faster than the breaker's cool-down: the breaker
+    // keeps re-opening and the ledger must still balance, with the
+    // flapping card's failures reconciled.
     let flap = CardFault::Flap {
         from: SimTime::from_us(50),
         period: SimTime::from_us(120),

@@ -254,7 +254,6 @@ fn breaker_quarantines_failing_shard() {
         breaker: BreakerConfig {
             failure_threshold: 1,
             cooldown: SimTime::from_secs(1), // stays open for the run
-            ..BreakerConfig::default()
         },
         fairness: None,
     };
@@ -296,7 +295,6 @@ fn requeue_rescue_respects_deadline_budget() {
     let breaker = BreakerConfig {
         failure_threshold: u32::MAX,
         cooldown: SimTime::from_ms(5),
-        ..BreakerConfig::default()
     };
     // Tight: every deadline passes before the pool drains (the budget
     // is a quarter of the serial work and arrivals are instantaneous),
@@ -356,7 +354,6 @@ fn late_rescues_are_deadline_missed_not_completed() {
             breaker: BreakerConfig {
                 failure_threshold: u32::MAX,
                 cooldown: SimTime::from_ms(5),
-                ..BreakerConfig::default()
             },
             fairness: None,
         };
@@ -423,6 +420,52 @@ fn percentile_policy_calibrates_deterministically() {
     let budget = a.deadline_budget.expect("overload mode resolves a budget");
     assert!(budget > SimTime::ZERO);
     assert_eq!(a.deadline_budget, b.deadline_budget);
+}
+
+/// A percentile budget is `multiplier ×` the nearest-rank percentile
+/// of the per-request steady-state estimates: each algorithm's second,
+/// resident invocation on a scratch card with its first-seen input.
+#[test]
+fn percentile_budget_is_the_nearest_rank_estimate() {
+    use aaod_algos::ids;
+    let w = Workload::zipf(&[ids::SHA1, ids::CRC8], 41, 1.1, 48, 17);
+    let mut scratch = CoProcessor::default();
+    let mut est = std::collections::BTreeMap::new();
+    for (i, req) in w.requests().iter().enumerate() {
+        if est.contains_key(&req.algo_id) {
+            continue;
+        }
+        let input = w.input(i);
+        scratch.install(req.algo_id).unwrap();
+        scratch.invoke(req.algo_id, &input).unwrap();
+        let (_, report) = scratch.invoke(req.algo_id, &input).unwrap();
+        est.insert(req.algo_id, report.total());
+    }
+    assert_eq!(est.len(), 2, "both algorithms requested");
+    let mut per_request: Vec<SimTime> = w.requests().iter().map(|r| est[&r.algo_id]).collect();
+    per_request.sort();
+    let n = per_request.len();
+    assert!(per_request[0] < per_request[n - 1], "estimates differ");
+    let median = per_request[((n - 1) as f64 * 0.5).round() as usize];
+    for (pct, base) in [
+        (0.0, per_request[0]),
+        (50.0, median),
+        (100.0, per_request[n - 1]),
+    ] {
+        let oc = overload_config(
+            SimTime::from_us(100),
+            DeadlinePolicy::Percentile {
+                pct,
+                multiplier: 3.0,
+            },
+        );
+        let r = engine(2, oc, None).serve(&w).unwrap();
+        assert_eq!(
+            r.deadline_budget,
+            Some(SimTime::from_ps(base.as_ps() * 3)),
+            "pct {pct}"
+        );
+    }
 }
 
 /// The same seed reproduces the identical overload report — outputs,
