@@ -502,90 +502,6 @@ pub(crate) fn plan_with(
     out
 }
 
-/// Computes a bid-based (auction) dispatch plan — the ablation arm
-/// against [`plan_with`]. Each batchable run is auctioned to the
-/// shard with the lowest bid:
-///
-/// ```text
-/// bid(s) = clock(s) + (0 if resident else miss_ps) + price(s)
-/// ```
-///
-/// and the winner pays the *marginal* price — the second-lowest bid
-/// minus its own — added to its running price (Bertsekas' auction
-/// algorithm, one bidding pass). The price term is what distinguishes
-/// the auction from plain least-loaded dealing: a shard that keeps
-/// winning accumulates price and eventually loses close calls, so
-/// load spreads without any work stealing or epoch machinery.
-/// Deterministic: bids are integer picoseconds, ties break on the
-/// lowest shard index, and the whole plan is a pure function of
-/// (workload, workers, factory-config).
-pub(crate) fn plan_auction(
-    workload: &Workload,
-    workers: usize,
-    factory: &(dyn Fn() -> CoProcessor + Send + Sync),
-) -> DispatchPlan {
-    let requests = workload.requests();
-    let n = requests.len();
-    let bank = AlgorithmBank::standard();
-    let calibrated = calibrate(workload, &bank, factory);
-    // same segmentation as `plan_with`, so the ablation compares
-    // policies, not batch shapes
-    let runs = batch_runs(workload, &bank, &calibrated);
-
-    let mut clocks = vec![0u64; workers];
-    let mut prices = vec![0u64; workers];
-    let mut resident: Vec<BTreeSet<u16>> = vec![BTreeSet::new(); workers];
-    let mut out = DispatchPlan {
-        assignment: vec![0usize; n],
-        decisions: Vec::with_capacity(n),
-        steals: Vec::new(),
-        stats: DispatchStats::default(),
-    };
-
-    for run in &runs {
-        let miss = calibrated.get(&run.algo_id).map(|c| c.miss_ps).unwrap_or(0);
-        let mut best = 0usize;
-        let mut best_bid = u64::MAX;
-        let mut second_bid = u64::MAX;
-        for (s, (&clock, &price)) in clocks.iter().zip(&prices).enumerate() {
-            let penalty = if resident[s].contains(&run.algo_id) {
-                0
-            } else {
-                miss
-            };
-            let bid = clock.saturating_add(penalty).saturating_add(price);
-            // strict `<`: ties break on the lowest shard index
-            if bid < best_bid {
-                second_bid = best_bid;
-                best_bid = bid;
-                best = s;
-            } else if bid < second_bid {
-                second_bid = bid;
-            }
-        }
-        let affinity = resident[best].contains(&run.algo_id);
-        clocks[best] += run.cost + if affinity { 0 } else { miss };
-        if second_bid != u64::MAX {
-            // marginal price: what the winner's victory cost the
-            // losing shard it displaced
-            prices[best] += second_bid - best_bid;
-        }
-        resident[best].insert(run.algo_id);
-        for slot in &mut out.assignment[run.start..run.start + run.len] {
-            *slot = best;
-            out.decisions.push(Decision {
-                shard: best as u32,
-                affinity,
-            });
-            out.stats.dealt += 1;
-            if affinity {
-                out.stats.affinity_hits += 1;
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -675,32 +591,6 @@ mod tests {
                 run_start = i;
             }
         }
-    }
-
-    #[test]
-    fn auction_plan_is_deterministic_and_covers() {
-        let w = zipf_mix(200, 7);
-        let a = plan_auction(&w, 4, &CoProcessor::default);
-        let b = plan_auction(&w, 4, &CoProcessor::default);
-        assert_eq!(a.assignment, b.assignment);
-        assert_eq!(a.decisions, b.decisions);
-        assert_eq!(a.stats, b.stats);
-        assert_eq!(a.assignment.len(), 200);
-        assert_eq!(a.stats.dealt, 200);
-        assert!(a.assignment.iter().all(|&s| s < 4));
-        assert!(a.steals.is_empty(), "the auction never steals");
-    }
-
-    #[test]
-    fn auction_spreads_across_shards_under_skew() {
-        // a heavy Zipf stream must not all land on shard 0: the price
-        // mechanism has to push work outward
-        let w = zipf_mix(400, 13);
-        let p = plan_auction(&w, 4, &CoProcessor::default);
-        let mut used: Vec<usize> = p.assignment.clone();
-        used.sort_unstable();
-        used.dedup();
-        assert!(used.len() >= 2, "auction left all work on one shard");
     }
 
     #[test]

@@ -21,6 +21,15 @@
 //!   across shards when one algorithm alone would exceed a shard's
 //!   fair share of the load.
 //!
+//! One per-shard driver serves every job: it admits its shard's stream
+//! and serves it as runs, each one `invoke_batch` call inside the
+//! detect→backoff→repair→retry loop. Once the pool drains, the same
+//! drivers serve the second pass: a bounced job continues the driver
+//! of a healthy shard from its clock, and with
+//! [`FaultConfig::requeue`] a failed job is rescued by a driver on a
+//! spare card whose clock starts at the makespan. Outputs verify
+//! against the serving card's own bank.
+//!
 //! Wall-clock parallelism is an artefact of the host machine; the
 //! engine's figure of merit is *modelled* time. Each shard accumulates
 //! the simulated busy time of the requests it served; the engine's
@@ -64,6 +73,7 @@ use crate::dispatch::{self, DispatchPlan, DispatchStats};
 use crate::error::CoreError;
 use crate::fault::{FaultConfig, FaultStats, JobError};
 use crate::overload::{DeadlinePolicy, OverloadConfig, OverloadStats, TenantStats, WatchdogConfig};
+use crate::predict::PredictModel;
 use aaod_mcu::OsStats;
 use aaod_sim::stats::TimeAccumulator;
 use aaod_sim::trace::{
@@ -103,16 +113,6 @@ pub enum ShardPolicy {
     /// compute-dense algorithm that would saturate one static shard
     /// gets spread.
     Dynamic,
-    /// Bid-based (auction) assignment, the ablation arm against
-    /// [`ShardPolicy::Dynamic`]: each same-algorithm run is sold to
-    /// the shard with the lowest bid — modelled clock, plus a
-    /// cold-start handicap where the algorithm is not yet resident,
-    /// plus the shard's running price. The winner pays the marginal
-    /// price (second-lowest bid minus its own), Bertsekas-style, so
-    /// persistently popular shards price themselves out and load
-    /// spreads without work stealing. Deterministic: pure function of
-    /// the workload, ties to the lower shard index.
-    Auction,
 }
 
 impl ShardPolicy {
@@ -123,16 +123,15 @@ impl ShardPolicy {
             ShardPolicy::RoundRobin => "round-robin",
             ShardPolicy::Balanced => "balanced",
             ShardPolicy::Dynamic => "dynamic",
-            ShardPolicy::Auction => "auction",
         }
     }
 
     /// Computes the full dispatch plan: a per-request shard
-    /// assignment plus, for [`ShardPolicy::Dynamic`] and
-    /// [`ShardPolicy::Auction`], the decision ledger that produced it.
-    /// Those planners calibrate their cost model on a scratch card
-    /// built by `factory`, so plans track the engine's shard
-    /// configuration (codec, frame store…). Deterministic.
+    /// assignment plus, for [`ShardPolicy::Dynamic`], the decision
+    /// ledger that produced it. That planner calibrates its cost model
+    /// on a scratch card built by `factory`, so plans track the
+    /// engine's shard configuration (codec, frame store…).
+    /// Deterministic.
     fn plan(
         self,
         workload: &Workload,
@@ -142,7 +141,6 @@ impl ShardPolicy {
         let requests = workload.requests();
         let assignment = match self {
             ShardPolicy::Dynamic => return dispatch::plan_with(workload, workers, factory),
-            ShardPolicy::Auction => return dispatch::plan_auction(workload, workers, factory),
             ShardPolicy::AlgoModulo => requests
                 .iter()
                 .map(|r| r.algo_id as usize % workers)
@@ -190,8 +188,8 @@ impl ShardPolicy {
 }
 
 /// Longest same-algorithm run one `invoke_batch` call may absorb. Each
-/// shard segments its stream at this cap, and the dynamic and auction
-/// planners deal runs of the same shape.
+/// shard segments its stream at this cap, and the dynamic planner
+/// deals runs of the same shape.
 pub(crate) const BATCH_MAX: usize = 16;
 
 /// Engine tuning parameters.
@@ -199,7 +197,8 @@ pub(crate) const BATCH_MAX: usize = 16;
 pub struct EngineConfig {
     /// Shards (worker threads, each with its own co-processor).
     pub workers: usize,
-    /// Check every output against the golden software model.
+    /// Check every output against the software model of the bank on
+    /// the card that served it.
     pub verify: bool,
     /// Keep the output bytes (disable for pure timing sweeps).
     pub collect_outputs: bool,
@@ -416,6 +415,13 @@ fn closed_loop() -> OverloadConfig {
     }
 }
 
+/// The fault configuration of a fault-free run: a zero-rate plan, so
+/// every driver takes the same serving path and the plan decides "no
+/// fault" for every index.
+fn zero_rate() -> FaultConfig {
+    FaultConfig::new(FaultPlan::new(0, FaultRates::ZERO))
+}
+
 /// Modelled arrival time of request `i`: the workload's arrival tick
 /// (in milli-interarrivals) scales the configured interarrival when
 /// the workload carries a traffic model; otherwise arrivals are
@@ -504,20 +510,20 @@ impl Assembly {
 }
 
 /// Decides a served job's terminal state: the one classifier every
-/// served job goes through, whether a shard, the redistribution pass
-/// or the rescue pass served it. A job that finished past its
-/// deadline is deadline-exceeded, and its output is dropped
-/// unverified. Every other job completes: its output is verified and
-/// kept when collecting, and it records its arrival-to-finish sojourn.
-/// A closed-loop deadline never passes, so there every served job
-/// completes.
+/// served job goes through, in either pass. A job that finished past
+/// its deadline is deadline-exceeded, and its output is dropped
+/// unverified. Every other job completes: with `bank` (the serving
+/// card's own) its output is verified against the software model, it
+/// is kept when collecting, and it records its arrival-to-finish
+/// sojourn. A closed-loop deadline never passes, so there every served
+/// job completes.
 fn complete(
     job: &Job,
     output: Vec<u8>,
     hit: bool,
     time: SimTime,
     finish: SimTime,
-    golden: Option<&aaod_algos::AlgorithmBank>,
+    bank: Option<&aaod_algos::AlgorithmBank>,
     collect: bool,
 ) -> Result<JobResult, CoreError> {
     if finish > job.deadline {
@@ -532,8 +538,8 @@ fn complete(
             ..JobResult::dropped(job.index, error)
         });
     }
-    if let Some(golden) = golden {
-        let expected = golden
+    if let Some(bank) = bank {
+        let expected = bank
             .execute_software(job.algo_id, &job.input)
             .map_err(CoreError::Algo)?;
         if output != expected {
@@ -569,6 +575,24 @@ fn tally(stats: &mut OverloadStats, r: &JobResult) {
         JobOutcome::DeadlineMissed => stats.deadline_missed += 1,
         JobOutcome::Faulted => stats.faulted += 1,
     }
+}
+
+/// Records a job shed at `at` and returns its dropped result.
+fn shed(tracer: &mut Tracer, job: &Job, at: SimTime) -> JobResult {
+    let algo_id = job.algo_id;
+    tracer.record(
+        at,
+        EventKind::Shed {
+            job: job.index as u64,
+            algo: algo_id,
+        },
+    );
+    let error = JobError::Shed {
+        algo_id,
+        deadline: job.deadline,
+        decided_at: at,
+    };
+    JobResult::dropped(job.index, error)
 }
 
 #[derive(Default)]
@@ -709,17 +733,10 @@ impl Engine {
         for (req, &shard) in requests.iter().zip(assignment) {
             shard_algos[shard].insert(req.algo_id);
         }
-        let verify = self.config.verify;
         let collect = self.config.collect_outputs;
         let oc = self.config.overload.unwrap_or_else(closed_loop);
         oc.validate();
-        // A fault-free run is a zero-rate plan: every shard drives the
-        // same serving path, and the plan decides "no fault" for every
-        // index.
-        let faults = self
-            .config
-            .faults
-            .unwrap_or_else(|| FaultConfig::new(FaultPlan::new(0, FaultRates::ZERO)));
+        let faults = self.config.faults.unwrap_or_else(zero_rate);
         let budget = self.resolve_deadline_budget(workload, oc)?;
         // Weighted-fair admission engages only when both halves are
         // present: a fairness config on the overload layer and tenant
@@ -740,7 +757,6 @@ impl Engine {
         let fairness = fairness_share.as_ref();
         let factory = &self.factory;
         let trace_cfg = self.config.trace;
-        let predict = self.config.predict;
         // Request `i` as a job: on its shard, and again for a rescue.
         let job_at = |i: usize| {
             let arrival = arrival_time(&oc, workload, i);
@@ -767,6 +783,12 @@ impl Engine {
         let mut quota_exceeded: BTreeMap<usize, JobError> = BTreeMap::new();
         let emit_plan = submit_tracer.enabled() && !plan.decisions.is_empty();
         let mut steal_cursor = 0usize;
+        let steal = |s: &dispatch::StealRecord| EventKind::Steal {
+            job: s.job as u64,
+            algo: s.algo_id,
+            from: s.from,
+            to: s.to,
+        };
         let mut tenant_submitted: Vec<u64> = workload
             .tenant_specs()
             .map_or_else(Vec::new, |specs| vec![0; specs.len()]);
@@ -795,16 +817,7 @@ impl Engine {
             let arrival = arrival_time(&oc, workload, i);
             if emit_plan {
                 while steal_cursor < plan.steals.len() && plan.steals[steal_cursor].at_index <= i {
-                    let s = &plan.steals[steal_cursor];
-                    submit_tracer.record(
-                        arrival,
-                        EventKind::Steal {
-                            job: s.job as u64,
-                            algo: s.algo_id,
-                            from: s.from,
-                            to: s.to,
-                        },
-                    );
+                    submit_tracer.record(arrival, steal(&plan.steals[steal_cursor]));
                     steal_cursor += 1;
                 }
                 let d = plan.decisions[i];
@@ -832,15 +845,7 @@ impl Engine {
             // submission index
             let end = arrival_time(&oc, workload, n - 1) + oc.interarrival;
             for s in &plan.steals[steal_cursor..] {
-                submit_tracer.record(
-                    end,
-                    EventKind::Steal {
-                        job: s.job as u64,
-                        algo: s.algo_id,
-                        from: s.from,
-                        to: s.to,
-                    },
-                );
+                submit_tracer.record(end, steal(s));
             }
         }
 
@@ -849,7 +854,8 @@ impl Engine {
         // costs and the modelled makespan) are cut from that slice
         // alone, so they are a pure function of the workload, never of
         // thread timing.
-        let outcomes: Vec<Result<ShardDriver, CoreError>> = std::thread::scope(|scope| {
+        let config = &self.config;
+        let drivers: Vec<Result<ShardDriver, CoreError>> = std::thread::scope(|scope| {
             let (dropped, job_at) = (&dropped, &job_at);
             let handles: Vec<_> = shard_algos
                 .iter()
@@ -859,19 +865,12 @@ impl Engine {
                         .filter(move |&i| assignment[i] == shard && !dropped[i])
                         .map(job_at);
                     scope.spawn(move || {
-                        worker_loop(
-                            factory,
-                            jobs,
-                            algos,
-                            verify,
-                            collect,
-                            faults,
-                            oc,
-                            fairness,
-                            shard as u32,
-                            trace_cfg,
-                            predict,
-                        )
+                        let shard = shard as u32;
+                        let tracer = Tracer::new(trace_cfg, shard);
+                        let mut driver =
+                            ShardDriver::new(factory(), tracer, config, faults, oc, fairness);
+                        driver.serve_stream(jobs, algos, shard)?;
+                        Ok(driver)
                     })
                 })
                 .collect();
@@ -880,37 +879,85 @@ impl Engine {
                 .map(|h| h.join().expect("engine worker panicked"))
                 .collect()
         });
+        let mut drivers = drivers.into_iter().collect::<Result<Vec<_>, _>>()?;
 
+        // The drained shards hand back their results, in stream order,
+        // and the jobs their open breakers bounced.
         let mut results = Assembly::new(n, collect);
+        let mut rejected: Vec<Job> = Vec::new();
+        for d in &mut drivers {
+            for r in std::mem::take(&mut d.outcome.results) {
+                results.land(r);
+            }
+            rejected.append(&mut d.outcome.rejected);
+        }
+        let mut makespan = drivers
+            .iter()
+            .map(|d| d.outcome.busy)
+            .fold(SimTime::ZERO, SimTime::max);
+        let mut overload_stats = OverloadStats::default();
+        let mut engine_tracer = Tracer::new(trace_cfg, ENGINE_SHARD);
+        // Redistribution: jobs an open breaker bounced are re-served in
+        // submission order, each continuing the driver of the healthy
+        // shard whose clock is lowest. A job whose deadline passed while
+        // it waited — or with no healthy shard left — is shed. A
+        // closed-loop breaker never opens, so there is nothing to
+        // redistribute.
+        rejected.sort_by_key(|j| j.index);
+        for job in rejected {
+            let target = (0..workers)
+                .filter(|&s| !drivers[s].overload.breaker.is_open())
+                .min_by_key(|&s| (drivers[s].clock(), s));
+            let now = target.map_or(makespan, |s| drivers[s].start(&job));
+            let Some(s) = target.filter(|_| job.deadline > now) else {
+                overload_stats.shed += 1;
+                results.land(shed(&mut engine_tracer, &job, now));
+                continue;
+            };
+            let d = &mut drivers[s];
+            let r = d.serve_again(&job)?;
+            if !matches!(r.error, Some(JobError::Faulted { .. })) {
+                d.overload.stats.redistributed += 1;
+                d.tracer.record(
+                    d.clock(),
+                    EventKind::Redistributed {
+                        job: job.index as u64,
+                        algo: job.algo_id,
+                        to: s as u32,
+                    },
+                );
+            }
+            results.land(r);
+        }
+
+        // Every shard is done: merge their ledgers (controller stats
+        // only now, so redistributed work is counted exactly once) and
+        // extend the makespan to the slowest shard's clock, idle gaps
+        // included. A closed-loop shard's clock stops at its last job,
+        // within its busy time.
         let mut shard_busy = Vec::with_capacity(workers);
         let mut stats = OsStats::default();
         let mut batches = 0u64;
         let mut coalesced = 0u64;
         let mut fault_stats = FaultStats::default();
-        let mut overload_stats = OverloadStats::default();
         let mut recovery_latency = TimeAccumulator::new();
         let mut shard_health = Vec::with_capacity(workers);
-        let mut shard_finish = Vec::with_capacity(workers);
-        let mut shard_cp = Vec::with_capacity(workers);
-        let mut shard_open = Vec::with_capacity(workers);
-        let mut rejected: Vec<Job> = Vec::new();
         let mut trace_shards: Vec<TraceShard> = Vec::new();
-        for driver in outcomes {
-            // the drained shard hands back its results, overload state,
-            // trace stream and card
+        for d in drivers {
             let ShardDriver {
                 cp,
                 tracer,
                 outcome,
                 overload: ov,
                 ..
-            } = driver?;
+            } = d;
             shard_busy.push(outcome.busy);
             if tracer.enabled() {
                 trace_shards.push(tracer.finish());
             }
             // what watchdog resets wiped off the card
             stats.merge(&ov.lost_stats);
+            stats.merge(&cp.stats());
             batches += outcome.batches;
             coalesced += outcome.coalesced;
             fault_stats.merge(&outcome.faults);
@@ -921,179 +968,61 @@ impl Engine {
                 ..ov.stats
             });
             recovery_latency.merge(&outcome.recovery_latency);
-            shard_finish.push(ov.clock);
-            shard_cp.push(cp);
-            shard_open.push(ov.breaker.is_open());
+            makespan = makespan.max(ov.clock);
             shard_health.push(ov.breaker.timeline().to_vec());
-            rejected.extend(outcome.rejected);
-            for r in outcome.results {
-                results.land(r);
-            }
         }
         // Quota drops happened at submission, before any shard saw the
         // job: account them here so conservation covers them.
         overload_stats.submitted += quota_exceeded.len() as u64;
         overload_stats.quota_exceeded += quota_exceeded.len() as u64;
-        let mut makespan =
-            shard_busy
-                .iter()
-                .copied()
-                .fold(SimTime::ZERO, |a, b| if b > a { b } else { a });
-        let mut engine_tracer = Tracer::new(trace_cfg, ENGINE_SHARD);
-        // shared drain buffer for the per-job redistribution and
-        // rescue loops below — reused instead of a fresh Vec per job
-        let mut details_buf: Vec<aaod_sim::DetailEvent> = Vec::new();
-        // Redistribution: jobs an open breaker bounced are re-served in
-        // submission order on the healthy shard that frees up first. A
-        // job whose deadline passed while it waited — or with no
-        // healthy shard left — is shed. A closed-loop breaker never
-        // opens, so there is nothing to redistribute.
-        rejected.sort_by_key(|j| j.index);
-        let golden = (verify && !rejected.is_empty()).then(aaod_algos::AlgorithmBank::standard);
-        for job in rejected {
-            let target = (0..workers)
-                .filter(|&s| !shard_open[s])
-                .min_by_key(|&s| (shard_finish[s], s));
-            let now = target.map_or(makespan, |s| shard_finish[s].max(job.arrival));
-            let Some(s) = target.filter(|_| job.deadline > now) else {
-                overload_stats.shed += 1;
-                engine_tracer.record(
-                    now,
-                    EventKind::Shed {
-                        job: job.index as u64,
-                        algo: job.algo_id,
-                    },
-                );
-                results.land(JobResult::dropped(
-                    job.index,
-                    JobError::Shed {
-                        algo_id: job.algo_id,
-                        deadline: job.deadline,
-                        decided_at: now,
-                    },
-                ));
-                continue;
-            };
-            let cp = &mut shard_cp[s];
-            if !shard_algos[s].contains(&job.algo_id) {
-                // the healthy shard never hosted this function:
-                // bring-up install, same convention as pool start
-                cp.install(job.algo_id)?;
-                shard_algos[s].insert(job.algo_id);
-            }
-            let r = match cp.invoke(job.algo_id, &job.input) {
-                Ok((output, report)) => {
-                    let t = report.total();
-                    shard_finish[s] = now + t;
-                    overload_stats.redistributed += 1;
-                    if engine_tracer.enabled() {
-                        cp.take_details_into(&mut details_buf);
-                        engine_tracer.details(now, &details_buf);
-                        engine_tracer.record(
-                            now,
-                            EventKind::Redistributed {
-                                job: job.index as u64,
-                                algo: job.algo_id,
-                                to: s as u32,
-                            },
-                        );
-                    }
-                    let hit = report.hit();
-                    complete(&job, output, hit, t, now + t, golden.as_ref(), collect)?
-                }
-                Err(CoreError::Mcu(detail)) => {
-                    fault_stats.failed_jobs += 1;
-                    JobResult::dropped(
-                        job.index,
-                        JobError::Faulted {
-                            algo_id: job.algo_id,
-                            attempts: 0,
-                            detail: detail.to_string(),
-                        },
-                    )
-                }
-                Err(other) => return Err(other),
-            };
-            tally(&mut overload_stats, &r);
-            results.land(r);
-        }
-        // After redistribution every card is done: merge their
-        // controller stats (deferred to here so redistributed work is
-        // counted exactly once) and extend the makespan to the slowest
-        // shard's clock, idle gaps included. A closed-loop shard's
-        // clock stops at its last job, within its busy time.
-        for cp in &shard_cp {
-            stats.merge(&cp.stats());
-        }
-        makespan = shard_finish.iter().copied().fold(makespan, |a, b| a.max(b));
         if faults.requeue && !results.failed.is_empty() {
-            // Rescue pass: re-serve degraded jobs on a fresh spare card
-            // once the pool has drained; the spare runs after the
-            // pool, so its busy time extends the makespan serially.
-            // The rescue clock starts at the makespan: a job whose
-            // deadline already passed is not rescued, and one that
-            // finishes past it is deadline-missed.
-            let mut spare = (self.factory)();
-            if engine_tracer.enabled() {
-                spare.set_trace(true);
-            }
-            let rescue_algos: BTreeSet<u16> =
-                results.failed.values().map(|e| e.algo_id()).collect();
-            for &algo in &rescue_algos {
-                spare.install(algo)?;
-            }
-            if engine_tracer.enabled() {
-                // spare bring-up is stamped at the rescue start
-                spare.take_details_into(&mut details_buf);
-                engine_tracer.details(makespan, &details_buf);
-            }
-            let golden = verify.then(aaod_algos::AlgorithmBank::standard);
-            let mut rescue_busy = SimTime::ZERO;
+            // Rescue pass: a driver on a fresh spare card re-serves
+            // degraded jobs in submission order once the pool has
+            // drained. Its clock starts at the makespan, so its service
+            // extends the makespan serially: a job whose deadline
+            // already passed is not rescued, and one that finishes past
+            // it is deadline-missed. The spare records on the engine's
+            // stream.
+            let mut spare = ShardDriver::new(
+                (self.factory)(),
+                engine_tracer,
+                config,
+                zero_rate(),
+                oc,
+                None,
+            );
+            spare.overload.clock = makespan;
+            let algos: BTreeSet<u16> = results.failed.values().map(|e| e.algo_id()).collect();
+            spare.bring_up(&algos, makespan)?;
             let indices: Vec<usize> = results.failed.keys().copied().collect();
             for index in indices {
                 let job = job_at(index);
-                let cursor = makespan + rescue_busy;
-                if job.deadline <= cursor {
+                if job.deadline <= spare.start(&job) {
                     continue; // stays failed: no budget left
                 }
-                let Ok((output, report)) = spare.invoke(job.algo_id, &job.input) else {
-                    continue; // stays degraded
-                };
-                let t = report.total();
-                rescue_busy += t;
-                let r = complete(
-                    &job,
-                    output,
-                    report.hit(),
-                    results.times[index] + t,
-                    cursor + t,
-                    golden.as_ref(),
-                    collect,
-                )?;
-                let rescued = r.error.is_none();
-                if engine_tracer.enabled() {
-                    spare.take_details_into(&mut details_buf);
-                    engine_tracer.details(cursor, &details_buf);
-                    if rescued {
-                        engine_tracer.record(
-                            cursor,
-                            EventKind::Requeued {
-                                job: index as u64,
-                                algo: job.algo_id,
-                            },
-                        );
-                    }
+                let mut r = spare.serve_again(&job)?;
+                if matches!(r.error, Some(JobError::Faulted { .. })) {
+                    continue; // the spare failed it too: keeps its first error
                 }
-                if rescued {
+                if r.error.is_none() {
                     fault_stats.requeues += 1;
+                    spare.tracer.record(
+                        spare.clock(),
+                        EventKind::Requeued {
+                            job: index as u64,
+                            algo: job.algo_id,
+                        },
+                    );
                 }
+                r.time += results.times[index];
                 overload_stats.faulted -= 1;
                 tally(&mut overload_stats, &r);
                 results.failed.remove(&index);
                 results.land(r);
             }
-            stats.merge(&spare.stats());
-            makespan += rescue_busy;
+            stats.merge(&spare.cp.stats());
+            makespan = spare.clock();
+            engine_tracer = spare.tracer;
         }
         let Assembly {
             outputs,
@@ -1235,101 +1164,6 @@ impl Engine {
     }
 }
 
-/// Brings up one shard, serves its stream batch by batch and drains
-/// it.
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    factory: &(dyn Fn() -> CoProcessor + Send + Sync),
-    jobs: impl Iterator<Item = Job>,
-    algos: &BTreeSet<u16>,
-    verify: bool,
-    collect: bool,
-    faults: FaultConfig,
-    overload: OverloadConfig,
-    fairness: Option<&FairnessShare>,
-    shard: u32,
-    trace: TraceConfig,
-    predict: Option<crate::predict::PredictConfig>,
-) -> Result<ShardDriver, CoreError> {
-    let mut predictor = predict.map(|p| crate::predict::PredictModel::new(p.ewma_shift));
-    let mut driver = ShardDriver::new(
-        factory(),
-        Tracer::new(trace, shard),
-        faults,
-        overload,
-        fairness,
-        verify,
-        collect,
-    );
-    for &algo in algos {
-        driver.cp.install(algo)?;
-    }
-    // bring-up details (install-time ROM fetches, decompression, port
-    // writes) are stamped at time zero: install is not serving time
-    driver.flush_details(SimTime::ZERO);
-    // Each batch is a maximal run of consecutive same-algorithm jobs in
-    // the shard's stream, capped at BATCH_MAX.
-    let mut jobs = jobs.peekable();
-    while let Some(first) = jobs.next() {
-        let algo_id = first.algo_id;
-        let mut batch = vec![first];
-        while batch.len() < BATCH_MAX {
-            match jobs.next_if(|j| j.algo_id == algo_id) {
-                Some(job) => batch.push(job),
-                None => break,
-            }
-        }
-        driver.outcome.batches += 1;
-        driver.outcome.coalesced += batch.len() as u64 - 1;
-        if driver.tracer.enabled() {
-            let ts = driver.clock();
-            for job in &batch {
-                driver.tracer.record(
-                    ts,
-                    EventKind::Dequeue {
-                        job: job.index as u64,
-                        algo: algo_id,
-                    },
-                );
-            }
-        }
-        driver.serve_batch(batch)?;
-        // the fault machinery interleaves serving and recovery, so
-        // per-stage attribution is not available: what a faulted job
-        // left buffered is stamped at the shard's clock after it
-        driver.flush_details(driver.clock());
-        // Online prefetch: feed the shard's (deterministic) batch
-        // sequence into the model and pre-configure the predicted
-        // next algorithm in the idle window after the batch. The
-        // speculative configure charges `prefetch_time`, never the
-        // request path, so modelled latency and outputs are
-        // unchanged; only residency at the next miss differs.
-        if let Some(model) = &mut predictor {
-            model.observe(algo_id);
-            if let Some(next) = model.predict() {
-                if next != algo_id {
-                    let before = driver.cp.stats().prefetches;
-                    driver.cp.prefetch_hint(next);
-                    if driver.tracer.enabled() && driver.cp.stats().prefetches > before {
-                        driver
-                            .tracer
-                            .record(driver.clock(), EventKind::Prefetch { algo: next, shard });
-                    }
-                }
-            }
-        }
-    }
-    // A prefetch fired after the final batch leaves its details
-    // (evictions, cache outcomes, port writes) buffered; drain them so
-    // the trace's eviction count stays in lock-step with the ledger.
-    if predictor.is_some() {
-        driver.flush_details(driver.clock());
-    }
-    driver.drain()?;
-    driver.flush_details(driver.clock().max(driver.outcome.busy));
-    Ok(driver)
-}
-
 /// The overload-layer half of a shard's driver: its modelled
 /// clock (service plus idle gaps waiting for arrivals), breaker,
 /// counters, and the controller stats that watchdog resets zeroed.
@@ -1384,40 +1218,35 @@ impl OverloadState {
     }
 }
 
-/// An admission decision for one job.
-enum Admission {
-    /// Serve it.
-    Serve,
-    /// Deadline already passed at the decision time: drop unserved.
-    Shed { decided_at: SimTime },
-    /// The shard's breaker is open: hand the job back to the engine
-    /// for redistribution.
-    Bounce,
-}
-
-/// Per-shard driver, the one serving path of every shard. It owns the
-/// shard's card, trace stream and results. It serves each maximal
-/// fault-free run as one batch, activates the faults the plan
-/// schedules, detects corruption at the next use of the faulted
-/// function, and runs the backoff→repair→retry recovery loop, all in
-/// modelled time. A fault-free run is a zero-rate plan. It also runs
-/// admission control, the breaker, latency-fault injection and the
-/// watchdog; the closed loop is the overload configuration under
-/// which admission always serves and the breaker never opens. Once
-/// drained, the driver itself goes back to the engine, card included,
-/// so redistribution can serve bounced jobs on it.
+/// Per-shard driver: the one code path that serves a job. It owns the
+/// card, trace stream and results of one shard. In the first pass it
+/// serves the shard's own stream: admission control, the breaker and
+/// the runs, each an `invoke_batch` call wrapped in the fault
+/// machinery (scheduled faults, latency faults and the watchdog, and
+/// the detect→backoff→repair→retry loop), all in modelled time. A
+/// fault-free run is a zero-rate plan; the closed loop is the overload
+/// configuration under which admission always serves and the breaker
+/// never opens. Once drained, the driver goes back to the engine, card
+/// included, and serves the second pass through
+/// [`ShardDriver::serve_again`]: redistribution continues a healthy
+/// shard's driver from its clock, and the rescue pass is a driver on a
+/// spare card.
 struct ShardDriver {
     cp: CoProcessor,
     tracer: Tracer,
     /// The shard's results so far.
     outcome: WorkerOutcome,
-    /// Golden software model when verifying outputs.
-    golden: Option<aaod_algos::AlgorithmBank>,
+    /// Check outputs against the card's own bank.
+    verify: bool,
     /// Keep output bytes.
     collect: bool,
     /// Detail drain buffer, reused across drains instead of a fresh
     /// `Vec` each time.
     details: Vec<aaod_sim::DetailEvent>,
+    /// Functions downloaded to this card's ROM.
+    installed: BTreeSet<u16>,
+    /// Online next-algorithm model (see [`EngineConfig::predict`]).
+    predictor: Option<PredictModel>,
     cfg: FaultConfig,
     /// Latent (activated, not yet detected) fault per function.
     outstanding: BTreeMap<u16, FaultSite>,
@@ -1430,17 +1259,20 @@ struct ShardDriver {
     /// Breaker timeline entries already emitted to the trace (the
     /// initial closed state is never an event).
     breaker_emitted: usize,
+    /// Arrival of the latest job an open breaker bounced off this
+    /// shard. An idle shard bounces at the job's arrival, ahead of its
+    /// clock.
+    bounced_at: SimTime,
 }
 
 impl ShardDriver {
     fn new(
         mut cp: CoProcessor,
         tracer: Tracer,
+        config: &EngineConfig,
         cfg: FaultConfig,
         overload: OverloadConfig,
         fairness: Option<&FairnessShare>,
-        verify: bool,
-        collect: bool,
     ) -> Self {
         if tracer.enabled() {
             cp.set_trace(true);
@@ -1449,9 +1281,11 @@ impl ShardDriver {
             cp,
             tracer,
             outcome: WorkerOutcome::default(),
-            golden: verify.then(aaod_algos::AlgorithmBank::standard),
-            collect,
+            verify: config.verify,
+            collect: config.collect_outputs,
             details: Vec::new(),
+            installed: BTreeSet::new(),
+            predictor: config.predict.map(|p| PredictModel::new(p.ewma_shift)),
             cfg,
             outstanding: BTreeMap::new(),
             poisoned: BTreeSet::new(),
@@ -1468,15 +1302,28 @@ impl ShardDriver {
                 }),
             },
             breaker_emitted: 1,
+            bounced_at: SimTime::ZERO,
         }
     }
 
     /// The shard's modelled clock: service plus idle gaps waiting
-    /// for arrivals. A job starts at `clock().max(arrival)`; in the
-    /// closed loop arrivals are all zero, so the clock is the busy
-    /// time until the final drain.
+    /// for arrivals. In the closed loop arrivals are all zero, so the
+    /// clock is the busy time until the final drain.
     fn clock(&self) -> SimTime {
         self.overload.clock
+    }
+
+    /// Where the shard's batch-level events (dequeues, detail flushes,
+    /// prefetches, the drain) are stamped: its clock, or a later
+    /// bounce, so the stream stays time-ordered.
+    fn stamp(&self) -> SimTime {
+        self.clock().max(self.bounced_at)
+    }
+
+    /// When `job` would start here: once the shard is free and the job
+    /// has arrived.
+    fn start(&self, job: &Job) -> SimTime {
+        self.clock().max(job.arrival)
     }
 
     /// Moves the card's buffered details into the trace, stamped at
@@ -1486,6 +1333,119 @@ impl ShardDriver {
             self.cp.take_details_into(&mut self.details);
             self.tracer.details(ts, &self.details);
         }
+    }
+
+    /// Records a scheduled fault that activated on the card, or, with
+    /// `landed` false, one that found nothing to land on.
+    fn fault_event(&mut self, at: SimTime, kind: FaultKind, landed: bool) {
+        let event = if landed {
+            EventKind::FaultInjected { kind }
+        } else {
+            EventKind::FaultInert { kind }
+        };
+        self.tracer.record(at, event);
+    }
+
+    /// Counts one fault resolved back to a healthy card by `kind` and
+    /// records the repair at `at`.
+    fn resolved(&mut self, at: SimTime, kind: RepairKind) {
+        let faults = &mut self.outcome.faults;
+        *match kind {
+            RepairKind::Scrub => &mut faults.scrubbed,
+            RepairKind::Redownload => &mut faults.redownloads,
+            RepairKind::PciRetry => &mut faults.pci_retried,
+            RepairKind::EvictClear => &mut faults.evict_cleared,
+        } += 1;
+        self.tracer.record(at, EventKind::FaultRepair { kind });
+    }
+
+    /// Downloads `algo_id` to the card unless it already holds it.
+    /// Install is bring-up, not serving time.
+    fn ensure_installed(&mut self, algo_id: u16) -> Result<(), CoreError> {
+        if self.installed.insert(algo_id) {
+            self.cp.install(algo_id)?;
+        }
+        Ok(())
+    }
+
+    /// Installs `algos` and stamps their details (ROM fetches,
+    /// decompression, port writes) at `at`.
+    fn bring_up(&mut self, algos: &BTreeSet<u16>, at: SimTime) -> Result<(), CoreError> {
+        for &algo in algos {
+            self.ensure_installed(algo)?;
+        }
+        self.flush_details(at);
+        Ok(())
+    }
+
+    /// Serves the shard's own stream and drains the card. Bring-up is
+    /// stamped at time zero. Each batch is a maximal run of
+    /// consecutive same-algorithm jobs in the stream, capped at
+    /// [`BATCH_MAX`], and is followed by the online prefetch.
+    fn serve_stream(
+        &mut self,
+        jobs: impl Iterator<Item = Job>,
+        algos: &BTreeSet<u16>,
+        shard: u32,
+    ) -> Result<(), CoreError> {
+        self.bring_up(algos, SimTime::ZERO)?;
+        let mut jobs = jobs.peekable();
+        while let Some(first) = jobs.next() {
+            let algo_id = first.algo_id;
+            let mut batch = vec![first];
+            while batch.len() < BATCH_MAX {
+                match jobs.next_if(|j| j.algo_id == algo_id) {
+                    Some(job) => batch.push(job),
+                    None => break,
+                }
+            }
+            self.outcome.batches += 1;
+            self.outcome.coalesced += batch.len() as u64 - 1;
+            if self.tracer.enabled() {
+                let ts = self.stamp();
+                for job in &batch {
+                    self.tracer.record(
+                        ts,
+                        EventKind::Dequeue {
+                            job: job.index as u64,
+                            algo: algo_id,
+                        },
+                    );
+                }
+            }
+            self.serve_batch(batch)?;
+            // the fault machinery interleaves serving and recovery, so
+            // per-stage attribution is not available: what a faulted job
+            // left buffered is stamped at the shard's clock after it
+            self.flush_details(self.stamp());
+            // Online prefetch: feed the shard's (deterministic) batch
+            // sequence into the model and pre-configure the predicted
+            // next algorithm in the idle window after the batch. The
+            // speculative configure charges `prefetch_time`, never the
+            // request path, so modelled latency and outputs are
+            // unchanged; only residency at the next miss differs.
+            let predicted = self.predictor.as_mut().and_then(|model| {
+                model.observe(algo_id);
+                model.predict()
+            });
+            if let Some(next) = predicted.filter(|&next| next != algo_id) {
+                let before = self.cp.stats().prefetches;
+                self.cp.prefetch_hint(next);
+                if self.tracer.enabled() && self.cp.stats().prefetches > before {
+                    self.tracer
+                        .record(self.stamp(), EventKind::Prefetch { algo: next, shard });
+                }
+            }
+        }
+        // A prefetch fired after the final batch leaves its details
+        // (evictions, cache outcomes, port writes) buffered; drain them so
+        // the trace's eviction count stays in lock-step with the ledger.
+        if self.predictor.is_some() {
+            self.flush_details(self.stamp());
+        }
+        self.drain()?;
+        self.flush_details(self.stamp().max(self.outcome.busy));
+        Ok(())
     }
 
     /// Emits any breaker transitions recorded since the last sync.
@@ -1523,26 +1483,11 @@ impl ShardDriver {
         !self.poisoned.contains(&algo_id) && !self.outstanding.contains_key(&algo_id)
     }
 
-    /// Admission control for one job: counts the submission and
-    /// decides serve / shed / bounce at the shard's current clock.
-    fn admit(&mut self, job: &Job) -> Admission {
-        let ov = &mut self.overload;
-        ov.stats.submitted += 1;
-        let now = ov.clock.max(job.arrival);
-        if job.deadline <= now {
-            ov.stats.shed += 1;
-            return Admission::Shed { decided_at: now };
-        }
-        if ov.fair_shed_decision(job) {
-            ov.stats.shed += 1;
-            ov.stats.fair_shed += 1;
-            return Admission::Shed { decided_at: now };
-        }
-        if !ov.breaker.allow(now) {
-            return Admission::Bounce;
-        }
-        ov.note_admitted(job);
-        Admission::Serve
+    /// The plan schedules no fault, corruption or latency, against
+    /// this job.
+    fn fault_free(&self, job: &Job) -> bool {
+        let index = job.index as u64;
+        self.cfg.plan.decide(index).is_none() && self.cfg.plan.decide_latency(index).is_none()
     }
 
     /// Marks the faults scheduled against an unserved (shed or
@@ -1550,125 +1495,341 @@ impl ShardDriver {
     fn mark_unserved_inert(&mut self, index: usize, ts: SimTime) {
         if let Some(site) = self.cfg.plan.decide(index as u64) {
             self.outcome.faults.inert += 1;
-            self.tracer.record(
-                ts,
-                EventKind::FaultInert {
-                    kind: fault_kind(site),
-                },
-            );
+            self.fault_event(ts, fault_kind(site), false);
         }
         if let Some(site) = self.cfg.plan.decide_latency(index as u64) {
             self.overload.stats.latency_inert += 1;
-            self.tracer.record(
-                ts,
-                EventKind::FaultInert {
-                    kind: latency_kind(site),
-                },
-            );
+            self.fault_event(ts, latency_kind(site), false);
         }
     }
 
+    /// Admits a batch job by job at the shard's current clock and
+    /// serves it as runs. A job whose deadline already passed, or whose
+    /// tenant has run past its weighted share, is shed; one an open
+    /// breaker bounces goes back to the engine for redistribution. A
+    /// job with a scheduled fault, or on a function with a latent or
+    /// persisting fault, is a run of one. Any other admitted job leads
+    /// a run that absorbs the following fault-free jobs that would pass
+    /// admission now; their own deadlines are still checked at
+    /// completion.
     fn serve_batch(&mut self, batch: Vec<Job>) -> Result<(), CoreError> {
         let algo_id = batch[0].algo_id;
         let mut jobs = batch.into_iter().peekable();
         while let Some(job) = jobs.next() {
-            let admission = self.admit(&job);
-            self.sync_breaker(SimTime::ZERO);
-            match admission {
-                Admission::Serve => {}
-                Admission::Shed { decided_at } => {
-                    self.tracer.record(
-                        decided_at,
-                        EventKind::Shed {
-                            job: job.index as u64,
-                            algo: algo_id,
-                        },
-                    );
-                    self.mark_unserved_inert(job.index, decided_at);
-                    self.outcome.results.push(JobResult::dropped(
-                        job.index,
-                        JobError::Shed {
-                            algo_id,
-                            deadline: job.deadline,
-                            decided_at,
-                        },
-                    ));
-                    continue;
-                }
-                Admission::Bounce => {
-                    let now = self.clock().max(job.arrival);
-                    self.tracer.record(
-                        now,
-                        EventKind::Bounced {
-                            job: job.index as u64,
-                            algo: algo_id,
-                        },
-                    );
-                    self.mark_unserved_inert(job.index, now);
-                    self.outcome.rejected.push(job);
-                    continue;
-                }
-            }
-            let scheduled = self.cfg.plan.decide(job.index as u64);
-            let latency = self.cfg.plan.decide_latency(job.index as u64);
-            if scheduled.is_some() || latency.is_some() || !self.algo_clean(algo_id) {
-                self.serve_one(&job, scheduled, latency)?;
+            let now = self.start(&job);
+            let ov = &mut self.overload;
+            ov.stats.submitted += 1;
+            let fair_shed = job.deadline > now && ov.fair_shed_decision(&job);
+            if job.deadline <= now || fair_shed {
+                ov.stats.shed += 1;
+                ov.stats.fair_shed += u64::from(fair_shed);
+                let shed = shed(&mut self.tracer, &job, now);
+                self.mark_unserved_inert(job.index, now);
+                self.outcome.results.push(shed);
                 continue;
             }
-            // Maximal fault-free run: serve it as one batch. The whole
-            // run is admitted at the current clock, so only jobs that
-            // would pass admission now may ride along; their own
-            // deadlines are still checked at completion.
+            let allowed = ov.breaker.allow(now);
+            self.sync_breaker(SimTime::ZERO);
+            if !allowed {
+                let bounced = EventKind::Bounced {
+                    job: job.index as u64,
+                    algo: algo_id,
+                };
+                self.tracer.record(now, bounced);
+                self.bounced_at = now;
+                self.mark_unserved_inert(job.index, now);
+                self.outcome.rejected.push(job);
+                continue;
+            }
+            self.overload.note_admitted(&job);
             let mut run = vec![job];
-            while let Some(next) = jobs.peek() {
-                let ov = &self.overload;
-                let clean = self.cfg.plan.decide(next.index as u64).is_none()
-                    && self.cfg.plan.decide_latency(next.index as u64).is_none();
-                let admissible =
-                    next.deadline > ov.clock.max(next.arrival) && !ov.fair_shed_decision(next);
-                if !(clean && admissible) {
-                    break;
+            if self.fault_free(&run[0]) && self.algo_clean(algo_id) {
+                while let Some(next) = jobs.next_if(|next| {
+                    self.fault_free(next)
+                        && next.deadline > self.start(next)
+                        && !self.overload.fair_shed_decision(next)
+                }) {
+                    self.overload.stats.submitted += 1;
+                    self.overload.note_admitted(&next);
+                    run.push(next);
                 }
-                let next = jobs.next().expect("peeked");
-                self.overload.stats.submitted += 1;
-                self.overload.note_admitted(&next);
-                run.push(next);
             }
-            let inputs: Vec<&[u8]> = run.iter().map(|j| j.input.as_slice()).collect();
-            let served = self.cp.invoke_batch(algo_id, &inputs)?;
-            // the run's details (residency, ROM fetch, decompression,
-            // port writes) are stamped at its start, before the jobs
-            // they delayed open
-            self.flush_details(self.clock().max(run[0].arrival));
-            for (job, (output, report)) in run.iter().zip(served) {
-                let start = self.clock().max(job.arrival);
-                let time = report.total();
-                self.outcome.busy += time;
-                if self.tracer.enabled() {
-                    trace_clean_stages(&mut self.tracer, start, job.index, algo_id, &report);
-                }
-                self.finish_served(job, Ok((output, report.hit())), start, time)?;
-            }
+            self.serve_run(&run, true)?;
         }
         Ok(())
     }
 
-    /// Lands a job served from `start` for `time` in its terminal
+    /// The second pass's one entry: serves a redistributed or rescued
+    /// job as a run of one from the driver's clock, installing its
+    /// function first if this card never hosted it. Like the first
+    /// pass it traces the job, but it skips admission counting, the
+    /// breaker, the fault plan and the shard's busy time. Returns the
+    /// job's result for the engine to land.
+    fn serve_again(&mut self, job: &Job) -> Result<JobResult, CoreError> {
+        self.ensure_installed(job.algo_id)?;
+        self.serve_run(std::slice::from_ref(job), false)?;
+        self.flush_details(self.clock());
+        let result = self.outcome.results.pop();
+        Ok(result.expect("a served run lands its job"))
+    }
+
+    /// Serves one run of same-algorithm jobs with one `invoke_batch`
+    /// call inside the detect→backoff→repair→retry loop. In the first
+    /// pass it arms the faults the plan schedules against the run's
+    /// job (such a run is a run of one), preceded by a watchdog reset
+    /// for a stuck card, and lands any scheduled post-job corruption.
+    fn serve_run(&mut self, run: &[Job], first_pass: bool) -> Result<(), CoreError> {
+        let lead = &run[0];
+        let (job, algo_id) = (lead.index as u64, lead.algo_id);
+        let (scheduled, latency) = if first_pass {
+            (self.cfg.plan.decide(job), self.cfg.plan.decide_latency(job))
+        } else {
+            (None, None)
+        };
+        // The fault machinery engages on a scheduled fault or on a
+        // function with a latent or persisting fault. Recovery then
+        // interleaves with service, so the trace carries no per-stage
+        // spans for the job.
+        let engaged = scheduled.is_some() || latency.is_some() || !self.algo_clean(algo_id);
+        // The run's modelled start on the shard clock. Recovery spans
+        // are laid from a cursor advancing from here.
+        let t0 = self.start(lead);
+        if engaged {
+            let algo = algo_id;
+            self.tracer.record(t0, EventKind::JobOpen { job, algo });
+        }
+        let mut cursor = t0;
+        // The lead job's modelled time: reset and recovery, then its
+        // service.
+        let mut job_time = SimTime::ZERO;
+        if latency == Some(LatencySite::StuckCard) {
+            // The card hangs mid-stream: it burns the full watchdog
+            // timeout before the missed heartbeats fire a reset, then
+            // the job is served from a cold card (the reset erased
+            // every frame and the decoded cache; the ROM survives).
+            // Snapshot the controller stats first — the reset zeroes
+            // them, and that work must stay counted.
+            let ov = &mut self.overload;
+            ov.lost_stats.merge(&self.cp.stats());
+            let t_reset = ov.cfg.watchdog.timeout() + self.cp.os_mut().reset();
+            ov.stats.stuck_injected += 1;
+            ov.stats.watchdog_resets += 1;
+            ov.stats.wasted_time += t_reset;
+            job_time += t_reset;
+            self.fault_event(cursor, FaultKind::StuckCard, true);
+            self.tracer.record(cursor, EventKind::WatchdogReset { job });
+            self.tracer
+                .span(cursor, t_reset, job, Stage::Reset, algo_id);
+            cursor += t_reset;
+            self.outcome.recovery_latency.push(t_reset);
+            // The wiped fabric dissolved any latent frame faults; the
+            // scheduled ROM faults survive (ROM is off-fabric).
+            for id in self.outstanding_at(&FRAME_SITES) {
+                self.outstanding.remove(&id);
+                self.resolved(cursor, RepairKind::EvictClear);
+            }
+        }
+        let stall0 = self.cp.stats().config_stall_time;
+        let rates = self.cfg.plan.latency();
+        match latency {
+            Some(LatencySite::StallConfig) => self.cp.os_mut().arm_config_stall(rates.stall_cycles),
+            // Input write + output read: both transfers crawl.
+            Some(LatencySite::SlowPci) => {
+                self.cp.bus_mut().arm_slow_transfers(2, rates.slow_factor)
+            }
+            Some(LatencySite::StuckCard) | None => {}
+        }
+        if scheduled == Some(FaultSite::PciTransient) {
+            // One-shot transient: the job's first transfer aborts and
+            // the driver retries it. Activation is observed through
+            // the bus stats below.
+            self.cp.bus_mut().arm_transient_faults(1);
+        }
+        let pci0 = self.cp.pci_stats();
+        let inputs: Vec<&[u8]> = run.iter().map(|j| j.input.as_slice()).collect();
+        let mut attempts = 0u32;
+        let mut recovery_elapsed = SimTime::ZERO;
+        let verdict = loop {
+            match self.cp.invoke_batch(algo_id, &inputs) {
+                Ok(served) => {
+                    if attempts > 0 {
+                        self.outcome.recovery_latency.push(recovery_elapsed);
+                    }
+                    // a repaired (formerly poisoned) function serves
+                    // again
+                    self.poisoned.remove(&algo_id);
+                    break Ok(served);
+                }
+                // A controller error aborts a clean first-pass run;
+                // anywhere else it is a fault to recover or degrade.
+                Err(CoreError::Mcu(detail)) if engaged || !first_pass => {
+                    let outstanding = self.outstanding.get(&algo_id).copied();
+                    if outstanding.is_some() && attempts == 0 {
+                        self.outcome.faults.detected += 1;
+                    }
+                    if let Some(site) = outstanding.filter(|_| attempts < self.cfg.max_retries) {
+                        attempts += 1;
+                        self.outcome.faults.retries += 1;
+                        let attempt = attempts;
+                        self.tracer
+                            .record(cursor, EventKind::Retry { job, attempt });
+                        let backoff = self.cfg.backoff * (1u64 << (attempts - 1).min(20));
+                        self.tracer
+                            .span(cursor, backoff, job, Stage::Backoff, algo_id);
+                        let repair = self.repair(algo_id, site, cursor + backoff)?;
+                        let at = cursor + backoff;
+                        self.tracer.span(at, repair, job, Stage::Repair, algo_id);
+                        job_time += backoff + repair;
+                        recovery_elapsed += backoff + repair;
+                        cursor += backoff + repair;
+                        continue;
+                    }
+                    // An exhausted fault poisons its function; corruption
+                    // persisting from one degrades without burning
+                    // retries.
+                    if outstanding.is_some() {
+                        self.outcome.faults.faults_failed += 1;
+                        self.outstanding.remove(&algo_id);
+                        self.poisoned.insert(algo_id);
+                        let algo = algo_id;
+                        self.tracer
+                            .record(cursor, EventKind::FaultFailed { job, algo });
+                    }
+                    break Err(JobError::Faulted {
+                        algo_id,
+                        attempts,
+                        detail: detail.to_string(),
+                    });
+                }
+                Err(other) => return Err(other),
+            }
+        };
+        if let Ok(served) = &verdict {
+            job_time += served[0].1.total();
+        }
+        let pci1 = self.cp.pci_stats();
+        let wasted =
+            self.cp.bus().config().clock.period() * (pci1.wasted_cycles - pci0.wasted_cycles);
+        let transient_fired = pci1.faulted_transfers > pci0.faulted_transfers;
+        if transient_fired {
+            self.outcome
+                .faults
+                .record_activated(FaultSite::PciTransient);
+            self.outcome.recovery_latency.push(wasted);
+            if verdict.is_err() {
+                // a successful attempt folds the wasted bus time into
+                // its report; a degraded job still burned it
+                job_time += wasted;
+            }
+        }
+        // Post-job events are stamped at the job's finish.
+        let at = t0 + job_time;
+        if transient_fired {
+            self.fault_event(at, FaultKind::PciTransient, true);
+            self.resolved(at, RepairKind::PciRetry);
+        }
+        // A latency fault lands when the job gave it something to slow
+        // down; otherwise it is inert.
+        let latency_landed = match latency {
+            Some(LatencySite::StallConfig) => {
+                // a residency hit leaves the stall armed: it never got
+                // a reconfiguration to hang
+                let landed = self.cp.os_mut().disarm_config_stall() == 0;
+                if landed {
+                    let ov = &mut self.overload.stats;
+                    ov.stalls_injected += 1;
+                    ov.wasted_time += self.cp.stats().config_stall_time.saturating_sub(stall0);
+                }
+                Some(landed)
+            }
+            Some(LatencySite::SlowPci) => {
+                self.cp.bus_mut().disarm_slow();
+                // no fallible transfer ran (e.g. an empty input on a
+                // zero-transfer path): nothing to slow down
+                let landed = pci1.slowed_transfers > pci0.slowed_transfers;
+                if landed {
+                    let ov = &mut self.overload.stats;
+                    ov.slow_transfers_injected += 1;
+                    if !transient_fired {
+                        // the slow transfers' extra cycles are the
+                        // whole wasted delta; with a transient on the
+                        // same job the delta is already attributed to
+                        // the retry above
+                        ov.wasted_time += wasted;
+                    }
+                }
+                Some(landed)
+            }
+            Some(LatencySite::StuckCard) | None => None,
+        };
+        if let (Some(site), Some(landed)) = (latency, latency_landed) {
+            self.overload.stats.latency_inert += u64::from(!landed);
+            self.fault_event(at, latency_kind(site), landed);
+        }
+        if let Some(
+            site @ (FaultSite::FrameBitFlip | FaultSite::TornConfig | FaultSite::RomPayload),
+        ) = scheduled
+        {
+            // Post-job injection: corrupt only a healthy, singly
+            // faulted function so every activated fault has one
+            // unambiguous resolution.
+            let landed = verdict.is_ok() && self.algo_clean(algo_id) && {
+                let mut rng = self.cfg.plan.rng_for(job);
+                match site {
+                    FaultSite::FrameBitFlip => self.cp.os_mut().inject_seu(algo_id, &mut rng),
+                    FaultSite::TornConfig => self.cp.os_mut().inject_torn(algo_id),
+                    FaultSite::RomPayload => {
+                        self.cp.os_mut().inject_rom_rot(algo_id, &mut rng).is_ok()
+                    }
+                    FaultSite::PciTransient => unreachable!("matched above"),
+                }
+            };
+            if landed {
+                self.outcome.faults.record_activated(site);
+                self.outstanding.insert(algo_id, site);
+            } else {
+                self.outcome.faults.inert += 1;
+            }
+            self.fault_event(at, fault_kind(site), landed);
+        }
+        match verdict {
+            Err(error) => self.finish_served(lead, Err(error), job_time, first_pass),
+            Ok(served) => {
+                if !engaged {
+                    // the run's details (residency, ROM fetch,
+                    // decompression, port writes) are stamped at its
+                    // start, before the jobs they delayed open
+                    self.flush_details(t0);
+                }
+                for (i, (job, (output, report))) in run.iter().zip(served).enumerate() {
+                    let time = if i == 0 { job_time } else { report.total() };
+                    if !engaged && self.tracer.enabled() {
+                        let start = self.start(job);
+                        trace_clean_stages(&mut self.tracer, start, job.index, algo_id, &report);
+                    }
+                    self.finish_served(job, Ok((output, report.hit())), time, first_pass)?;
+                }
+                Ok(())
+            }
+        }
+    }
+
+    /// Lands a job served from its start for `time` in its terminal
     /// state: a degraded job stays faulted, any other is classified by
-    /// [`complete`]. It also advances the shard clock and drives the
-    /// breaker.
+    /// [`complete`] against the card's own bank. It advances the shard
+    /// clock and, in the first pass, the shard's busy time and breaker.
     fn finish_served(
         &mut self,
         job: &Job,
         served: Result<(Vec<u8>, bool), JobError>,
-        start: SimTime,
         time: SimTime,
+        first_pass: bool,
     ) -> Result<(), CoreError> {
-        let finish = start + time;
+        let finish = self.start(job) + time;
         let result = match served {
             Ok((output, hit)) => {
-                let golden = self.golden.as_ref();
-                complete(job, output, hit, time, finish, golden, self.collect)?
+                let bank = self.verify.then(|| self.cp.os().bank());
+                complete(job, output, hit, time, finish, bank, self.collect)?
             }
             Err(e) => {
                 self.outcome.faults.failed_jobs += 1;
@@ -1682,10 +1843,13 @@ impl ShardDriver {
         let ov = &mut self.overload;
         ov.clock = finish;
         tally(&mut ov.stats, &result);
-        if outcome == JobOutcome::Completed {
-            ov.breaker.record_success();
-        } else {
-            ov.breaker.record_failure(finish);
+        if first_pass {
+            self.outcome.busy += time;
+            if outcome == JobOutcome::Completed {
+                ov.breaker.record_success();
+            } else {
+                ov.breaker.record_failure(finish);
+            }
         }
         self.tracer.record(
             finish,
@@ -1697,300 +1861,10 @@ impl ShardDriver {
             },
         );
         self.outcome.results.push(result);
-        self.sync_breaker(finish);
+        if first_pass {
+            self.sync_breaker(finish);
+        }
         Ok(())
-    }
-
-    /// Serves one job with the fault machinery engaged: arms a
-    /// scheduled PCI abort and any scheduled latency fault, runs the
-    /// detect→backoff→repair→retry loop (preceded by a watchdog reset
-    /// for a stuck card), and lands any scheduled post-job corruption.
-    fn serve_one(
-        &mut self,
-        job: &Job,
-        scheduled: Option<FaultSite>,
-        latency: Option<LatencySite>,
-    ) -> Result<(), CoreError> {
-        let algo_id = job.algo_id;
-        let mut job_time = SimTime::ZERO;
-        // The job's modelled start on the shard clock. Recovery spans
-        // are laid from a cursor advancing from here.
-        let t0 = self.clock().max(job.arrival);
-        self.tracer.record(
-            t0,
-            EventKind::JobOpen {
-                job: job.index as u64,
-                algo: algo_id,
-            },
-        );
-        let mut cursor = t0;
-        if latency == Some(LatencySite::StuckCard) {
-            // The card hangs mid-stream: it burns the full watchdog
-            // timeout before the missed heartbeats fire a reset, then
-            // the job is served from a cold card (the reset erased
-            // every frame and the decoded cache; the ROM survives).
-            // Snapshot the controller stats first — the reset zeroes
-            // them, and that work must stay counted.
-            let t_reset = {
-                let ov = &mut self.overload;
-                ov.lost_stats.merge(&self.cp.stats());
-                let timeout = ov.cfg.watchdog.timeout();
-                let t_reset = self.cp.os_mut().reset();
-                ov.stats.stuck_injected += 1;
-                ov.stats.watchdog_resets += 1;
-                ov.stats.wasted_time += timeout + t_reset;
-                job_time += timeout + t_reset;
-                timeout + t_reset
-            };
-            self.tracer.record(
-                cursor,
-                EventKind::FaultInjected {
-                    kind: FaultKind::StuckCard,
-                },
-            );
-            self.tracer.record(
-                cursor,
-                EventKind::WatchdogReset {
-                    job: job.index as u64,
-                },
-            );
-            self.tracer
-                .span(cursor, t_reset, job.index as u64, Stage::Reset, algo_id);
-            cursor += t_reset;
-            self.outcome.recovery_latency.push(t_reset);
-            // The wiped fabric dissolved any latent frame faults; the
-            // scheduled ROM faults survive (ROM is off-fabric).
-            let frame_faults = self.outstanding_at(&FRAME_SITES);
-            for id in frame_faults {
-                self.outstanding.remove(&id);
-                self.outcome.faults.evict_cleared += 1;
-                self.tracer.record(
-                    cursor,
-                    EventKind::FaultRepair {
-                        kind: RepairKind::EvictClear,
-                    },
-                );
-            }
-        }
-        let stall0 = self.cp.stats().config_stall_time;
-        match latency {
-            Some(LatencySite::StallConfig) => {
-                self.cp
-                    .os_mut()
-                    .arm_config_stall(self.cfg.plan.latency().stall_cycles);
-            }
-            Some(LatencySite::SlowPci) => {
-                // Input write + output read: both transfers crawl.
-                self.cp
-                    .bus_mut()
-                    .arm_slow_transfers(2, self.cfg.plan.latency().slow_factor);
-            }
-            Some(LatencySite::StuckCard) | None => {}
-        }
-        if scheduled == Some(FaultSite::PciTransient) {
-            // One-shot transient: the job's first transfer aborts and
-            // the driver retries it. Activation is observed through
-            // the bus stats below.
-            self.cp.bus_mut().arm_transient_faults(1);
-        }
-        let pci0 = self.cp.pci_stats();
-        let mut attempts = 0u32;
-        let mut recovery_elapsed = SimTime::ZERO;
-        let verdict = loop {
-            match self.cp.invoke(algo_id, &job.input) {
-                Ok((output, report)) => {
-                    job_time += report.total();
-                    if attempts > 0 {
-                        self.outcome.recovery_latency.push(recovery_elapsed);
-                    }
-                    // a repaired (formerly poisoned) function serves
-                    // again
-                    self.poisoned.remove(&algo_id);
-                    break Ok((output, report.hit()));
-                }
-                Err(CoreError::Mcu(detail)) => {
-                    let Some(site) = self.outstanding.get(&algo_id).copied() else {
-                        // Corruption persisting from an exhausted
-                        // fault: degrade without burning retries.
-                        break Err(JobError::Faulted {
-                            algo_id,
-                            attempts,
-                            detail: detail.to_string(),
-                        });
-                    };
-                    if attempts == 0 {
-                        self.outcome.faults.detected += 1;
-                    }
-                    if attempts >= self.cfg.max_retries {
-                        self.outcome.faults.faults_failed += 1;
-                        self.outstanding.remove(&algo_id);
-                        self.poisoned.insert(algo_id);
-                        self.tracer.record(
-                            cursor,
-                            EventKind::FaultFailed {
-                                job: job.index as u64,
-                                algo: algo_id,
-                            },
-                        );
-                        break Err(JobError::Faulted {
-                            algo_id,
-                            attempts,
-                            detail: detail.to_string(),
-                        });
-                    }
-                    attempts += 1;
-                    self.outcome.faults.retries += 1;
-                    self.tracer.record(
-                        cursor,
-                        EventKind::Retry {
-                            job: job.index as u64,
-                            attempt: attempts,
-                        },
-                    );
-                    let backoff = self.cfg.backoff * (1u64 << (attempts - 1).min(20));
-                    self.tracer
-                        .span(cursor, backoff, job.index as u64, Stage::Backoff, algo_id);
-                    let repair = self.repair(algo_id, site, cursor + backoff)?;
-                    self.tracer.span(
-                        cursor + backoff,
-                        repair,
-                        job.index as u64,
-                        Stage::Repair,
-                        algo_id,
-                    );
-                    job_time += backoff + repair;
-                    recovery_elapsed += backoff + repair;
-                    cursor += backoff + repair;
-                }
-                Err(other) => return Err(other),
-            }
-        };
-        let pci1 = self.cp.pci_stats();
-        let transient_fired = pci1.faulted_transfers > pci0.faulted_transfers;
-        if transient_fired {
-            let wasted =
-                self.cp.bus().config().clock.period() * (pci1.wasted_cycles - pci0.wasted_cycles);
-            self.outcome
-                .faults
-                .record_activated(FaultSite::PciTransient);
-            self.outcome.faults.pci_retried += 1;
-            self.outcome.recovery_latency.push(wasted);
-            if verdict.is_err() {
-                // a successful attempt folds the wasted bus time into
-                // its report; a degraded job still burned it
-                job_time += wasted;
-            }
-            self.tracer.record(
-                t0 + job_time,
-                EventKind::FaultInjected {
-                    kind: FaultKind::PciTransient,
-                },
-            );
-            self.tracer.record(
-                t0 + job_time,
-                EventKind::FaultRepair {
-                    kind: RepairKind::PciRetry,
-                },
-            );
-        }
-        match latency {
-            Some(LatencySite::StallConfig) => {
-                let ov = &mut self.overload;
-                if self.cp.os().armed_config_stall() > 0 {
-                    // the job was a residency hit: the stall never got
-                    // a reconfiguration to hang
-                    self.cp.os_mut().disarm_config_stall();
-                    ov.stats.latency_inert += 1;
-                    self.tracer.record(
-                        t0 + job_time,
-                        EventKind::FaultInert {
-                            kind: FaultKind::Stall,
-                        },
-                    );
-                } else {
-                    ov.stats.stalls_injected += 1;
-                    ov.stats.wasted_time +=
-                        self.cp.stats().config_stall_time.saturating_sub(stall0);
-                    self.tracer.record(
-                        t0 + job_time,
-                        EventKind::FaultInjected {
-                            kind: FaultKind::Stall,
-                        },
-                    );
-                }
-            }
-            Some(LatencySite::SlowPci) => {
-                self.cp.bus_mut().disarm_slow();
-                let ov = &mut self.overload;
-                if pci1.slowed_transfers > pci0.slowed_transfers {
-                    ov.stats.slow_transfers_injected += 1;
-                    if !transient_fired {
-                        // the slow transfers' extra cycles are the
-                        // whole wasted delta; with a transient on the
-                        // same job the delta is already attributed to
-                        // the retry above
-                        ov.stats.wasted_time += self.cp.bus().config().clock.period()
-                            * (pci1.wasted_cycles - pci0.wasted_cycles);
-                    }
-                    self.tracer.record(
-                        t0 + job_time,
-                        EventKind::FaultInjected {
-                            kind: FaultKind::SlowPci,
-                        },
-                    );
-                } else {
-                    // no fallible transfer ran (e.g. an empty input on
-                    // a zero-transfer path): nothing to slow down
-                    ov.stats.latency_inert += 1;
-                    self.tracer.record(
-                        t0 + job_time,
-                        EventKind::FaultInert {
-                            kind: FaultKind::SlowPci,
-                        },
-                    );
-                }
-            }
-            Some(LatencySite::StuckCard) | None => {}
-        }
-        if let Some(
-            site @ (FaultSite::FrameBitFlip | FaultSite::TornConfig | FaultSite::RomPayload),
-        ) = scheduled
-        {
-            // Post-job injection: corrupt only a healthy, singly
-            // faulted function so every activated fault has one
-            // unambiguous resolution.
-            let landed = verdict.is_ok() && self.algo_clean(algo_id) && {
-                let mut rng = self.cfg.plan.rng_for(job.index as u64);
-                match site {
-                    FaultSite::FrameBitFlip => self.cp.os_mut().inject_seu(algo_id, &mut rng),
-                    FaultSite::TornConfig => self.cp.os_mut().inject_torn(algo_id),
-                    FaultSite::RomPayload => {
-                        self.cp.os_mut().inject_rom_rot(algo_id, &mut rng).is_ok()
-                    }
-                    FaultSite::PciTransient => unreachable!("matched above"),
-                }
-            };
-            if landed {
-                self.outcome.faults.record_activated(site);
-                self.outstanding.insert(algo_id, site);
-                self.tracer.record(
-                    t0 + job_time,
-                    EventKind::FaultInjected {
-                        kind: fault_kind(site),
-                    },
-                );
-            } else {
-                self.outcome.faults.inert += 1;
-                self.tracer.record(
-                    t0 + job_time,
-                    EventKind::FaultInert {
-                        kind: fault_kind(site),
-                    },
-                );
-            }
-        }
-        self.outcome.busy += job_time;
-        self.finish_served(job, verdict, t0, job_time)
     }
 
     /// Repairs `site` on `algo_id`, resolving every outstanding fault
@@ -2010,38 +1884,20 @@ impl ShardDriver {
                         .is_some_and(|s| FRAME_SITES.contains(s))
                     {
                         self.outstanding.remove(id);
-                        self.outcome.faults.scrubbed += 1;
-                        self.tracer.record(
-                            at,
-                            EventKind::FaultRepair {
-                                kind: RepairKind::Scrub,
-                            },
-                        );
+                        self.resolved(at, RepairKind::Scrub);
                     }
                 }
                 // if the target dodged the scrub, an eviction already
                 // erased the corrupt frames
                 if self.outstanding.remove(&algo_id).is_some() {
-                    self.outcome.faults.evict_cleared += 1;
-                    self.tracer.record(
-                        at,
-                        EventKind::FaultRepair {
-                            kind: RepairKind::EvictClear,
-                        },
-                    );
+                    self.resolved(at, RepairKind::EvictClear);
                 }
                 Ok(report.time)
             }
             FaultSite::RomPayload => {
                 let t = self.cp.os_mut().redownload(algo_id)?;
                 self.outstanding.remove(&algo_id);
-                self.outcome.faults.redownloads += 1;
-                self.tracer.record(
-                    at,
-                    EventKind::FaultRepair {
-                        kind: RepairKind::Redownload,
-                    },
-                );
+                self.resolved(at, RepairKind::Redownload);
                 Ok(t)
             }
             // PCI aborts recover at the driver, never via repair.
@@ -2062,19 +1918,14 @@ impl ShardDriver {
             self.outcome.busy += report.time;
             for id in frame_faults {
                 self.outstanding.remove(&id);
+                // without a scrub repair, a policy eviction erased the
+                // corrupt frames before the sweep got here
                 let kind = if report.repaired.contains(&id) {
-                    self.outcome.faults.scrubbed += 1;
                     RepairKind::Scrub
                 } else {
-                    // a policy eviction erased the corrupt frames
-                    // before the sweep got here
-                    self.outcome.faults.evict_cleared += 1;
                     RepairKind::EvictClear
                 };
-                self.tracer.record(
-                    self.clock().max(self.outcome.busy),
-                    EventKind::FaultRepair { kind },
-                );
+                self.resolved(self.stamp().max(self.outcome.busy), kind);
             }
         }
         let rom_faults = self.outstanding_at(&[FaultSite::RomPayload]);
@@ -2083,15 +1934,8 @@ impl ShardDriver {
             self.outcome.busy += patrol_time;
             for id in rom_faults {
                 self.outstanding.remove(&id);
-                let t = self.cp.os_mut().redownload(id)?;
-                self.outcome.busy += t;
-                self.outcome.faults.redownloads += 1;
-                self.tracer.record(
-                    self.clock().max(self.outcome.busy),
-                    EventKind::FaultRepair {
-                        kind: RepairKind::Redownload,
-                    },
-                );
+                self.outcome.busy += self.cp.os_mut().redownload(id)?;
+                self.resolved(self.stamp().max(self.outcome.busy), RepairKind::Redownload);
             }
         }
         Ok(())
@@ -2280,7 +2124,6 @@ mod tests {
             ShardPolicy::RoundRobin,
             ShardPolicy::Balanced,
             ShardPolicy::Dynamic,
-            ShardPolicy::Auction,
         ] {
             let cfg = EngineConfig {
                 shard,
@@ -2366,7 +2209,6 @@ mod tests {
             ShardPolicy::RoundRobin,
             ShardPolicy::Balanced,
             ShardPolicy::Dynamic,
-            ShardPolicy::Auction,
         ] {
             let cfg = EngineConfig {
                 workers: 2,
@@ -2659,56 +2501,111 @@ mod tests {
     }
 
     /// Under overload the shed/watchdog/redistribution/breaker events
-    /// must mirror `OverloadStats` exactly.
+    /// must mirror `OverloadStats` exactly, and every opened job must
+    /// close once with the outcome the overload ledger counted. Beyond
+    /// the mixed chaos run, two configurations drive the second pass:
+    /// a threshold-1 breaker that stays open (most jobs are
+    /// redistributed) and the requeue rescue with no retries.
     #[test]
     fn overload_trace_counters_reconcile_with_overload_stats() {
         use crate::breaker::BreakerConfig;
-        use crate::overload::WatchdogConfig;
         use aaod_sim::{FaultPlan, FaultRates, LatencyRates};
         let w = Workload::zipf(&FIT_SET, 200, 1.1, 48, 31);
-        let plan = FaultPlan::new(0x0D10AD, FaultRates::uniform(0.03))
-            .with_latency(LatencyRates::uniform(0.04));
-        let oc = OverloadConfig {
+        let mixed = OverloadConfig {
             interarrival: SimTime::from_us(50),
             deadline: DeadlinePolicy::Percentile {
                 pct: 95.0,
                 multiplier: 200.0,
             },
-            watchdog: WatchdogConfig::default(),
-            breaker: BreakerConfig::default(),
-            fairness: None,
+            ..OverloadConfig::default()
         };
-        let r = Engine::new(EngineConfig {
-            workers: 3,
-            verify: true,
-            overload: Some(oc),
-            faults: Some(FaultConfig::new(plan)),
-            trace: TraceConfig::full(),
-            ..EngineConfig::default()
-        })
-        .serve(&w)
-        .unwrap();
-        assert!(r.overload.accounted());
-        let c = &r.trace.as_ref().unwrap().metrics.counters;
-        assert_eq!(c.enqueued, 200);
-        assert_eq!(c.dequeued, 200);
-        assert_eq!(c.shed, r.overload.shed);
-        assert_eq!(c.watchdog_resets, r.overload.watchdog_resets);
-        assert_eq!(c.redistributed, r.overload.redistributed);
-        assert_eq!(c.breaker_trips, r.overload.breaker_trips);
-        assert_eq!(c.bounced, r.overload.breaker_rejections);
-        assert_eq!(c.jobs_deadline_missed, r.overload.deadline_missed);
-        assert_eq!(c.requeued, r.faults.requeues);
-        // Latency-fault activations surface as FaultInjected events
-        // alongside the corruption ones.
-        assert_eq!(
-            c.faults_injected,
-            r.faults.injected
-                + r.overload.stalls_injected
-                + r.overload.slow_transfers_injected
-                + r.overload.stuck_injected
-        );
-        assert_eq!(c.faults_inert, r.faults.inert + r.overload.latency_inert);
+        let plan = FaultPlan::new(0x0D10AD, FaultRates::uniform(0.03))
+            .with_latency(LatencyRates::uniform(0.04));
+        let quarantine = OverloadConfig {
+            interarrival: SimTime::from_us(100),
+            deadline: DeadlinePolicy::Absolute(SimTime::from_secs(100)),
+            breaker: BreakerConfig {
+                failure_threshold: 1,
+                cooldown: SimTime::from_secs(1),
+            },
+            ..OverloadConfig::default()
+        };
+        let no_retries = FaultConfig {
+            max_retries: 0,
+            ..FaultConfig::new(FaultPlan::new(0x0D10AD, FaultRates::uniform(0.05)))
+        };
+        let rescue = OverloadConfig {
+            breaker: BreakerConfig {
+                failure_threshold: u32::MAX,
+                ..quarantine.breaker
+            },
+            ..quarantine
+        };
+        let runs = [
+            ("mixed", 3, mixed, FaultConfig::new(plan)),
+            ("quarantine", 3, quarantine, no_retries),
+            (
+                "rescue",
+                2,
+                rescue,
+                FaultConfig {
+                    requeue: true,
+                    ..no_retries
+                },
+            ),
+        ];
+        for (label, workers, oc, faults) in runs {
+            let r = Engine::new(EngineConfig {
+                workers,
+                verify: true,
+                overload: Some(oc),
+                faults: Some(faults),
+                trace: TraceConfig::full(),
+                ..EngineConfig::default()
+            })
+            .serve(&w)
+            .unwrap();
+            assert!(r.overload.accounted(), "{label}");
+            let c = &r.trace.as_ref().unwrap().metrics.counters;
+            assert_eq!(c.enqueued, 200, "{label}");
+            assert_eq!(c.dequeued, 200, "{label}");
+            assert_eq!(c.shed, r.overload.shed, "{label}");
+            assert_eq!(c.watchdog_resets, r.overload.watchdog_resets, "{label}");
+            assert_eq!(c.redistributed, r.overload.redistributed, "{label}");
+            assert_eq!(c.breaker_trips, r.overload.breaker_trips, "{label}");
+            assert_eq!(c.bounced, r.overload.breaker_rejections, "{label}");
+            assert_eq!(
+                c.jobs_opened,
+                c.jobs_completed + c.jobs_faulted + c.jobs_deadline_missed,
+                "{label}"
+            );
+            assert_eq!(c.jobs_completed, r.overload.completed, "{label}");
+            assert_eq!(
+                c.jobs_deadline_missed, r.overload.deadline_missed,
+                "{label}"
+            );
+            assert_eq!(c.requeued, r.faults.requeues, "{label}");
+            // Latency-fault activations surface as FaultInjected events
+            // alongside the corruption ones.
+            assert_eq!(
+                c.faults_injected,
+                r.faults.injected
+                    + r.overload.stalls_injected
+                    + r.overload.slow_transfers_injected
+                    + r.overload.stuck_injected,
+                "{label}"
+            );
+            assert_eq!(
+                c.faults_inert,
+                r.faults.inert + r.overload.latency_inert,
+                "{label}"
+            );
+            match label {
+                "quarantine" => assert!(r.overload.redistributed > 0, "{:?}", r.overload),
+                "rescue" => assert!(r.faults.requeues > 0, "{:?}", r.faults),
+                _ => {}
+            }
+        }
     }
 
     fn two_tenant_specs(quota: Option<u64>) -> Vec<aaod_workload::TenantSpec> {
@@ -2871,9 +2768,10 @@ mod tests {
     /// Per-shard event streams must carry monotone non-decreasing
     /// modelled timestamps, balanced open/close pairs, and stage spans
     /// nested inside their job's open/close window — in clean, chaos
-    /// and overload modes alike, and with the prefetcher evicting on
-    /// an over-committed card under open-loop arrivals, where idle gaps
-    /// put the shard clock ahead of its busy time.
+    /// and overload modes alike, with the prefetcher evicting on an
+    /// over-committed card under open-loop arrivals, where idle gaps
+    /// put the shard clock ahead of its busy time, and for jobs the
+    /// second pass redistributed or rescued.
     #[test]
     fn trace_streams_are_well_formed_in_every_mode() {
         use crate::breaker::BreakerConfig;
@@ -2929,6 +2827,47 @@ mod tests {
                 .geometry(aaod_fabric::DeviceGeometry::new(52, 16))
                 .build()
         };
+        // The second pass: a threshold-1 breaker that stays open
+        // redistributes most of the stream onto the healthy shards'
+        // streams, and the requeue rescue serves on the engine's
+        // stream after the pool drains.
+        let quarantine_oc = OverloadConfig {
+            interarrival: SimTime::from_us(100),
+            deadline: DeadlinePolicy::Absolute(SimTime::from_secs(100)),
+            breaker: BreakerConfig {
+                failure_threshold: 1,
+                cooldown: SimTime::from_secs(1),
+            },
+            ..OverloadConfig::default()
+        };
+        let no_retries = FaultConfig {
+            max_retries: 0,
+            ..FaultConfig::new(FaultPlan::new(0x0D10AD, FaultRates::uniform(0.05)))
+        };
+        let quarantine = EngineConfig {
+            workers: 3,
+            overload: Some(quarantine_oc),
+            faults: Some(no_retries),
+            ..clean
+        };
+        let rescue = EngineConfig {
+            overload: Some(OverloadConfig {
+                breaker: BreakerConfig {
+                    failure_threshold: u32::MAX,
+                    ..quarantine_oc.breaker
+                },
+                ..quarantine_oc
+            }),
+            faults: Some(FaultConfig {
+                requeue: true,
+                ..no_retries
+            }),
+            ..clean
+        };
+        let quarantined = Engine::new(quarantine).serve(&w);
+        let rescued = Engine::new(rescue).serve(&w);
+        assert!(quarantined.as_ref().unwrap().overload.redistributed > 0);
+        assert!(rescued.as_ref().unwrap().faults.requeues > 0);
         let runs = [
             ("clean", Engine::new(clean).serve(&w)),
             ("chaos", Engine::new(chaos).serve(&w)),
@@ -2937,6 +2876,8 @@ mod tests {
                 "overload + predict",
                 Engine::with_factory(predict, churn_card).serve(&churn),
             ),
+            ("redistribution", quarantined),
+            ("rescue", rescued),
         ];
         for (label, r) in runs {
             let r = r.unwrap();

@@ -31,9 +31,11 @@
 //! Each worker shard owns its own [`Tracer`] (lock-free by
 //! construction); per-shard event streams are deterministic and are
 //! merged into a single [`TraceReport`] ordered by `(shard, seq)`.
-//! Two pseudo-shards carry engine-level events: [`PRODUCER_SHARD`]
-//! (the submission walk: dispatch, steal and enqueue) and
-//! [`ENGINE_SHARD`] (redistribution and requeue rescue).
+//! A job is traced on the stream of the card that served it, a
+//! redistributed job on its healthy shard's. Two pseudo-shards carry
+//! engine-level events: [`PRODUCER_SHARD`] (the submission walk:
+//! dispatch, steal and enqueue) and [`ENGINE_SHARD`] (the sheds of the
+//! redistribution pass, and the requeue rescue's spare card).
 //!
 //! # Export
 //!
@@ -50,7 +52,10 @@ use std::collections::{BTreeMap, VecDeque};
 /// and enqueue events).
 pub const PRODUCER_SHARD: u32 = u32::MAX;
 
-/// Pseudo-shard id for engine-level redistribution/requeue events.
+/// Pseudo-shard id for the engine's own stream: jobs the
+/// redistribution pass shed (no healthy shard, or past deadline), and
+/// the requeue rescue's spare card, whose jobs carry the same
+/// open/stage/close events as a shard's.
 pub const ENGINE_SHARD: u32 = u32::MAX - 1;
 
 /// Pseudo-shard id for fleet-level router events (failover and hedge

@@ -93,7 +93,6 @@ fn engine_matches_serial_across_policies_on_bursty() {
         ShardPolicy::RoundRobin,
         ShardPolicy::Balanced,
         ShardPolicy::Dynamic,
-        ShardPolicy::Auction,
     ] {
         let engine = Engine::new(EngineConfig {
             workers: 4,
@@ -190,7 +189,6 @@ fn dedup_mix_matches_serial_and_dedup_counters_are_deterministic() {
         ShardPolicy::RoundRobin,
         ShardPolicy::Balanced,
         ShardPolicy::Dynamic,
-        ShardPolicy::Auction,
     ] {
         let engine = Engine::with_factory(
             EngineConfig {
@@ -257,9 +255,7 @@ fn kernel_seed() -> u64 {
     aaod_bench::env_seed("AAOD_KERNEL_SEED", 42)
 }
 
-/// A card whose bank includes the DSP/AI tier (the worker `verify`
-/// golden is pinned to the standard bank, so identity is checked
-/// against a serial pass instead).
+/// A card whose bank includes the DSP/AI tier.
 fn kernel_card() -> CoProcessor {
     CoProcessor::builder()
         .bank(aaod_algos::AlgorithmBank::extended())
@@ -269,7 +265,8 @@ fn kernel_card() -> CoProcessor {
 /// The DSP/AI kernel mix (72/56/64-frame images on a 96-frame device,
 /// so every policy is under constant reconfiguration pressure) is
 /// byte-identical run-to-run under every sharding policy, makespan
-/// and merged stats included.
+/// and merged stats included, and every output verifies against the
+/// card's own bank.
 #[test]
 fn kernel_mix_is_repeatable_across_policies() {
     let workload = mixes::kernel_workload(90, kernel_seed());
@@ -278,11 +275,11 @@ fn kernel_mix_is_repeatable_across_policies() {
         ShardPolicy::RoundRobin,
         ShardPolicy::Balanced,
         ShardPolicy::Dynamic,
-        ShardPolicy::Auction,
     ] {
         let engine = Engine::with_factory(
             EngineConfig {
                 workers: 4,
+                verify: true,
                 shard: policy,
                 ..EngineConfig::default()
             },
@@ -298,7 +295,7 @@ fn kernel_mix_is_repeatable_across_policies() {
 }
 
 /// The same mix through a replicated fleet: identical outputs, job
-/// assignment and ledger run-to-run.
+/// assignment and ledger run-to-run, every output verified.
 #[test]
 fn kernel_mix_cluster_is_repeatable() {
     use aaod_core::{Cluster, ClusterConfig};
@@ -309,6 +306,7 @@ fn kernel_mix_cluster_is_repeatable() {
             cards: 4,
             replication: 2,
             card_workers: 2,
+            verify: true,
             ..ClusterConfig::default()
         },
         kernel_card,
@@ -318,6 +316,100 @@ fn kernel_mix_cluster_is_repeatable() {
     assert_eq!(a.outputs, b.outputs);
     assert_eq!(a.assignment, b.assignment);
     assert_eq!(a.stats, b.stats);
+}
+
+/// Verifies the DSP/AI kernel mix on extended-bank cards under
+/// `config`: every output is checked against the bank of the card
+/// that served it.
+fn serve_verified_kernel_mix(config: EngineConfig) -> aaod_core::EngineResult {
+    let workload = mixes::kernel_workload(60, 1);
+    Engine::with_factory(
+        EngineConfig {
+            verify: true,
+            ..config
+        },
+        kernel_card,
+    )
+    .serve(&workload)
+    .expect("outputs verify against the serving card's bank")
+}
+
+/// Jobs the shards serve from their own streams verify against the
+/// extended bank their cards carry.
+#[test]
+fn shard_runs_verify_against_the_cards_bank() {
+    let r = serve_verified_kernel_mix(EngineConfig {
+        workers: 2,
+        shard: ShardPolicy::Balanced,
+        ..EngineConfig::default()
+    });
+    assert_eq!(r.overload.completed, 60);
+}
+
+/// Jobs redistributed to a healthy shard after a threshold-1 breaker
+/// opened verify against that shard's card.
+#[test]
+fn redistributed_jobs_verify_against_the_cards_bank() {
+    use aaod_core::{BreakerConfig, DeadlinePolicy, FaultConfig, OverloadConfig};
+    use aaod_sim::{FaultPlan, FaultRates, SimTime};
+    let r = serve_verified_kernel_mix(EngineConfig {
+        workers: 3,
+        shard: ShardPolicy::Balanced,
+        faults: Some(FaultConfig {
+            max_retries: 0,
+            ..FaultConfig::new(FaultPlan::new(1, FaultRates::uniform(0.01)))
+        }),
+        overload: Some(OverloadConfig {
+            interarrival: SimTime::from_us(100),
+            deadline: DeadlinePolicy::Absolute(SimTime::from_secs(100)),
+            breaker: BreakerConfig {
+                failure_threshold: 1,
+                cooldown: SimTime::from_secs(1),
+            },
+            ..OverloadConfig::default()
+        }),
+        ..EngineConfig::default()
+    });
+    assert!(r.overload.redistributed > 0, "{:?}", r.overload);
+}
+
+/// Jobs the requeue pass rescues on the spare card verify against the
+/// spare's bank.
+#[test]
+fn rescued_jobs_verify_against_the_cards_bank() {
+    use aaod_core::FaultConfig;
+    use aaod_sim::{FaultPlan, FaultRates};
+    let r = serve_verified_kernel_mix(EngineConfig {
+        workers: 2,
+        shard: ShardPolicy::Balanced,
+        faults: Some(FaultConfig {
+            max_retries: 0,
+            requeue: true,
+            ..FaultConfig::new(FaultPlan::new(1, FaultRates::uniform(0.05)))
+        }),
+        ..EngineConfig::default()
+    });
+    assert!(r.faults.requeues > 0, "{:?}", r.faults);
+}
+
+/// A fleet of extended-bank cards verifies every output on the card
+/// engine that served it.
+#[test]
+fn cluster_verifies_against_the_cards_bank() {
+    use aaod_core::{Cluster, ClusterConfig};
+    let workload = mixes::kernel_workload(60, 1);
+    let r = Cluster::with_factory(
+        ClusterConfig {
+            cards: 4,
+            card_workers: 2,
+            verify: true,
+            ..ClusterConfig::default()
+        },
+        kernel_card,
+    )
+    .serve(&workload, &aaod_algos::AlgorithmBank::extended())
+    .expect("outputs verify against the serving card's bank");
+    assert_eq!(r.outputs.map(|o| o.len()), Some(60));
 }
 
 /// The E20 predictive-policy seed. `AAOD_PREDICT_SEED` pins or sweeps
@@ -338,7 +430,7 @@ fn churn_card() -> CoProcessor {
 /// The engine-level predictive prefetcher is a pure function of each
 /// shard's arrival subsequence: the same stream must drive bit-equal
 /// prefetch decisions (merged `OsStats`, prefetch counters included)
-/// run-to-run under every sharding policy — auction arm included —
+/// run-to-run under every sharding policy,
 /// and speculation must never change a single output byte.
 #[test]
 fn predictive_engine_is_repeatable_and_output_invariant_across_policies() {
@@ -352,7 +444,6 @@ fn predictive_engine_is_repeatable_and_output_invariant_across_policies() {
         ShardPolicy::RoundRobin,
         ShardPolicy::Balanced,
         ShardPolicy::Dynamic,
-        ShardPolicy::Auction,
     ] {
         let engine = Engine::with_factory(
             EngineConfig {

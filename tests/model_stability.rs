@@ -138,3 +138,222 @@ fn key_types_are_send() {
     assert_send::<aaod_workload::Workload>();
     assert_send::<aaod_fabric::Device>();
 }
+
+/// FNV-1a 64 fingerprint, for pinning long renderings compactly.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Every modelled field of an engine run the second pass
+/// (redistribution and the requeue rescue) can touch, rendered as
+/// text: the clocks, breaker timelines, the four ledgers, the keys of
+/// each terminal map, the latency, sojourn and recovery summaries and
+/// a digest of the outputs.
+fn engine_snapshot(r: &aaod_core::EngineResult) -> String {
+    let outputs: Vec<u8> = r
+        .outputs
+        .iter()
+        .flatten()
+        .flat_map(|o| (o.len() as u64).to_le_bytes().into_iter().chain(o.clone()))
+        .collect();
+    format!(
+        "makespan={:?}\nshard_busy={:?}\nshard_health={:?}\noverload={:?}\nfaults={:?}\n\
+         stats={:?}\nfailed={:?}\nshed={:?}\ndeadline_missed={:?}\nlatency={:?}\n\
+         sojourn={:?}\nrecovery={:?}\noutputs={:016x}",
+        r.makespan,
+        r.shard_busy,
+        r.shard_health,
+        r.overload,
+        r.faults,
+        r.stats,
+        r.failed.keys().collect::<Vec<_>>(),
+        r.shed.keys().collect::<Vec<_>>(),
+        r.deadline_missed.keys().collect::<Vec<_>>(),
+        r.latency.summary_ns(),
+        r.sojourn.summary_ns(),
+        r.recovery_latency.summary_ns(),
+        fnv1a(&outputs),
+    )
+}
+
+/// Checks a run against its pinned makespan and snapshot digest,
+/// printing the whole snapshot on a mismatch so the diff is readable.
+fn assert_snapshot(label: &str, r: &aaod_core::EngineResult, makespan_ps: u64, digest: u64) {
+    let snap = engine_snapshot(r);
+    assert_eq!(
+        (r.makespan.as_ps(), fnv1a(snap.as_bytes())),
+        (makespan_ps, digest),
+        "{label} drifted; snapshot:\n{snap}"
+    );
+}
+
+/// The skewed four-kernel stream of the engine overload suite.
+fn overload_workload() -> aaod_workload::Workload {
+    aaod_workload::Workload::zipf(
+        &[ids::SHA1, ids::CRC32, ids::CRC8, ids::XTEA],
+        200,
+        1.1,
+        48,
+        31,
+    )
+}
+
+/// A verifying engine of `workers` algo-modulo shards under `oc`.
+fn overload_engine(
+    workers: usize,
+    oc: aaod_core::OverloadConfig,
+    faults: aaod_core::FaultConfig,
+) -> aaod_core::Engine {
+    aaod_core::Engine::new(aaod_core::EngineConfig {
+        workers,
+        verify: true,
+        shard: aaod_core::ShardPolicy::AlgoModulo,
+        overload: Some(oc),
+        faults: Some(faults),
+        ..aaod_core::EngineConfig::default()
+    })
+}
+
+/// Redistribution pinned: a threshold-1 breaker that stays open for
+/// the run bounces most of the stream, and the healthy shards re-serve
+/// it after the pool drains.
+#[test]
+fn redistribution_snapshot_is_stable() {
+    use aaod_core::{BreakerConfig, DeadlinePolicy, FaultConfig, OverloadConfig, WatchdogConfig};
+    use aaod_sim::{FaultPlan, FaultRates, SimTime};
+    let mut fc = FaultConfig::new(FaultPlan::new(0x0D10AD, FaultRates::uniform(0.05)));
+    fc.max_retries = 0;
+    let oc = OverloadConfig {
+        interarrival: SimTime::from_us(100),
+        deadline: DeadlinePolicy::Absolute(SimTime::from_secs(100)),
+        watchdog: WatchdogConfig::default(),
+        breaker: BreakerConfig {
+            failure_threshold: 1,
+            cooldown: SimTime::from_secs(1),
+        },
+        fairness: None,
+    };
+    let r = overload_engine(3, oc, fc)
+        .serve(&overload_workload())
+        .unwrap();
+    assert_eq!(r.overload.redistributed, 189);
+    assert_snapshot("redistribution", &r, 19_903_173_334, 3663440525094750916);
+}
+
+/// The requeue rescue pinned at both ends of the deadline budget:
+/// tight deadlines leave nothing to rescue, generous ones rescue every
+/// failed job on the spare card.
+#[test]
+fn rescue_snapshots_are_stable() {
+    use aaod_core::{BreakerConfig, DeadlinePolicy, FaultConfig, OverloadConfig, WatchdogConfig};
+    use aaod_sim::{FaultPlan, FaultRates, SimTime};
+    let w = overload_workload();
+    let mut cp = CoProcessor::default();
+    for &algo in &w.distinct_algos() {
+        cp.install(algo).unwrap();
+    }
+    let total = (0..w.len()).fold(SimTime::ZERO, |t, i| {
+        t + cp
+            .invoke(w.requests()[i].algo_id, &w.input(i))
+            .unwrap()
+            .1
+            .total()
+    });
+    let mut fc = FaultConfig::new(FaultPlan::new(0x0D10AD, FaultRates::uniform(0.05)));
+    fc.max_retries = 0;
+    fc.requeue = true;
+    let oc = |interarrival: SimTime, budget: SimTime| OverloadConfig {
+        interarrival,
+        deadline: DeadlinePolicy::Absolute(budget),
+        watchdog: WatchdogConfig::default(),
+        breaker: BreakerConfig {
+            failure_threshold: u32::MAX,
+            cooldown: SimTime::from_ms(5),
+        },
+        fairness: None,
+    };
+    let tight = overload_engine(2, oc(SimTime::from_ns(1), total / 4), fc)
+        .serve(&w)
+        .unwrap();
+    assert_eq!(tight.faults.requeues, 0);
+    assert_snapshot("tight rescue", &tight, 906_477_973, 8994821448791383247);
+    let generous = overload_engine(2, oc(SimTime::from_us(100), SimTime::from_secs(100)), fc)
+        .serve(&w)
+        .unwrap();
+    assert!(generous.faults.requeues > 0);
+    assert_snapshot(
+        "generous rescue",
+        &generous,
+        21_866_163_720,
+        1981332641463633023,
+    );
+}
+
+/// The benchmark's `overload_chaos` engine (three weighted tenants,
+/// corruption and latency faults, watchdog, fair shedding, 60 us open
+/// loop, 2 ms deadline) pinned at N = 2,000, seed 1.
+#[test]
+fn overload_chaos_snapshot_is_stable() {
+    use aaod_core::{
+        DeadlinePolicy, Engine, EngineConfig, FairnessConfig, FaultConfig, OverloadConfig,
+        ShardPolicy, WatchdogConfig,
+    };
+    use aaod_sim::{FaultPlan, FaultRates, LatencyRates, SimTime};
+    use aaod_workload::{TenantSpec, Workload};
+    let tenant = |name: &str, algos: &[u16], weight: u32, offered: u32| TenantSpec {
+        name: name.into(),
+        algos: algos.to_vec(),
+        weight,
+        offered,
+        input_len: 256,
+        quota: None,
+    };
+    let seed = 1u64;
+    let w = Workload::multi_tenant(
+        &[
+            tenant("gateway", &[ids::AES128, ids::HMAC_SHA1, ids::XTEA], 4, 4),
+            tenant("telemetry", &[ids::SHA1, ids::SHA256, ids::CRC32], 2, 2),
+            tenant(
+                "flood",
+                &[
+                    ids::CRC8,
+                    ids::ADDER8,
+                    ids::POPCNT8,
+                    ids::PARITY8,
+                    ids::FIR,
+                    ids::MATMUL8,
+                ],
+                1,
+                6,
+            ),
+        ],
+        2_000,
+        seed,
+    );
+    let plan = FaultPlan::new(
+        seed ^ 0x0BE7_C4A0_5FA1_7500,
+        FaultRates::uniform(0.005 / 4.0),
+    )
+    .with_latency(LatencyRates::uniform(0.01 / 3.0));
+    let r = Engine::new(EngineConfig {
+        workers: 2,
+        shard: ShardPolicy::Balanced,
+        faults: Some(FaultConfig::new(plan)),
+        overload: Some(OverloadConfig {
+            interarrival: SimTime::from_us(60),
+            deadline: DeadlinePolicy::Absolute(SimTime::from_ms(2)),
+            watchdog: WatchdogConfig {
+                heartbeat: SimTime::from_us(100),
+                missed_beats: 3,
+            },
+            fairness: Some(FairnessConfig::default()),
+            ..OverloadConfig::default()
+        }),
+        ..EngineConfig::default()
+    })
+    .serve(&w)
+    .unwrap();
+    assert_snapshot("overload_chaos", &r, 122_566_921_819, 9027506783174421054);
+}

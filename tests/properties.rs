@@ -732,55 +732,114 @@ proptest! {
         interarrival_ns in 1u64..200_000,
         workers in 1usize..4,
     ) {
-        use aaod_algos::ids;
-        use aaod_core::{
-            DeadlinePolicy, Engine, EngineConfig, FaultConfig, OverloadConfig, TraceConfig,
-        };
+        use aaod_core::{DeadlinePolicy, FaultConfig, OverloadConfig};
         use aaod_sim::{FaultPlan, FaultRates, LatencyRates, SimTime};
-        let algos = [ids::SHA1, ids::CRC32, ids::CRC8, ids::XTEA];
-        let w = aaod_workload::Workload::zipf(&algos, 48, 1.1, 32, seed);
         let plan = FaultPlan::new(seed, FaultRates::uniform(fault_rate))
             .with_latency(LatencyRates::uniform(latency_rate));
-        let r = Engine::new(EngineConfig {
-            workers,
-            verify: true,
-            overload: Some(OverloadConfig {
-                interarrival: SimTime::from_ns(interarrival_ns),
-                deadline: DeadlinePolicy::Absolute(SimTime::from_secs(1)),
-                ..OverloadConfig::default()
-            }),
-            faults: Some(FaultConfig::new(plan)),
-            trace: TraceConfig::counters(),
-            ..EngineConfig::default()
-        })
-        .serve(&w)
-        .unwrap();
-        prop_assert!(r.overload.accounted());
-        let c = &r.trace.as_ref().unwrap().metrics.counters;
-        prop_assert_eq!(c.enqueued, 48);
-        prop_assert_eq!(c.dequeued, 48);
-        prop_assert_eq!(c.shed, r.overload.shed);
-        prop_assert_eq!(c.bounced, r.overload.breaker_rejections);
-        prop_assert_eq!(c.redistributed, r.overload.redistributed);
-        prop_assert_eq!(c.watchdog_resets, r.overload.watchdog_resets);
-        prop_assert_eq!(c.breaker_trips, r.overload.breaker_trips);
-        prop_assert_eq!(c.jobs_deadline_missed, r.overload.deadline_missed);
-        prop_assert_eq!(
-            c.faults_injected,
-            r.faults.injected
-                + r.overload.stalls_injected
-                + r.overload.slow_transfers_injected
-                + r.overload.stuck_injected
-        );
-        prop_assert_eq!(c.faults_inert, r.faults.inert + r.overload.latency_inert);
-        prop_assert_eq!(c.retries, r.faults.retries);
-        prop_assert_eq!(c.requeued, r.faults.requeues);
-        prop_assert_eq!(c.faults_failed, r.faults.faults_failed);
-        prop_assert_eq!(c.repairs_scrub, r.faults.scrubbed);
-        prop_assert_eq!(c.repairs_redownload, r.faults.redownloads);
-        prop_assert_eq!(c.repairs_pci_retry, r.faults.pci_retried);
-        prop_assert_eq!(c.repairs_evict_clear, r.faults.evict_cleared);
+        let oc = OverloadConfig {
+            interarrival: SimTime::from_ns(interarrival_ns),
+            deadline: DeadlinePolicy::Absolute(SimTime::from_secs(1)),
+            ..OverloadConfig::default()
+        };
+        trace_matches_ledgers(workers, seed, oc, FaultConfig::new(plan))?;
     }
+}
+
+/// Serves a 48-request chaos + overload mix with counters-level
+/// tracing and checks every trace-derived counter against the ledger
+/// it mirrors, including the job ledger: every opened job closes
+/// exactly once, and the completed and deadline-missed closes match
+/// the overload ledger in every mode, second pass included.
+fn trace_matches_ledgers(
+    workers: usize,
+    seed: u64,
+    oc: aaod_core::OverloadConfig,
+    faults: aaod_core::FaultConfig,
+) -> Result<aaod_core::EngineResult, TestCaseError> {
+    use aaod_algos::ids;
+    use aaod_core::{Engine, EngineConfig, TraceConfig};
+    let algos = [ids::SHA1, ids::CRC32, ids::CRC8, ids::XTEA];
+    let w = aaod_workload::Workload::zipf(&algos, 48, 1.1, 32, seed);
+    let r = Engine::new(EngineConfig {
+        workers,
+        verify: true,
+        overload: Some(oc),
+        faults: Some(faults),
+        trace: TraceConfig::counters(),
+        ..EngineConfig::default()
+    })
+    .serve(&w)
+    .unwrap();
+    prop_assert!(r.overload.accounted());
+    let c = &r.trace.as_ref().unwrap().metrics.counters;
+    prop_assert_eq!(c.enqueued, 48);
+    prop_assert_eq!(c.dequeued, 48);
+    prop_assert_eq!(c.shed, r.overload.shed);
+    prop_assert_eq!(c.bounced, r.overload.breaker_rejections);
+    prop_assert_eq!(c.redistributed, r.overload.redistributed);
+    prop_assert_eq!(c.watchdog_resets, r.overload.watchdog_resets);
+    prop_assert_eq!(c.breaker_trips, r.overload.breaker_trips);
+    prop_assert_eq!(
+        c.jobs_opened,
+        c.jobs_completed + c.jobs_faulted + c.jobs_deadline_missed
+    );
+    prop_assert_eq!(c.jobs_completed, r.overload.completed);
+    prop_assert_eq!(c.jobs_deadline_missed, r.overload.deadline_missed);
+    prop_assert_eq!(
+        c.faults_injected,
+        r.faults.injected
+            + r.overload.stalls_injected
+            + r.overload.slow_transfers_injected
+            + r.overload.stuck_injected
+    );
+    prop_assert_eq!(c.faults_inert, r.faults.inert + r.overload.latency_inert);
+    prop_assert_eq!(c.retries, r.faults.retries);
+    prop_assert_eq!(c.requeued, r.faults.requeues);
+    prop_assert_eq!(c.faults_failed, r.faults.faults_failed);
+    prop_assert_eq!(c.repairs_scrub, r.faults.scrubbed);
+    prop_assert_eq!(c.repairs_redownload, r.faults.redownloads);
+    prop_assert_eq!(c.repairs_pci_retry, r.faults.pci_retried);
+    prop_assert_eq!(c.repairs_evict_clear, r.faults.evict_cleared);
+    Ok(r)
+}
+
+/// The trace ledger identities on the two second-pass configurations
+/// the random inputs rarely reach: a threshold-1 breaker that stays
+/// open (most jobs are redistributed) and the requeue rescue with no
+/// retries (every landed fault's job is rescued on the spare).
+#[test]
+fn trace_counters_identical_to_ledgers_in_the_second_pass() {
+    use aaod_core::{BreakerConfig, DeadlinePolicy, FaultConfig, OverloadConfig};
+    use aaod_sim::{FaultPlan, FaultRates, SimTime};
+    let oc = OverloadConfig {
+        interarrival: SimTime::from_us(100),
+        deadline: DeadlinePolicy::Absolute(SimTime::from_secs(100)),
+        breaker: BreakerConfig {
+            failure_threshold: 1,
+            cooldown: SimTime::from_secs(1),
+        },
+        ..OverloadConfig::default()
+    };
+    let mut fc = FaultConfig::new(FaultPlan::new(0x0D10AD, FaultRates::uniform(0.05)));
+    fc.max_retries = 0;
+    let r = trace_matches_ledgers(3, 31, oc, fc).unwrap();
+    assert!(r.overload.redistributed > 0, "{:?}", r.overload);
+    fc.requeue = true;
+    let never_trips = BreakerConfig {
+        failure_threshold: u32::MAX,
+        ..oc.breaker
+    };
+    let r = trace_matches_ledgers(
+        2,
+        31,
+        OverloadConfig {
+            breaker: never_trips,
+            ..oc
+        },
+        fc,
+    )
+    .unwrap();
+    assert!(r.faults.requeues > 0, "{:?}", r.faults);
 }
 
 // Realistic-traffic and multi-tenant admission properties (E19). The
