@@ -40,8 +40,8 @@ fn print_table() {
     for window in [8usize, 32, 128, 512, 2048, 8192] {
         let mut device = Device::new(geom);
         let mut module = ConfigModule::new(window, aaod_sim::clock::domains::mcu());
-        let report = module
-            .configure(&encoded, &mut device, &port, &addrs)
+        let (report, _) = module
+            .configure(&encoded, None, &mut device, &port, &addrs)
             .expect("configure");
         t.row_owned(vec![
             window.to_string(),

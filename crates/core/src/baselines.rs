@@ -62,6 +62,11 @@ impl SoftwareExecutor {
         Ok((output, t))
     }
 
+    /// The bank the kernels run from.
+    pub fn bank(&self) -> &AlgorithmBank {
+        &self.bank
+    }
+
     /// Total modelled CPU time so far.
     pub fn total_time(&self) -> SimTime {
         self.total_time
@@ -128,6 +133,11 @@ impl FixedFunctionCoProcessor {
         } else {
             self.software.invoke(algo_id, input)
         }
+    }
+
+    /// The bank both the card and the software fallback serve from.
+    pub fn bank(&self) -> &AlgorithmBank {
+        self.software.bank()
     }
 
     /// Requests that fell back to software.

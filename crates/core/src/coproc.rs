@@ -1,4 +1,10 @@
 //! The host-facing co-processor: PCI + microcontroller + fabric.
+//!
+//! [`CoProcessor`] puts the PCI bus in front of the mini-OS: every
+//! operand and result crosses the bus, and every invocation is a batch
+//! of one or more inputs for one function. The card has one detail
+//! log, owned by the controller; the bus pushes its bursts into it as
+//! transfers complete, so a drained stream reads in true time order.
 
 use crate::error::CoreError;
 use aaod_algos::AlgorithmBank;
@@ -8,7 +14,7 @@ use aaod_mcu::{
     InvokeReport, LruPolicy, MiniOs, MiniOsConfig, OsStats, ReconfigMode, ReplacementPolicy,
 };
 use aaod_pci::{Direction, PciBus, PciConfig, PciError};
-use aaod_sim::trace::{DetailEvent, DetailLog};
+use aaod_sim::trace::DetailEvent;
 use aaod_sim::SimTime;
 
 /// Host-visible timing of one invocation: the card-internal breakdown
@@ -108,12 +114,6 @@ impl CoProcessorBuilder {
         self
     }
 
-    /// Sets the local RAM size in bytes.
-    pub fn ram_size(mut self, bytes: usize) -> Self {
-        self.os.ram_size = bytes;
-        self
-    }
-
     /// Sets the PCI bus parameters.
     pub fn pci(mut self, pci: PciConfig) -> Self {
         self.pci = pci;
@@ -154,7 +154,6 @@ impl CoProcessorBuilder {
         let mut cp = CoProcessor {
             os: MiniOs::new(self.os),
             bus: PciBus::new(self.pci),
-            details: DetailLog::new(),
         };
         if self.trace {
             cp.set_trace(true);
@@ -174,9 +173,6 @@ impl Default for CoProcessorBuilder {
 pub struct CoProcessor {
     os: MiniOs,
     bus: PciBus,
-    /// Card-level detail buffer (PCI bursts interleaved in true
-    /// temporal order with the controller's drained details).
-    details: DetailLog,
 }
 
 impl CoProcessor {
@@ -207,7 +203,7 @@ impl CoProcessor {
     /// transfer (retries included) is recorded as one burst detail;
     /// tracing only snapshots counters, it never adds modelled time.
     fn transfer(&mut self, bytes: u64, dir: Direction) -> SimTime {
-        let before = self.details.enabled().then(|| self.bus.stats());
+        let before = self.os.trace_enabled().then(|| self.bus.stats());
         let mut aborted = SimTime::ZERO;
         let time = loop {
             match self.bus.try_transfer(bytes, dir) {
@@ -217,21 +213,13 @@ impl CoProcessor {
         };
         if let Some(before) = before {
             let d = self.bus.stats().delta(&before);
-            self.details.push(DetailEvent::PciBurst {
+            self.os.record_detail(DetailEvent::PciBurst {
                 write: dir == Direction::Write,
                 bytes: d.bytes_written + d.bytes_read,
                 transactions: d.transactions,
             });
         }
         time
-    }
-
-    /// Moves the controller's buffered details into the card-level log
-    /// so the stream reads in true temporal order.
-    fn absorb_os_details(&mut self) {
-        if self.details.enabled() {
-            self.os.drain_details_into(&mut self.details);
-        }
     }
 
     /// Invokes an installed function on `input`, returning the result
@@ -275,7 +263,6 @@ impl CoProcessor {
             pci_input_times.push(self.transfer(input.len() as u64, Direction::Write));
         }
         let os_results = self.os.invoke_batch(algo_id, inputs)?;
-        self.absorb_os_details();
         let mut results = Vec::with_capacity(os_results.len());
         for ((output, os_report), pci_input_time) in os_results.into_iter().zip(pci_input_times) {
             let pci_output_time = self.transfer(output.len() as u64, Direction::Read);
@@ -352,38 +339,29 @@ impl CoProcessor {
         self.os.prefetch_hint(algo)
     }
 
-    /// Enables or disables the observability detail log on the card
-    /// and its controller. When on, PCI bursts and the controller's
-    /// cache/eviction/reconfiguration details are buffered (in true
-    /// temporal order) for the trace assembler to drain with
-    /// [`CoProcessor::take_details`]. Tracing never adds modelled
-    /// time, so every timing result is identical with it on or off.
+    /// Enables or disables the card's detail log, which the
+    /// controller owns (see [`aaod_mcu::MiniOs::set_trace`]). When on,
+    /// PCI bursts and the controller's cache, eviction and
+    /// reconfiguration details are buffered in the order they happen,
+    /// a prefetch's before the next batch's input bursts, for the
+    /// trace assembler to drain with [`CoProcessor::take_details_into`].
+    /// Tracing never adds modelled time, so every timing result is
+    /// identical with it on or off.
     pub fn set_trace(&mut self, on: bool) {
-        self.details.set_enabled(on);
         self.os.set_trace(on);
     }
 
     /// Whether the detail log is recording.
     pub fn trace_enabled(&self) -> bool {
-        self.details.enabled()
+        self.os.trace_enabled()
     }
 
-    /// Drains the buffered detail events (any still sitting in the
-    /// controller are absorbed first).
-    pub fn take_details(&mut self) -> Vec<DetailEvent> {
-        self.absorb_os_details();
-        self.details.take()
-    }
-
-    /// Allocation-free variant of [`CoProcessor::take_details`]:
-    /// clears `buf` and drains the buffered events into it, reusing
-    /// its capacity across calls. Hot loops (the engine workers) call
-    /// this once per batch so the detail drain stops churning a fresh
-    /// `Vec` per batch.
+    /// Clears `buf` and drains the buffered detail events into it,
+    /// reusing its capacity across calls. Hot loops (the engine's
+    /// shard drivers) call this once per batch so the drain does not
+    /// allocate a fresh `Vec` per batch.
     pub fn take_details_into(&mut self, buf: &mut Vec<DetailEvent>) {
-        buf.clear();
-        self.absorb_os_details();
-        self.details.drain_into(buf);
+        self.os.take_details_into(buf);
     }
 
     /// PCI bus statistics.
@@ -427,6 +405,12 @@ impl Default for CoProcessor {
 mod tests {
     use super::*;
     use aaod_algos::ids;
+
+    fn take_details(cp: &mut CoProcessor) -> Vec<DetailEvent> {
+        let mut details = Vec::new();
+        cp.take_details_into(&mut details);
+        details
+    }
 
     #[test]
     fn install_and_invoke() {
@@ -537,14 +521,14 @@ mod tests {
         let mut cp = CoProcessor::builder().trace(true).build();
         assert!(cp.trace_enabled());
         cp.install(ids::SHA1).unwrap();
-        let install_details = cp.take_details();
+        let install_details = take_details(&mut cp);
         assert!(matches!(
             install_details[..],
             [D::PciBurst { write: true, .. }]
         ));
         let inputs: Vec<&[u8]> = vec![b"one", b"two"];
         cp.invoke_batch(ids::SHA1, &inputs).unwrap();
-        let details = cp.take_details();
+        let details = take_details(&mut cp);
         // Temporal order: both input writes, controller work, then
         // both output reads.
         assert!(matches!(details[0], D::PciBurst { write: true, .. }));
@@ -571,19 +555,48 @@ mod tests {
     }
 
     #[test]
+    fn prefetch_details_precede_the_next_batch_in_time_order() {
+        use aaod_sim::DetailEvent as D;
+        let mut cp = CoProcessor::builder().trace(true).build();
+        cp.install(ids::CRC32).unwrap();
+        cp.install(ids::SHA1).unwrap();
+        cp.invoke(ids::CRC32, b"123456789").unwrap();
+        take_details(&mut cp);
+        assert!(cp.prefetch_hint(ids::SHA1));
+        cp.invoke(ids::CRC32, b"123456789").unwrap();
+        let details = take_details(&mut cp);
+        // the prefetch ran first, so its configuration leads the stream
+        assert!(
+            matches!(
+                details[..],
+                [
+                    D::RomFetch { algo: a, .. },
+                    D::Decompress { algo: b, .. },
+                    D::PortWrite { algo: c, frames: 12 },
+                    D::DecodedCache { algo: d, hit: false },
+                    D::PciBurst { write: true, bytes: 9, .. },
+                    D::Residency { algo: e, hit: true },
+                    D::PciBurst { write: false, bytes: 4, .. },
+                ] if [a, b, c, d] == [ids::SHA1; 4] && e == ids::CRC32
+            ),
+            "{details:?}"
+        );
+    }
+
+    #[test]
     fn invoke_is_a_batch_of_one() {
         let mut single = CoProcessor::builder().trace(true).build();
         let mut batched = CoProcessor::builder().trace(true).build();
         single.install(ids::SHA1).unwrap();
         batched.install(ids::SHA1).unwrap();
-        assert_eq!(single.take_details(), batched.take_details());
+        assert_eq!(take_details(&mut single), take_details(&mut batched));
         // first call misses, second hits
         for _ in 0..2 {
             let got = single.invoke(ids::SHA1, b"abc").unwrap();
             let want = batched.invoke_batch(ids::SHA1, &[b"abc"]).unwrap();
             assert_eq!(want.len(), 1);
             assert_eq!(got, want[0]);
-            assert_eq!(single.take_details(), batched.take_details());
+            assert_eq!(take_details(&mut single), take_details(&mut batched));
             assert_eq!(single.pci_stats(), batched.pci_stats());
         }
         assert_eq!(single.stats(), batched.stats());

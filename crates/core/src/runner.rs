@@ -4,6 +4,8 @@
 use crate::baselines::{FixedFunctionCoProcessor, SoftwareExecutor};
 use crate::coproc::CoProcessor;
 use crate::error::CoreError;
+use aaod_algos::AlgorithmBank;
+use aaod_mcu::OsStats;
 use aaod_sim::stats::TimeAccumulator;
 use aaod_sim::SimTime;
 use aaod_workload::Workload;
@@ -22,21 +24,13 @@ pub trait Executor {
     /// Propagates the underlying system's errors.
     fn run(&mut self, algo_id: u16, input: &[u8]) -> Result<(Vec<u8>, SimTime), CoreError>;
 
-    /// `(hits, misses, evictions)` if the executor has a residency
-    /// cache; `None` for stateless executors.
-    fn cache_stats(&self) -> Option<(u64, u64, u64)> {
-        None
-    }
+    /// The bank the executor serves from, which holds the golden
+    /// software models [`run_workload`] verifies against.
+    fn bank(&self) -> &AlgorithmBank;
 
-    /// `(decoded_hits, decoded_misses, decoded_bytes_saved)` if the
-    /// executor keeps a decoded-bitstream cache; `None` otherwise.
-    fn decoded_stats(&self) -> Option<(u64, u64, u64)> {
-        None
-    }
-
-    /// `(scrubs, scrub_repairs, redownloads)` if the executor can
-    /// recover from configuration or ROM corruption; `None` otherwise.
-    fn recovery_stats(&self) -> Option<(u64, u64, u64)> {
+    /// The controller ledger (residency, decoded cache, recovery) if
+    /// the executor runs a reconfigurable card; `None` otherwise.
+    fn os_stats(&self) -> Option<OsStats> {
         None
     }
 }
@@ -51,19 +45,12 @@ impl Executor for CoProcessor {
         Ok((out, report.total()))
     }
 
-    fn cache_stats(&self) -> Option<(u64, u64, u64)> {
-        let s = self.stats();
-        Some((s.hits, s.misses, s.evictions))
+    fn bank(&self) -> &AlgorithmBank {
+        self.os().bank()
     }
 
-    fn decoded_stats(&self) -> Option<(u64, u64, u64)> {
-        let s = self.stats();
-        Some((s.decoded_hits, s.decoded_misses, s.decoded_bytes_saved))
-    }
-
-    fn recovery_stats(&self) -> Option<(u64, u64, u64)> {
-        let s = self.stats();
-        Some((s.scrubs, s.scrub_repairs, s.redownloads))
+    fn os_stats(&self) -> Option<OsStats> {
+        Some(self.stats())
     }
 }
 
@@ -75,6 +62,10 @@ impl Executor for SoftwareExecutor {
     fn run(&mut self, algo_id: u16, input: &[u8]) -> Result<(Vec<u8>, SimTime), CoreError> {
         self.invoke(algo_id, input)
     }
+
+    fn bank(&self) -> &AlgorithmBank {
+        SoftwareExecutor::bank(self)
+    }
 }
 
 impl Executor for FixedFunctionCoProcessor {
@@ -84,6 +75,10 @@ impl Executor for FixedFunctionCoProcessor {
 
     fn run(&mut self, algo_id: u16, input: &[u8]) -> Result<(Vec<u8>, SimTime), CoreError> {
         self.invoke(algo_id, input)
+    }
+
+    fn bank(&self) -> &AlgorithmBank {
+        FixedFunctionCoProcessor::bank(self)
     }
 }
 
@@ -163,8 +158,8 @@ impl RunResult {
 /// Drives `executor` through every request of `workload`.
 ///
 /// When `verify` is set, each hardware output is checked against the
-/// golden software model (slow; used by tests and examples, skipped in
-/// timing sweeps).
+/// golden software model of the executor's own bank (slow; used by
+/// tests and examples, skipped in timing sweeps).
 ///
 /// # Errors
 ///
@@ -175,10 +170,7 @@ pub fn run_workload(
     workload: &Workload,
     verify: bool,
 ) -> Result<RunResult, CoreError> {
-    let golden = aaod_algos::AlgorithmBank::standard();
-    let cache_before = executor.cache_stats();
-    let decoded_before = executor.decoded_stats();
-    let recovery_before = executor.recovery_stats();
+    let before = executor.os_stats().unwrap_or_default();
     let mut latency = TimeAccumulator::new();
     let mut input_bytes = 0u64;
     for (i, req) in workload.requests().iter().enumerate() {
@@ -187,7 +179,8 @@ pub fn run_workload(
         let (output, t) = executor.run(req.algo_id, &input)?;
         latency.push(t);
         if verify {
-            let expected = golden
+            let expected = executor
+                .bank()
                 .execute_software(req.algo_id, &input)
                 .map_err(CoreError::Algo)?;
             if output != expected {
@@ -198,38 +191,24 @@ pub fn run_workload(
             }
         }
     }
-    let cache_after = executor.cache_stats();
-    let decoded_after = executor.decoded_stats();
-    let recovery_after = executor.recovery_stats();
-    fn deltas(
-        before: &Option<(u64, u64, u64)>,
-        after: &Option<(u64, u64, u64)>,
-        f: fn(&(u64, u64, u64)) -> u64,
-    ) -> Option<u64> {
-        match (before, after) {
-            (Some(b), Some(a)) => Some(f(a) - f(b)),
-            (None, Some(a)) => Some(f(a)),
-            _ => None,
-        }
-    }
-    let delta = |f: fn(&(u64, u64, u64)) -> u64| deltas(&cache_before, &cache_after, f);
-    let decoded = |f: fn(&(u64, u64, u64)) -> u64| deltas(&decoded_before, &decoded_after, f);
-    let recovery = |f: fn(&(u64, u64, u64)) -> u64| deltas(&recovery_before, &recovery_after, f);
+    // what this run added to the ledger, for executors that keep one
+    let after = executor.os_stats();
+    let delta = |f: fn(&OsStats) -> u64| after.as_ref().map(|a| f(a) - f(&before));
     Ok(RunResult {
         executor: executor.name(),
         workload: workload.name().to_string(),
         requests: workload.len(),
         input_bytes,
         total_time: latency.total(),
-        hits: delta(|s| s.0),
-        misses: delta(|s| s.1),
-        evictions: delta(|s| s.2),
-        decoded_hits: decoded(|s| s.0),
-        decoded_misses: decoded(|s| s.1),
-        decoded_bytes_saved: decoded(|s| s.2),
-        scrubs: recovery(|s| s.0),
-        scrub_repairs: recovery(|s| s.1),
-        redownloads: recovery(|s| s.2),
+        hits: delta(|s| s.hits),
+        misses: delta(|s| s.misses),
+        evictions: delta(|s| s.evictions),
+        decoded_hits: delta(|s| s.decoded_hits),
+        decoded_misses: delta(|s| s.decoded_misses),
+        decoded_bytes_saved: delta(|s| s.decoded_bytes_saved),
+        scrubs: delta(|s| s.scrubs),
+        scrub_repairs: delta(|s| s.scrub_repairs),
+        redownloads: delta(|s| s.redownloads),
         latency,
     })
 }
@@ -261,6 +240,22 @@ mod tests {
         assert_eq!(r.scrubs, Some(0), "no corruption, no scrubbing");
         assert_eq!(r.scrub_repairs, Some(0));
         assert_eq!(r.redownloads, Some(0));
+    }
+
+    #[test]
+    fn verification_uses_the_executors_own_bank() {
+        // the DSP/AI kernels exist only in the extended bank
+        let mut cp = CoProcessor::builder()
+            .bank(aaod_algos::AlgorithmBank::extended())
+            .build();
+        for &id in &ids::DSP_AI {
+            cp.install(id).unwrap();
+        }
+        let w = Workload::round_robin(&ids::DSP_AI, 6, 4096);
+        let r = run_workload(&mut cp, &w, true).unwrap();
+        assert_eq!(r.requests, 6);
+        let mut sw = SoftwareExecutor::with_bank(aaod_algos::AlgorithmBank::extended());
+        assert_eq!(run_workload(&mut sw, &w, true).unwrap().requests, 6);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use crate::error::McuError;
 use aaod_bitstream::canon::decanon_frame;
 use aaod_bitstream::codec::deltav2::DeltaV2Reader;
-use aaod_bitstream::codec::CodecId;
+use aaod_bitstream::codec::{Codec, CodecId};
 use aaod_bitstream::crc::crc32;
 use aaod_bitstream::{BitstreamError, BitstreamHeader, FrameKey, FrameStore, HEADER_BYTES};
 use aaod_fabric::{ConfigPort, Device, FrameAddress};
@@ -89,7 +89,21 @@ impl ConfigModule {
     }
 
     /// Decompresses `encoded` (header + payload, as stored in ROM) and
-    /// configures `device` at `addrs` through `port`.
+    /// configures `device` at `addrs` through `port`, returning the
+    /// timing report and the decoded frames (the decoded-bitstream
+    /// cache keeps them).
+    ///
+    /// Given an enabled frame `store` and a DeltaV2 bitstream, each
+    /// frame record's store hint is probed first: an exact-content hit
+    /// serves the resident bytes and a canonical-class hit rebuilds
+    /// them via the recorded inverse permutation, both CRC-guarded
+    /// against the hint, so a store hit is always byte-equal to a full
+    /// decode. Only missing frames are decoded, and they are inserted
+    /// for future bitstreams. Store-served bytes cost
+    /// `STORE_HIT_CYCLES_PER_BYTE` and each frame counts as one window.
+    /// Every other bitstream, or any bitstream without an enabled
+    /// store, streams through the codec's decompressor one `window` at
+    /// a time.
     ///
     /// `addrs` must supply exactly the number of frames the header
     /// declares; frames are written in order as they complete, so a
@@ -100,34 +114,56 @@ impl ConfigModule {
     /// # Errors
     ///
     /// Returns header/CRC/codec errors from the bitstream layer,
-    /// [`McuError::RecordMismatch`] if `addrs` disagrees with the
-    /// header's frame count, and fabric errors from the port writes.
+    /// [`McuError::RecordMismatch`] if `addrs` or the device geometry
+    /// disagrees with the header, and fabric errors from the port
+    /// writes.
     pub fn configure(
         &mut self,
         encoded: &[u8],
-        device: &mut Device,
-        port: &ConfigPort,
-        addrs: &[FrameAddress],
-    ) -> Result<ConfigReport, McuError> {
-        self.configure_inner(encoded, device, port, addrs, false)
-            .map(|(report, _)| report)
-    }
-
-    /// As [`ConfigModule::configure`], but also returns the decoded
-    /// frames so the caller can retain them (the decoded-bitstream
-    /// cache does).
-    ///
-    /// # Errors
-    ///
-    /// As [`ConfigModule::configure`].
-    pub fn configure_collect(
-        &mut self,
-        encoded: &[u8],
+        store: Option<&mut FrameStore>,
         device: &mut Device,
         port: &ConfigPort,
         addrs: &[FrameAddress],
     ) -> Result<(ConfigReport, Vec<Vec<u8>>), McuError> {
-        self.configure_inner(encoded, device, port, addrs, true)
+        let header = BitstreamHeader::parse(encoded)?;
+        let payload = &encoded[HEADER_BYTES..];
+        header.verify_payload(payload)?;
+        if addrs.len() != header.n_frames as usize {
+            return Err(McuError::RecordMismatch(format!(
+                "{} frame addresses supplied for a {}-frame bitstream",
+                addrs.len(),
+                header.n_frames
+            )));
+        }
+        let frame_bytes = header.frame_bytes as usize;
+        if frame_bytes != device.geometry().frame_bytes() {
+            return Err(McuError::RecordMismatch(format!(
+                "bitstream frame size {} != device frame size {}",
+                frame_bytes,
+                device.geometry().frame_bytes()
+            )));
+        }
+        let codec = header.make_codec();
+        let mut sink = FrameSink {
+            device,
+            port,
+            addrs,
+            report: ConfigReport::default(),
+            frames: Vec::with_capacity(addrs.len()),
+        };
+        let decode_cycles =
+            match store.filter(|s| header.codec == CodecId::DeltaV2 && s.is_enabled()) {
+                Some(store) => decode_through_store(payload, codec.as_ref(), store, &mut sink)?,
+                None => self.decode_windows(codec.as_ref(), payload, &mut sink)?,
+            };
+        let FrameSink {
+            mut report, frames, ..
+        } = sink;
+        report.frames_written = frames.len();
+        report.decompress_time = self
+            .clock
+            .cycles(decode_cycles + WINDOW_OVERHEAD_CYCLES * report.windows);
+        Ok((report, frames))
     }
 
     /// Configures `device` at `addrs` from already-decoded `frames`
@@ -170,198 +206,138 @@ impl ConfigModule {
         Ok(report)
     }
 
-    /// Configures from a DeltaV2 bitstream through the
-    /// content-addressed frame `store` (the v2 partial-reconfig miss
-    /// path): each frame record's store hint is probed first — an
-    /// exact-content hit serves the resident bytes, a canonical-class
-    /// hit rebuilds them via the recorded inverse permutation — and
-    /// only missing frames are decoded. Every served frame is
-    /// CRC-guarded against the record's hint, so a store hit is always
-    /// byte-equal to a full decode; decoded frames are inserted for
-    /// future bitstreams. Returns the decoded frames alongside the
-    /// report, as [`ConfigModule::configure_collect`] does.
-    ///
-    /// Timing: store-served bytes cost `STORE_HIT_CYCLES_PER_BYTE`,
-    /// decoded bytes the codec's per-byte rate; each frame counts as
-    /// one window.
-    ///
-    /// # Errors
-    ///
-    /// Returns header/CRC/codec errors from the bitstream layer,
-    /// [`McuError::RecordMismatch`] if the bitstream is not DeltaV2 or
-    /// disagrees with `addrs`/the device geometry, and fabric errors
-    /// from the port writes.
-    pub fn configure_v2(
+    /// Pulls `payload` through `codec`'s streaming decoder one window
+    /// at a time, assembling whole frames in the module's buffers for
+    /// `sink`. Returns the decode cycles, window overhead excluded.
+    fn decode_windows(
         &mut self,
-        encoded: &[u8],
-        store: &mut FrameStore,
-        device: &mut Device,
-        port: &ConfigPort,
-        addrs: &[FrameAddress],
-    ) -> Result<(ConfigReport, Vec<Vec<u8>>), McuError> {
-        let header = BitstreamHeader::parse(encoded)?;
-        let payload = &encoded[HEADER_BYTES..];
-        header.verify_payload(payload)?;
-        if header.codec != CodecId::DeltaV2 {
-            return Err(McuError::RecordMismatch(format!(
-                "configure_v2 on a {} bitstream",
-                header.codec
-            )));
-        }
-        if addrs.len() != header.n_frames as usize {
-            return Err(McuError::RecordMismatch(format!(
-                "{} frame addresses supplied for a {}-frame bitstream",
-                addrs.len(),
-                header.n_frames
-            )));
-        }
-        let frame_bytes = header.frame_bytes as usize;
-        if frame_bytes != device.geometry().frame_bytes() {
-            return Err(McuError::RecordMismatch(format!(
-                "bitstream frame size {} != device frame size {}",
-                frame_bytes,
-                device.geometry().frame_bytes()
-            )));
-        }
-        let decode_cost = header.make_codec().cycles_per_output_byte();
-        let mut reader = DeltaV2Reader::new(frame_bytes, payload)?;
-        if reader.total_len() != addrs.len() * frame_bytes {
-            return Err(McuError::Bitstream(BitstreamError::CorruptPayload(
-                format!(
-                    "delta-v2 stream declares {} bytes for {} frames of {frame_bytes}",
-                    reader.total_len(),
-                    addrs.len()
-                ),
-            )));
-        }
-        let mut report = ConfigReport::default();
-        let mut collected: Vec<Vec<u8>> = Vec::with_capacity(addrs.len());
-        let mut decompress_cycles = 0u64;
-        let mut next_frame = 0usize;
-        while let Some(record) = reader.next_record()? {
-            // probe the store before spending decompressor cycles; the
-            // CRC guard turns any hash mismatch into a plain decode
-            let mut served: Option<Arc<Vec<u8>>> = None;
-            if let Some(hint) = record.hint.filter(|_| store.is_enabled()) {
-                let key = FrameKey {
-                    canon: hint.canon_hash,
-                    raw: hint.raw_hash,
-                };
-                if store.contains(key) {
-                    let frame = store.get_raw(key).expect("contains checked");
-                    if frame.len() == record.expected_len && crc32(&frame) == hint.frame_crc {
-                        served = Some(frame);
-                    }
-                } else if let Some(canonical) = store.get_canon(hint.canon_hash) {
-                    let frame = decanon_frame(&canonical, hint.perm);
-                    if frame.len() == record.expected_len && crc32(&frame) == hint.frame_crc {
-                        served = Some(Arc::new(frame));
-                    }
-                }
-            }
-            let frame = match served {
-                Some(frame) => {
-                    decompress_cycles += STORE_HIT_CYCLES_PER_BYTE * frame.len() as u64;
-                    reader.accept_frame(&record, Arc::clone(&frame))?;
-                    frame
-                }
-                None => {
-                    let frame = reader.decode_record(&record)?;
-                    decompress_cycles += decode_cost * frame.len() as u64;
-                    store.insert(&frame);
-                    frame
-                }
-            };
-            report.windows += 1;
-            report.bytes += frame.len();
-            report.port_time += port.write_frame(device, addrs[next_frame], &frame)?;
-            collected.push(frame.as_ref().clone());
-            next_frame += 1;
-        }
-        decompress_cycles += WINDOW_OVERHEAD_CYCLES * report.windows;
-        report.decompress_time = self.clock.cycles(decompress_cycles);
-        report.frames_written = next_frame;
-        Ok((report, collected))
-    }
-
-    fn configure_inner(
-        &mut self,
-        encoded: &[u8],
-        device: &mut Device,
-        port: &ConfigPort,
-        addrs: &[FrameAddress],
-        collect: bool,
-    ) -> Result<(ConfigReport, Vec<Vec<u8>>), McuError> {
-        let header = BitstreamHeader::parse(encoded)?;
-        let payload = &encoded[HEADER_BYTES..];
-        header.verify_payload(payload)?;
-        if addrs.len() != header.n_frames as usize {
-            return Err(McuError::RecordMismatch(format!(
-                "{} frame addresses supplied for a {}-frame bitstream",
-                addrs.len(),
-                header.n_frames
-            )));
-        }
-        let frame_bytes = header.frame_bytes as usize;
-        if frame_bytes != device.geometry().frame_bytes() {
-            return Err(McuError::RecordMismatch(format!(
-                "bitstream frame size {} != device frame size {}",
-                frame_bytes,
-                device.geometry().frame_bytes()
-            )));
-        }
-        let codec = header.make_codec();
+        codec: &dyn Codec,
+        payload: &[u8],
+        sink: &mut FrameSink<'_>,
+    ) -> Result<u64, McuError> {
+        let frame_bytes = sink.device.geometry().frame_bytes();
         let mut decoder = codec.decompressor(payload);
         let window_buf = &mut self.window_buf;
         let frame_buf = &mut self.frame_buf;
         frame_buf.clear();
         frame_buf.reserve(frame_bytes);
-        let mut report = ConfigReport::default();
-        let mut next_frame = 0usize;
-        let mut collected: Vec<Vec<u8>> = Vec::new();
-
         loop {
             let n = decoder.read(window_buf)?;
             if n == 0 {
                 break;
             }
-            report.windows += 1;
-            report.bytes += n;
+            sink.report.windows += 1;
+            sink.report.bytes += n;
             let mut off = 0;
             while off < n {
                 let take = (frame_bytes - frame_buf.len()).min(n - off);
                 frame_buf.extend_from_slice(&window_buf[off..off + take]);
                 off += take;
                 if frame_buf.len() == frame_bytes {
-                    if next_frame >= addrs.len() {
-                        return Err(McuError::Bitstream(BitstreamError::CorruptPayload(
-                            "payload expands past the declared frame count".into(),
-                        )));
-                    }
-                    report.port_time += port.write_frame(device, addrs[next_frame], frame_buf)?;
-                    if collect {
-                        collected.push(frame_buf.clone());
-                    }
-                    next_frame += 1;
+                    sink.write(frame_buf)?;
                     frame_buf.clear();
                 }
             }
         }
-        if !frame_buf.is_empty() || next_frame != addrs.len() {
+        if !frame_buf.is_empty() || sink.frames.len() != sink.addrs.len() {
             return Err(McuError::Bitstream(BitstreamError::CorruptPayload(
                 format!(
-                    "payload ended after {next_frame} frames + {} bytes, expected {} frames",
+                    "payload ended after {} frames + {} bytes, expected {} frames",
+                    sink.frames.len(),
                     frame_buf.len(),
-                    addrs.len()
+                    sink.addrs.len()
                 ),
             )));
         }
-        let decompress_cycles = codec.cycles_per_output_byte() * report.bytes as u64
-            + WINDOW_OVERHEAD_CYCLES * report.windows;
-        report.decompress_time = self.clock.cycles(decompress_cycles);
-        report.frames_written = next_frame;
-        Ok((report, collected))
+        Ok(codec.cycles_per_output_byte() * sink.report.bytes as u64)
     }
+}
+
+/// Where a configuration's decoded frames go: each one is written
+/// through the port to the next assigned address and kept for the
+/// caller, while the report accumulates port time, windows and bytes.
+struct FrameSink<'a> {
+    device: &'a mut Device,
+    port: &'a ConfigPort,
+    addrs: &'a [FrameAddress],
+    report: ConfigReport,
+    frames: Vec<Vec<u8>>,
+}
+
+impl FrameSink<'_> {
+    fn write(&mut self, frame: &[u8]) -> Result<(), McuError> {
+        let &addr = self.addrs.get(self.frames.len()).ok_or_else(|| {
+            McuError::Bitstream(BitstreamError::CorruptPayload(
+                "payload expands past the declared frame count".into(),
+            ))
+        })?;
+        self.report.port_time += self.port.write_frame(self.device, addr, frame)?;
+        self.frames.push(frame.to_vec());
+        Ok(())
+    }
+}
+
+/// Walks a DeltaV2 `payload` record by record, serving each frame
+/// from `store` when its hint matches (CRC-guarded) and decoding it
+/// otherwise, for `sink`. Counts one window per frame and returns the
+/// decode cycles, window overhead excluded.
+fn decode_through_store(
+    payload: &[u8],
+    codec: &dyn Codec,
+    store: &mut FrameStore,
+    sink: &mut FrameSink<'_>,
+) -> Result<u64, McuError> {
+    let frame_bytes = sink.device.geometry().frame_bytes();
+    let mut reader = DeltaV2Reader::new(frame_bytes, payload)?;
+    if reader.total_len() != sink.addrs.len() * frame_bytes {
+        return Err(McuError::Bitstream(BitstreamError::CorruptPayload(
+            format!(
+                "delta-v2 stream declares {} bytes for {} frames of {frame_bytes}",
+                reader.total_len(),
+                sink.addrs.len()
+            ),
+        )));
+    }
+    let mut cycles = 0u64;
+    while let Some(record) = reader.next_record()? {
+        // probe the store before spending decompressor cycles; the CRC
+        // guard turns any hash mismatch into a plain decode
+        let mut served: Option<Arc<Vec<u8>>> = None;
+        if let Some(hint) = record.hint {
+            let key = FrameKey {
+                canon: hint.canon_hash,
+                raw: hint.raw_hash,
+            };
+            if store.contains(key) {
+                let frame = store.get_raw(key).expect("contains checked");
+                if frame.len() == record.expected_len && crc32(&frame) == hint.frame_crc {
+                    served = Some(frame);
+                }
+            } else if let Some(canonical) = store.get_canon(hint.canon_hash) {
+                let frame = decanon_frame(&canonical, hint.perm);
+                if frame.len() == record.expected_len && crc32(&frame) == hint.frame_crc {
+                    served = Some(Arc::new(frame));
+                }
+            }
+        }
+        let frame = match served {
+            Some(frame) => {
+                cycles += STORE_HIT_CYCLES_PER_BYTE * frame.len() as u64;
+                reader.accept_frame(&record, Arc::clone(&frame))?;
+                frame
+            }
+            None => {
+                let frame = reader.decode_record(&record)?;
+                cycles += codec.cycles_per_output_byte() * frame.len() as u64;
+                store.insert(&frame);
+                frame
+            }
+        };
+        sink.report.windows += 1;
+        sink.report.bytes += frame.len();
+        sink.write(&frame)?;
+    }
+    Ok(cycles)
 }
 
 #[cfg(test)]
@@ -388,8 +364,9 @@ mod tests {
         let addrs: Vec<FrameAddress> = (0..n as u16).map(FrameAddress).collect();
         let mut module = ConfigModule::new(64, aaod_sim::clock::domains::mcu());
         let report = module
-            .configure(&encoded, &mut device, &port, &addrs)
-            .unwrap();
+            .configure(&encoded, None, &mut device, &port, &addrs)
+            .unwrap()
+            .0;
         assert_eq!(report.frames_written, n);
         assert!(report.decompress_time > SimTime::ZERO);
         assert!(report.port_time > SimTime::ZERO);
@@ -410,7 +387,7 @@ mod tests {
         assert_eq!(addrs.len(), n, "test needs {n} even frames");
         let mut module = ConfigModule::new(32, aaod_sim::clock::domains::mcu());
         module
-            .configure(&encoded, &mut device, &port, &addrs)
+            .configure(&encoded, None, &mut device, &port, &addrs)
             .unwrap();
         let img = device.decode_function(&addrs).unwrap();
         assert_eq!(img.algo_id(), 3);
@@ -425,8 +402,9 @@ mod tests {
             let mut device = Device::new(DeviceGeometry::new(16, 2));
             let mut module = ConfigModule::new(window, aaod_sim::clock::domains::mcu());
             let report = module
-                .configure(&encoded, &mut device, &port, &addrs)
-                .unwrap();
+                .configure(&encoded, None, &mut device, &port, &addrs)
+                .unwrap()
+                .0;
             counts.push(report.windows);
             assert_eq!(device.decode_function(&addrs).unwrap().algo_id(), 3);
         }
@@ -440,7 +418,7 @@ mod tests {
         let addrs: Vec<FrameAddress> = (0..n as u16).map(FrameAddress).collect();
         let mut module = ConfigModule::new(64, aaod_sim::clock::domains::mcu());
         let (report, frames) = module
-            .configure_collect(&encoded, &mut device, &port, &addrs)
+            .configure(&encoded, None, &mut device, &port, &addrs)
             .unwrap();
         assert_eq!(frames.len(), n);
         assert_eq!(report.frames_written, n);
@@ -450,12 +428,48 @@ mod tests {
     }
 
     #[test]
+    fn store_serves_only_deltav2_bitstreams() {
+        // frames this large carry store hints
+        let geom = DeviceGeometry::new(16, 16);
+        let port = ConfigPort::selectmap8();
+        let image = FunctionImage::from_behavioral(3, &[9, 9], &[0x5A; 3000], 8, 8);
+        let n = image.frames_needed(geom);
+        let bitstream = Bitstream::from_image(&image, geom);
+        let encode = |id| bitstream.encode(registry::codec(id, geom.frame_bytes()).as_ref());
+        let (rle, v2) = (encode(CodecId::Rle), encode(CodecId::DeltaV2));
+        let addrs: Vec<FrameAddress> = (0..n as u16).map(FrameAddress).collect();
+        let mut module = ConfigModule::new(64, aaod_sim::clock::domains::mcu());
+        let mut store = FrameStore::new(64 * 1024);
+        let mut run = |encoded: &[u8], store: Option<&mut FrameStore>| {
+            let mut device = Device::new(geom);
+            module
+                .configure(encoded, store, &mut device, &port, &addrs)
+                .unwrap()
+        };
+        // other codecs stream through their decompressor untouched
+        assert_eq!(run(&rle, Some(&mut store)), run(&rle, None));
+        assert_eq!(store.stats(), Default::default());
+        // DeltaV2 probes the store: a cold pass fills it, a warm pass
+        // serves every hinted frame and decompresses less
+        let (plain, plain_frames) = run(&v2, None);
+        let (cold, cold_frames) = run(&v2, Some(&mut store));
+        assert!(store.stats().inserted > 0);
+        let (warm, warm_frames) = run(&v2, Some(&mut store));
+        assert!(store.stats().hits > 0);
+        assert_eq!(cold_frames, plain_frames);
+        assert_eq!(warm_frames, plain_frames);
+        assert_eq!(cold.windows, n as u64, "one window per frame record");
+        assert!(warm.decompress_time < cold.decompress_time);
+        assert_eq!(warm.port_time, plain.port_time);
+    }
+
+    #[test]
     fn configure_decoded_skips_decompression_cost() {
         let (_geom, mut device, port, encoded, n) = setup();
         let addrs: Vec<FrameAddress> = (0..n as u16).map(FrameAddress).collect();
         let mut module = ConfigModule::new(64, aaod_sim::clock::domains::mcu());
         let (full, frames) = module
-            .configure_collect(&encoded, &mut device, &port, &addrs)
+            .configure(&encoded, None, &mut device, &port, &addrs)
             .unwrap();
         // replay the decoded frames onto a fresh device
         let mut fresh = Device::new(DeviceGeometry::new(16, 2));
@@ -474,7 +488,7 @@ mod tests {
         let addrs: Vec<FrameAddress> = (0..n as u16).map(FrameAddress).collect();
         let mut module = ConfigModule::new(64, aaod_sim::clock::domains::mcu());
         let (_, frames) = module
-            .configure_collect(&encoded, &mut device, &port, &addrs)
+            .configure(&encoded, None, &mut device, &port, &addrs)
             .unwrap();
         assert!(matches!(
             module.configure_decoded(&frames[1..], &mut device, &port, &addrs),
@@ -494,7 +508,7 @@ mod tests {
         let addrs: Vec<FrameAddress> = (0..(n as u16 - 1)).map(FrameAddress).collect();
         let mut module = ConfigModule::new(64, aaod_sim::clock::domains::mcu());
         assert!(matches!(
-            module.configure(&encoded, &mut device, &port, &addrs),
+            module.configure(&encoded, None, &mut device, &port, &addrs),
             Err(McuError::RecordMismatch(_))
         ));
     }
@@ -506,7 +520,7 @@ mod tests {
         let addrs: Vec<FrameAddress> = (0..n as u16).map(FrameAddress).collect();
         let mut module = ConfigModule::new(64, aaod_sim::clock::domains::mcu());
         assert!(matches!(
-            module.configure(&encoded, &mut other, &port, &addrs),
+            module.configure(&encoded, None, &mut other, &port, &addrs),
             Err(McuError::RecordMismatch(_))
         ));
     }
@@ -519,7 +533,7 @@ mod tests {
         let addrs: Vec<FrameAddress> = (0..n as u16).map(FrameAddress).collect();
         let mut module = ConfigModule::new(64, aaod_sim::clock::domains::mcu());
         assert!(matches!(
-            module.configure(&encoded, &mut device, &port, &addrs),
+            module.configure(&encoded, None, &mut device, &port, &addrs),
             Err(McuError::Bitstream(BitstreamError::CrcMismatch { .. }))
         ));
     }

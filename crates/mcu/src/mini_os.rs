@@ -34,9 +34,13 @@ use aaod_fabric::{
     FunctionKind, Netlist, NetlistTable,
 };
 use aaod_mem::{FunctionRecord, LocalRam, MemError, MemTiming, RecordFields, Rom, RECORD_BYTES};
-use aaod_sim::{Clock, SimTime, SplitMix64};
+use aaod_sim::{Clock, DetailEvent, DetailLog, SimTime, SplitMix64};
 use std::collections::BTreeMap;
 use std::sync::Arc;
+
+/// Size of the controller's local RAM, which stages operands in its
+/// lower half and collects results in its upper half.
+const RAM_BYTES: usize = 64 * 1024;
 
 /// How the controller reconfigures the device on a miss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,8 +60,6 @@ pub struct MiniOsConfig {
     pub geometry: DeviceGeometry,
     /// Configuration ROM capacity in bytes.
     pub rom_capacity: usize,
-    /// Local RAM size in bytes.
-    pub ram_size: usize,
     /// Decompression window in bytes (paper §2.3).
     pub window: usize,
     /// Codec used by [`MiniOs::encode_bitstream`].
@@ -91,7 +93,6 @@ impl Default for MiniOsConfig {
         MiniOsConfig {
             geometry: DeviceGeometry::default(),
             rom_capacity: 512 * 1024,
-            ram_size: 64 * 1024,
             window: 256,
             codec: CodecId::Lzss,
             policy: Box::new(LruPolicy),
@@ -109,7 +110,6 @@ impl std::fmt::Debug for MiniOsConfig {
         f.debug_struct("MiniOsConfig")
             .field("geometry", &self.geometry)
             .field("rom_capacity", &self.rom_capacity)
-            .field("ram_size", &self.ram_size)
             .field("window", &self.window)
             .field("codec", &self.codec)
             .field("policy", &self.policy.name())
@@ -122,7 +122,7 @@ impl std::fmt::Debug for MiniOsConfig {
 }
 
 /// Timing and outcome of one invocation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct InvokeReport {
     /// The function invoked.
     pub algo_id: u16,
@@ -157,15 +157,6 @@ impl InvokeReport {
             + self.exec_time
             + self.output_time
     }
-}
-
-/// What [`MiniOs::ensure_resident`] did to make a function resident.
-struct ResidencyOutcome {
-    hit: bool,
-    decoded_cache_hit: bool,
-    evicted: Vec<u16>,
-    rom_time: SimTime,
-    reconfig_time: SimTime,
 }
 
 /// A resident function's decoded payload, memoized against the frame
@@ -220,7 +211,7 @@ pub struct MiniOs {
     fabric_clock: Clock,
     now: SimTime,
     stats: OsStats,
-    details: aaod_sim::trace::DetailLog,
+    details: DetailLog,
     armed_config_stall: u64,
     prefetch_enabled: bool,
     predictor: crate::prefetch::MarkovPredictor,
@@ -262,7 +253,7 @@ impl MiniOs {
             device: Device::new(config.geometry),
             port: ConfigPort::selectmap8(),
             rom: Rom::new(config.rom_capacity),
-            ram: LocalRam::new(config.ram_size),
+            ram: LocalRam::new(RAM_BYTES),
             mem_timing: MemTiming::default(),
             config_module: ConfigModule::new(config.window, mcu_clock),
             data_in: DataInputModule::new(mcu_clock),
@@ -279,7 +270,7 @@ impl MiniOs {
             fabric_clock,
             now: SimTime::ZERO,
             stats: OsStats::default(),
-            details: aaod_sim::trace::DetailLog::new(),
+            details: DetailLog::new(),
             armed_config_stall: 0,
             prefetch_enabled: config.prefetch,
             predictor: crate::prefetch::MarkovPredictor::new(),
@@ -391,8 +382,9 @@ impl MiniOs {
         // 1. record lookup — once per batch
         let (record, lookup_time) = self.lookup_record(algo_id)?;
 
-        // 2. residency — once per batch
-        let outcome = self.ensure_resident(&record)?;
+        // 2. residency — once per batch, carried by the first report
+        let mut shared = self.ensure_resident(&record)?;
+        shared.lookup_time = lookup_time;
 
         // 3. decode the configured bits back into an executable payload
         // — once per batch, and only if a frame changed since the last
@@ -456,35 +448,22 @@ impl MiniOs {
         for (i, &input) in inputs.iter().enumerate() {
             let (output, input_time, exec_time, output_time) =
                 self.execute_one(algo_id, &record, &mut evaluation, input)?;
-            let first = i == 0;
-            let report = InvokeReport {
+            // the inputs after the first are hits by construction
+            let hit = InvokeReport {
                 algo_id,
-                hit: if first { outcome.hit } else { true },
-                decoded_cache_hit: first && outcome.decoded_cache_hit,
-                evicted: if first {
-                    outcome.evicted.clone()
-                } else {
-                    Vec::new()
-                },
-                lookup_time: if first { lookup_time } else { SimTime::ZERO },
-                rom_time: if first {
-                    outcome.rom_time
-                } else {
-                    SimTime::ZERO
-                },
-                reconfig_time: if first {
-                    outcome.reconfig_time
-                } else {
-                    SimTime::ZERO
-                },
+                hit: true,
+                ..InvokeReport::default()
+            };
+            let report = InvokeReport {
                 input_time,
                 exec_time,
                 output_time,
+                ..std::mem::replace(&mut shared, hit)
             };
             self.now += report.total();
             self.table.touch(algo_id, self.now);
             self.stats.requests += 1;
-            if !first {
+            if i > 0 {
                 self.stats.hits += 1;
             }
             self.stats.lookup_time += report.lookup_time;
@@ -496,8 +475,12 @@ impl MiniOs {
             results.push((output, report));
         }
         self.last_invoked = Some(algo_id);
-        if self.prefetch_enabled && self.mode == ReconfigMode::Partial {
-            self.maybe_prefetch();
+        // built-in speculation: configure the predicted next algorithm
+        // off the critical path (see `prefetch_hint`)
+        if self.prefetch_enabled {
+            if let Some(next) = self.predictor.predict() {
+                self.prefetch_hint(next);
+            }
         }
         Ok(results)
     }
@@ -533,24 +516,23 @@ impl MiniOs {
 
     /// Makes the function resident, evicting per policy and
     /// configuring from the decoded-bitstream cache or ROM as needed.
-    fn ensure_resident(&mut self, record: &FunctionRecord) -> Result<ResidencyOutcome, McuError> {
+    /// Returns a report with the residency fields filled: hit, cache
+    /// outcome, victims, ROM and reconfiguration time.
+    fn ensure_resident(&mut self, record: &FunctionRecord) -> Result<InvokeReport, McuError> {
         let algo_id = record.algo_id;
         let hit = self.table.contains(algo_id);
         self.details
-            .push(aaod_sim::DetailEvent::Residency { algo: algo_id, hit });
-        let mut outcome = ResidencyOutcome {
-            hit,
-            decoded_cache_hit: false,
-            evicted: Vec::new(),
-            rom_time: SimTime::ZERO,
-            reconfig_time: SimTime::ZERO,
-        };
+            .push(DetailEvent::Residency { algo: algo_id, hit });
         if hit {
             self.stats.hits += 1;
             if self.prefetched.remove(&algo_id) {
                 self.stats.prefetch_hits += 1;
             }
-            return Ok(outcome);
+            return Ok(InvokeReport {
+                algo_id,
+                hit,
+                ..InvokeReport::default()
+            });
         }
         let needed = record.n_frames as usize;
         if needed > self.device.geometry().frames() {
@@ -560,83 +542,19 @@ impl MiniOs {
                 device_frames: self.device.geometry().frames(),
             });
         }
-        match self.mode {
-            ReconfigMode::Partial => {
-                while self.free.free_count() < needed {
-                    let victim = self
-                        .policy
-                        .victim(&self.table)
-                        .expect("non-empty table when frames are insufficient");
-                    let residency = self
-                        .table
-                        .remove(victim)
-                        .expect("policy returned a resident algorithm");
-                    self.free.release(&residency.frames);
-                    self.prefetched.remove(&victim);
-                    self.details.push(aaod_sim::DetailEvent::Eviction {
-                        algo: victim,
-                        frames: residency.frames.len() as u32,
-                    });
-                    outcome.evicted.push(victim);
-                    self.stats.evictions += 1;
-                }
-                let frames = self
-                    .free
-                    .allocate(needed)
-                    .expect("free count verified above");
-                let (report, rom_time, decoded_hit) = match self.configure_resident(record, &frames)
-                {
-                    Ok(r) => r,
-                    Err(e) => {
-                        // a failed configuration must not leak the
-                        // frames it was given
-                        self.free.release(&frames);
-                        return Err(e);
-                    }
-                };
-                outcome.rom_time = rom_time;
-                outcome.reconfig_time = report.total();
-                outcome.decoded_cache_hit = decoded_hit;
-                self.stats.frames_configured += report.frames_written as u64;
-                self.table.insert(algo_id, frames, self.now);
-            }
-            ReconfigMode::Full => {
-                // Everything resident is lost on a full reconfig.
-                for id in self.table.resident_ids() {
-                    let frames = self.table.remove(id).map_or(0, |r| r.frames.len());
-                    self.details.push(aaod_sim::DetailEvent::Eviction {
-                        algo: id,
-                        frames: frames as u32,
-                    });
-                    outcome.evicted.push(id);
-                    self.stats.evictions += 1;
-                }
-                self.free.reset();
-                let frames = self
-                    .free
-                    .allocate(needed)
-                    .expect("fresh free list fits any checked function");
-                // decompress (windowed, same engine), then pay the
-                // full-device configuration cost instead of the
-                // per-frame cost.
-                let (report, rom_time, decoded_hit) = match self.configure_resident(record, &frames)
-                {
-                    Ok(r) => r,
-                    Err(e) => {
-                        self.free.release(&frames);
-                        return Err(e);
-                    }
-                };
-                let full_penalty = self
-                    .port
-                    .full_time(self.device.geometry())
-                    .saturating_sub(report.port_time);
-                outcome.rom_time = rom_time;
-                outcome.reconfig_time = report.total() + full_penalty;
-                outcome.decoded_cache_hit = decoded_hit;
-                self.stats.frames_configured += self.device.geometry().frames() as u64;
-                self.table.insert(algo_id, frames, self.now);
-            }
+        let evicted = self
+            .make_room(needed, None)
+            .expect("a demand miss may evict every resident function");
+        let (report, rom_time, decoded_cache_hit) = self.install_resident(record)?;
+        let mut reconfig_time = report.total();
+        if self.mode == ReconfigMode::Full {
+            // decompress (windowed, same engine), then pay the
+            // full-device configuration cost instead of the per-frame
+            // cost.
+            reconfig_time += self
+                .port
+                .full_time(self.device.geometry())
+                .saturating_sub(report.port_time);
         }
         if self.armed_config_stall > 0 {
             // An armed stall hangs the configuration port for the
@@ -645,14 +563,105 @@ impl MiniOs {
             // a residency hit returns above without consuming it.
             let stall = std::mem::take(&mut self.armed_config_stall);
             let t = self.mcu_clock.cycles(stall);
-            outcome.reconfig_time += t;
-            self.details
-                .push(aaod_sim::DetailEvent::ConfigStall { time: t });
+            reconfig_time += t;
+            self.details.push(DetailEvent::ConfigStall { time: t });
             self.stats.config_stalls += 1;
             self.stats.config_stall_time += t;
         }
         self.stats.misses += 1;
-        Ok(outcome)
+        Ok(InvokeReport {
+            algo_id,
+            decoded_cache_hit,
+            evicted,
+            rom_time,
+            reconfig_time,
+            ..InvokeReport::default()
+        })
+    }
+
+    /// Frees at least `needed` frames and returns the evicted ids.
+    /// Partial mode evicts per the replacement policy until the free
+    /// list is long enough; Full mode evicts every resident function
+    /// in id order and resets the free list, since a full
+    /// reconfiguration erases the whole device.
+    ///
+    /// A prefetch passes its `target`: the policy walk then stops at
+    /// the target or the just-invoked function, and if it stops short
+    /// of `needed` every victim goes back into the table at `now`
+    /// (nothing was erased, but they keep no `prefetched` mark) and
+    /// `None` is returned. Evictions are counted and traced only once
+    /// room has actually been made.
+    fn make_room(&mut self, needed: usize, target: Option<u16>) -> Option<Vec<u16>> {
+        let mut victims: Vec<(u16, Vec<FrameAddress>)> = Vec::new();
+        match self.mode {
+            ReconfigMode::Partial => {
+                while self.free.free_count() < needed {
+                    let Some(victim) = self.policy.victim(&self.table) else {
+                        break;
+                    };
+                    if target.is_some_and(|t| victim == t || Some(victim) == self.last_invoked) {
+                        break; // never displace the active or target function
+                    }
+                    let residency = self
+                        .table
+                        .remove(victim)
+                        .expect("policy returned a resident algorithm");
+                    self.free.release(&residency.frames);
+                    self.prefetched.remove(&victim);
+                    victims.push((victim, residency.frames));
+                }
+            }
+            ReconfigMode::Full => {
+                for id in self.table.resident_ids() {
+                    let residency = self.table.remove(id).expect("resident id from the table");
+                    victims.push((id, residency.frames));
+                }
+                self.free.reset();
+            }
+        }
+        if self.free.free_count() < needed {
+            for (victim, frames) in victims {
+                self.free.reserve(&frames);
+                self.table.insert(victim, frames, self.now);
+            }
+            return None;
+        }
+        for (victim, frames) in &victims {
+            self.details.push(DetailEvent::Eviction {
+                algo: *victim,
+                frames: frames.len() as u32,
+            });
+            self.stats.evictions += 1;
+        }
+        Some(victims.into_iter().map(|(victim, _)| victim).collect())
+    }
+
+    /// Allocates the function's frames from a free list that has room
+    /// for them, configures them ([`MiniOs::configure_resident`]) and
+    /// enters the function in the table. A failed configuration gives
+    /// the frames back. Full mode counts the whole device as
+    /// configured.
+    fn install_resident(
+        &mut self,
+        record: &FunctionRecord,
+    ) -> Result<(ConfigReport, SimTime, bool), McuError> {
+        let frames = self
+            .free
+            .allocate(record.n_frames as usize)
+            .expect("room was made for the function");
+        let configured = match self.configure_resident(record, &frames) {
+            Ok(configured) => configured,
+            Err(e) => {
+                self.free.release(&frames);
+                return Err(e);
+            }
+        };
+        self.stats.frames_configured += match self.mode {
+            ReconfigMode::Partial => configured.0.frames_written,
+            ReconfigMode::Full => self.device.geometry().frames(),
+        } as u64;
+        self.table.insert(record.algo_id, frames, self.now);
+        Ok(configured)
     }
 
     /// Configures `frames` with the function, preferring the
@@ -678,11 +687,11 @@ impl MiniOs {
                 // the Arc hit handed the frames out without copying them
                 self.stats.decoded_clone_bytes_avoided +=
                     cached.iter().map(|f| f.len() as u64).sum::<u64>();
-                self.details.push(aaod_sim::DetailEvent::DecodedCache {
+                self.details.push(DetailEvent::DecodedCache {
                     algo: record.algo_id,
                     hit: true,
                 });
-                self.details.push(aaod_sim::DetailEvent::PortWrite {
+                self.details.push(DetailEvent::PortWrite {
                     algo: record.algo_id,
                     frames: report.frames_written as u32,
                 });
@@ -693,44 +702,36 @@ impl MiniOs {
         // so no per-miss copy of the encoded bytes
         let encoded = self.rom.bitstream_bytes(record);
         let rom_time = self.mem_timing.rom_read_time(encoded.len() as u64);
-        self.details.push(aaod_sim::DetailEvent::RomFetch {
+        self.details.push(DetailEvent::RomFetch {
             algo: record.algo_id,
             bytes: encoded.len() as u64,
         });
-        let (report, produced) = if record.codec == CodecId::DeltaV2.to_byte()
-            && self.frame_store.is_enabled()
-        {
-            // v2 path: probe the content-addressed store per frame
-            // record, decode only what is missing
-            let before = self.frame_store.stats();
-            let result = self.config_module.configure_v2(
-                encoded,
-                &mut self.frame_store,
-                &mut self.device,
-                &self.port,
-                frames,
-            )?;
-            let after = self.frame_store.stats();
-            self.stats.frame_store_hits += after.hits - before.hits;
-            self.stats.frame_store_misses += after.misses - before.misses;
-            self.stats.frame_store_bytes_deduped += after.bytes_deduped - before.bytes_deduped;
-            result
-        } else {
-            self.config_module
-                .configure_collect(encoded, &mut self.device, &self.port, frames)?
-        };
-        self.details.push(aaod_sim::DetailEvent::Decompress {
+        // the module probes the frame store itself when the bitstream
+        // is DeltaV2; for every other codec the counters stand still
+        let before = self.frame_store.stats();
+        let (report, produced) = self.config_module.configure(
+            encoded,
+            Some(&mut self.frame_store),
+            &mut self.device,
+            &self.port,
+            frames,
+        )?;
+        let after = self.frame_store.stats();
+        self.stats.frame_store_hits += after.hits - before.hits;
+        self.stats.frame_store_misses += after.misses - before.misses;
+        self.stats.frame_store_bytes_deduped += after.bytes_deduped - before.bytes_deduped;
+        self.details.push(DetailEvent::Decompress {
             algo: record.algo_id,
             windows: report.windows,
             bytes: report.bytes as u64,
         });
-        self.details.push(aaod_sim::DetailEvent::PortWrite {
+        self.details.push(DetailEvent::PortWrite {
             algo: record.algo_id,
             frames: report.frames_written as u32,
         });
         if self.decoded.is_enabled() {
             self.stats.decoded_misses += 1;
-            self.details.push(aaod_sim::DetailEvent::DecodedCache {
+            self.details.push(DetailEvent::DecodedCache {
                 algo: record.algo_id,
                 hit: false,
             });
@@ -783,41 +784,27 @@ impl MiniOs {
         Ok((output, input_time, exec_time, output_time))
     }
 
-    /// Best-effort speculative configuration of the predicted next
-    /// algorithm. Runs off the critical path — the configuration
-    /// happens in host think-time, so it costs
-    /// [`OsStats::prefetch_time`] but does not delay any request.
-    ///
-    /// Prefetch may evict per the replacement policy (configuration
-    /// prefetching is pointless on a full device otherwise), but it
-    /// refuses to evict the function that was just invoked or the
-    /// prediction target, and aborts rather than force either out.
-    fn maybe_prefetch(&mut self) {
-        let Some(next) = self.predictor.predict() else {
-            return;
-        };
-        self.prefetch_hint(next);
-    }
-
     /// Directed speculative configuration of `next` — the entry point
     /// the serving engine's predictive policy drives during a shard's
-    /// idle window; `MiniOs::maybe_prefetch` routes the built-in
-    /// Markov prediction through it too. Returns `true` when the
-    /// function ended up resident (already installed or prefetched).
+    /// idle window; with [`MiniOsConfig::prefetch`] on, every batch
+    /// routes the built-in Markov prediction through it too. Returns
+    /// `true` when the function ended up resident (already installed
+    /// or prefetched). The configuration happens in host think-time,
+    /// so it costs [`OsStats::prefetch_time`] but delays no request.
     ///
-    /// Prefetches ride the exact same residency machinery as a demand
-    /// miss (`configure_resident`): the decoded-bitstream cache and
-    /// the DeltaV2 content-addressed frame store both serve them, and
-    /// the usual `RomFetch`/`Decompress`/`PortWrite`/`DecodedCache`
-    /// detail events are emitted. Evictions it performs emit
-    /// [`DetailEvent::Eviction`](aaod_sim::DetailEvent) and charge
-    /// `stats.evictions` exactly like demand evictions, but only once
-    /// room has actually been made; an eviction pass that cannot free
-    /// enough frames is rolled back untouched (nothing was erased). A
-    /// speculative configuration that *fails* after its victims were
-    /// released cannot resurrect them (the configure may have partly
-    /// overwritten their frames), so the ledger records it in
-    /// `stats.prefetch_aborted` instead.
+    /// Prefetches ride the demand miss's own room-making and install
+    /// steps (`make_room`, `install_resident`): the decoded-bitstream
+    /// cache and the DeltaV2 content-addressed frame store both serve
+    /// them, and the usual evictions and
+    /// `RomFetch`/`Decompress`/`PortWrite`/`DecodedCache` detail events
+    /// are emitted and counted. Unlike a demand miss, an eviction pass
+    /// that cannot free enough frames without displacing the target or
+    /// the just-invoked function is rolled back untouched (nothing was
+    /// erased), and a prefetch consumes no armed config stall and
+    /// counts no miss. A speculative configuration that *fails* after
+    /// its victims were released cannot resurrect them (the configure
+    /// may have partly overwritten their frames), so the ledger records
+    /// it in `stats.prefetch_aborted` instead.
     pub fn prefetch_hint(&mut self, next: u16) -> bool {
         if self.mode != ReconfigMode::Partial {
             return false;
@@ -832,57 +819,21 @@ impl MiniOs {
         if needed > self.device.geometry().frames() {
             return false;
         }
-        let mut evicted_for_prefetch: Vec<(u16, Vec<aaod_fabric::FrameAddress>)> = Vec::new();
-        while self.free.free_count() < needed {
-            let Some(victim) = self.policy.victim(&self.table) else {
-                break;
-            };
-            if Some(victim) == self.last_invoked || victim == next {
-                break; // never displace the active or target function
-            }
-            let residency = self
-                .table
-                .remove(victim)
-                .expect("policy returned a resident algorithm");
-            self.free.release(&residency.frames);
-            self.prefetched.remove(&victim);
-            evicted_for_prefetch.push((victim, residency.frames));
-        }
-        if self.free.free_count() < needed {
-            // could not make room without touching protected functions:
-            // roll the speculative evictions back (nothing was erased)
-            for (victim, frames) in evicted_for_prefetch {
-                self.free.reserve(&frames);
-                self.table.insert(victim, frames, self.now);
-            }
+        if self.make_room(needed, Some(next)).is_none() {
             return false;
         }
-        for (victim, frames) in &evicted_for_prefetch {
-            self.details.push(aaod_sim::DetailEvent::Eviction {
-                algo: *victim,
-                frames: frames.len() as u32,
-            });
-            self.stats.evictions += 1;
-        }
-        let frames = self
-            .free
-            .allocate(needed)
-            .expect("free count verified above");
-        match self.configure_resident(&record, &frames) {
+        match self.install_resident(&record) {
             Ok((report, rom_time, _decoded_hit)) => {
-                self.stats.frames_configured += report.frames_written as u64;
                 self.stats.prefetches += 1;
                 self.stats.prefetch_time += rom_time + report.total();
-                self.table.insert(next, frames, self.now);
                 self.prefetched.insert(next);
                 true
             }
             Err(_) => {
-                // speculative work is best-effort: give the frames
-                // back and reconcile the ledger — the victims are
+                // speculative work is best-effort: the frames went
+                // back, and the ledger records that the victims are
                 // gone (their frames may be partly overwritten) with
                 // no resident target to show for it.
-                self.free.release(&frames);
                 self.stats.prefetch_aborted += 1;
                 false
             }
@@ -1024,9 +975,15 @@ impl MiniOs {
                 .ok_or(McuError::Mem(MemError::RecordNotFound(id)))?;
             let encoded = self.rom.bitstream_bytes(&record);
             report.time += self.mem_timing.rom_read_time(encoded.len() as u64);
-            let config =
-                self.config_module
-                    .configure(encoded, &mut self.device, &self.port, frames)?;
+            // no frame store: a repair decodes the whole bitstream, so
+            // its time does not depend on what the store holds
+            let (config, _) = self.config_module.configure(
+                encoded,
+                None,
+                &mut self.device,
+                &self.port,
+                frames,
+            )?;
             report.time += config.total();
             report.repaired.push(id);
         }
@@ -1192,11 +1149,12 @@ impl MiniOs {
         self.stats
     }
 
-    /// Enables or disables the observability detail log. When
-    /// enabled, residency checks, cache outcomes, evictions, ROM
-    /// fetches, decompressions, port writes and config stalls are
-    /// buffered as [`aaod_sim::DetailEvent`]s for the trace assembler
-    /// to drain. Recording never advances modelled time.
+    /// Enables or disables the card's detail log. When enabled,
+    /// residency checks, cache outcomes, evictions, ROM fetches,
+    /// decompressions, port writes and config stalls are buffered as
+    /// [`aaod_sim::DetailEvent`]s, in the order they happen, for the
+    /// trace assembler to drain. Recording never advances modelled
+    /// time.
     pub fn set_trace(&mut self, on: bool) {
         self.details.set_enabled(on);
     }
@@ -1206,17 +1164,18 @@ impl MiniOs {
         self.details.enabled()
     }
 
-    /// Drains the buffered detail events.
-    pub fn take_details(&mut self) -> Vec<aaod_sim::DetailEvent> {
-        self.details.take()
+    /// Appends an event from a card component outside the controller
+    /// (the PCI driver's bursts) to the same log, so the stream keeps
+    /// true time order. Dropped when the log is off.
+    pub fn record_detail(&mut self, event: DetailEvent) {
+        self.details.push(event);
     }
 
-    /// Moves the buffered detail events into `dst` without allocating
-    /// (the allocation-free counterpart of
-    /// [`MiniOs::take_details`]; see
-    /// [`aaod_sim::DetailLog::drain_into_log`]).
-    pub fn drain_details_into(&mut self, dst: &mut aaod_sim::DetailLog) {
-        self.details.drain_into_log(dst);
+    /// Clears `buf` and moves the buffered detail events into it,
+    /// reusing its capacity.
+    pub fn take_details_into(&mut self, buf: &mut Vec<DetailEvent>) {
+        buf.clear();
+        self.details.drain_into(buf);
     }
 
     /// The controller's monotonic simulated clock.
@@ -1322,6 +1281,12 @@ mod tests {
     use super::*;
     use aaod_algos::ids;
     use aaod_fabric::FabricError;
+
+    fn take_details(os: &mut MiniOs) -> Vec<aaod_sim::DetailEvent> {
+        let mut details = Vec::new();
+        os.take_details_into(&mut details);
+        details
+    }
 
     fn small_os(frames: u16, policy: Box<dyn ReplacementPolicy>) -> MiniOs {
         MiniOs::new(MiniOsConfig {
@@ -1634,16 +1599,16 @@ mod tests {
         os.invoke(ids::AES128, &[0; 16]).unwrap();
         os.invoke(ids::SHA1, b"x").unwrap();
         assert!(!os.resident().contains(&ids::SHA256));
-        os.take_details(); // discard bring-up + serving details
-                           // SHA256 (16 frames) needs room: AES (LRU victim) must go.
+        take_details(&mut os); // discard bring-up + serving details
+                               // SHA256 (16 frames) needs room: AES (LRU victim) must go.
         let before = os.stats().evictions;
         assert!(os.prefetch_hint(ids::SHA256));
         let evicted = os.stats().evictions - before;
         assert!(evicted >= 1, "prefetch should have evicted");
-        let details = os.take_details();
+        let details = take_details(&mut os);
         let detail_evictions = details
             .iter()
-            .filter(|e| matches!(e, aaod_sim::DetailEvent::Eviction { .. }))
+            .filter(|e| matches!(e, DetailEvent::Eviction { .. }))
             .count() as u64;
         assert_eq!(
             detail_evictions, evicted,
@@ -2062,7 +2027,7 @@ mod tests {
         let mut os = os_with(&[ids::CRC32]);
         os.invoke(ids::CRC32, b"123456789").unwrap();
         assert!(!os.trace_enabled());
-        assert!(os.take_details().is_empty());
+        assert!(take_details(&mut os).is_empty());
     }
 
     #[test]
@@ -2071,7 +2036,7 @@ mod tests {
         let mut os = os_with(&[ids::CRC32]);
         os.set_trace(true);
         os.invoke(ids::CRC32, b"123456789").unwrap();
-        let details = os.take_details();
+        let details = take_details(&mut os);
         use aaod_sim::DetailEvent as D;
         // Miss path: residency miss, ROM fetch, decompress, port
         // write, decoded-cache miss note.
@@ -2093,7 +2058,7 @@ mod tests {
             .any(|d| matches!(d, D::DecodedCache { hit: false, .. })));
         // Hit path: just the residency hit.
         os.invoke(ids::CRC32, b"123456789").unwrap();
-        let details = os.take_details();
+        let details = take_details(&mut os);
         assert_eq!(details.len(), 1);
         assert!(matches!(details[0], D::Residency { hit: true, .. }));
         // Tracing observed, never perturbed, the modelled clock.
@@ -2397,10 +2362,10 @@ mod tests {
         os.invoke(ids::SHA1, b"x").unwrap();
         os.set_trace(true);
         os.invoke(ids::SHA256, b"y").unwrap();
-        let details = os.take_details();
+        let details = take_details(&mut os);
         assert!(details.iter().any(|d| matches!(
             d,
-            aaod_sim::DetailEvent::Eviction { algo, frames } if *algo == ids::AES128 && *frames > 0
+            DetailEvent::Eviction { algo, frames } if *algo == ids::AES128 && *frames > 0
         )));
     }
 }

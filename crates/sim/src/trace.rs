@@ -349,10 +349,11 @@ pub enum DetailEvent {
 
 /// Component-side buffer of [`DetailEvent`]s.
 ///
-/// Hardware models push into this when enabled; the trace assembler
-/// (the engine worker or traced runner) drains it after each
-/// invocation and stamps the events with modelled timestamps. Disabled
-/// logs drop pushes immediately.
+/// A card keeps exactly one: the mini-OS owns it and the PCI driver
+/// pushes its bursts into the same log, so the buffered stream is in
+/// true time order. The trace assembler (the engine's shard driver)
+/// drains it after each batch and stamps the events with modelled
+/// timestamps. Disabled logs drop pushes immediately.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DetailLog {
     enabled: bool,
@@ -385,39 +386,12 @@ impl DetailLog {
         }
     }
 
-    /// Drains and returns every buffered event.
-    pub fn take(&mut self) -> Vec<DetailEvent> {
-        std::mem::take(&mut self.events)
-    }
-
     /// Moves every buffered event into `buf` (appended in order),
-    /// leaving this log empty but with its capacity intact. The
-    /// allocation-free counterpart of [`DetailLog::take`] for hot
-    /// loops that reuse a caller-owned buffer.
+    /// leaving this log empty but with its capacity intact, so hot
+    /// loops that reuse a caller-owned buffer drain without
+    /// allocating.
     pub fn drain_into(&mut self, buf: &mut Vec<DetailEvent>) {
         buf.append(&mut self.events);
-    }
-
-    /// Moves every buffered event into `dst`'s buffer in order. When
-    /// `dst` is disabled the events are discarded, matching
-    /// [`DetailLog::push`]. Neither log allocates if `dst` has
-    /// capacity.
-    pub fn drain_into_log(&mut self, dst: &mut DetailLog) {
-        if dst.enabled {
-            dst.events.append(&mut self.events);
-        } else {
-            self.events.clear();
-        }
-    }
-
-    /// Buffered event count.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// `true` if nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 }
 
@@ -1484,17 +1458,20 @@ mod tests {
     #[test]
     fn detail_log_gates_pushes() {
         let mut log = DetailLog::new();
+        let mut drained = Vec::new();
         log.push(DetailEvent::RomFetch { algo: 1, bytes: 10 });
-        assert!(log.is_empty());
+        log.drain_into(&mut drained);
+        assert!(drained.is_empty(), "a disabled log drops pushes");
         log.set_enabled(true);
         log.push(DetailEvent::RomFetch { algo: 1, bytes: 10 });
-        assert_eq!(log.len(), 1);
-        let drained = log.take();
-        assert_eq!(drained.len(), 1);
-        assert!(log.is_empty());
+        log.drain_into(&mut drained);
+        assert_eq!(drained, vec![DetailEvent::RomFetch { algo: 1, bytes: 10 }]);
+        log.drain_into(&mut drained);
+        assert_eq!(drained.len(), 1, "draining empties the log");
         log.push(DetailEvent::RomFetch { algo: 2, bytes: 20 });
         log.set_enabled(false);
-        assert!(log.is_empty());
+        log.drain_into(&mut drained);
+        assert_eq!(drained.len(), 1, "disabling clears the buffer");
     }
 
     #[test]
@@ -1506,38 +1483,12 @@ mod tests {
         let mut buf = Vec::with_capacity(8);
         log.drain_into(&mut buf);
         assert_eq!(buf.len(), 2);
-        assert!(log.is_empty());
         let cap = buf.capacity();
         buf.clear();
         log.push(DetailEvent::RomFetch { algo: 3, bytes: 30 });
         log.drain_into(&mut buf);
         assert_eq!(buf, vec![DetailEvent::RomFetch { algo: 3, bytes: 30 }]);
         assert_eq!(buf.capacity(), cap);
-    }
-
-    #[test]
-    fn detail_log_drain_into_log_respects_dst_gate() {
-        let mut src = DetailLog::new();
-        src.set_enabled(true);
-        src.push(DetailEvent::RomFetch { algo: 1, bytes: 10 });
-        let mut dst = DetailLog::new();
-        // disabled destination discards, matching `push`
-        src.drain_into_log(&mut dst);
-        assert!(src.is_empty());
-        assert!(dst.is_empty());
-        // enabled destination receives in order
-        dst.set_enabled(true);
-        src.push(DetailEvent::RomFetch { algo: 2, bytes: 20 });
-        src.push(DetailEvent::RomFetch { algo: 3, bytes: 30 });
-        src.drain_into_log(&mut dst);
-        assert!(src.is_empty());
-        assert_eq!(
-            dst.take(),
-            vec![
-                DetailEvent::RomFetch { algo: 2, bytes: 20 },
-                DetailEvent::RomFetch { algo: 3, bytes: 30 },
-            ]
-        );
     }
 
     #[test]

@@ -357,3 +357,233 @@ fn overload_chaos_snapshot_is_stable() {
     .unwrap();
     assert_snapshot("overload_chaos", &r, 122_566_921_819, 9027506783174421054);
 }
+
+/// One card-level miss-path scenario on a 40-frame card (AES and
+/// TDES alone overcommit it): demand misses and hits, explicit
+/// prefetches (one of which must roll back its victims), an SEU
+/// repaired by a scrub and ROM rot repaired by a re-download. Renders
+/// every request's host report (or error), the scrub and prefetch
+/// outcomes, the final `OsStats`, the frame-store counters, the
+/// resident set and a digest of the outputs.
+fn card_snapshot(
+    codec: CodecId,
+    mode: aaod_mcu::ReconfigMode,
+    prefetch: bool,
+    decoded_cache_bytes: usize,
+    frame_store_bytes: usize,
+) -> String {
+    use std::fmt::Write;
+    let mut cp = CoProcessor::builder()
+        .geometry(DeviceGeometry::new(40, 16))
+        .codec(codec)
+        .mode(mode)
+        .prefetch(prefetch)
+        .decoded_cache_bytes(decoded_cache_bytes)
+        .frame_store_bytes(frame_store_bytes)
+        .build();
+    let algos = [
+        ids::CRC32,
+        ids::SHA1,
+        ids::AES128,
+        ids::TDES,
+        ids::XTEA,
+        ids::SHA256,
+        ids::CRC8,
+    ];
+    for &algo in &algos {
+        cp.install(algo).unwrap();
+    }
+    let mut rng = aaod_sim::SplitMix64::new(0xCA4D);
+    let mut log = String::new();
+    let mut outputs = Vec::new();
+    let mut step = 0u8;
+    let mut invoke = |cp: &mut CoProcessor, log: &mut String, algo: u16| {
+        step = step.wrapping_add(1);
+        let input: Vec<u8> = (0..48u8).map(|i| i.wrapping_mul(step) ^ 0x5A).collect();
+        match cp.invoke(algo, &input) {
+            Ok((out, report)) => {
+                writeln!(log, "{algo}: {report:?}").unwrap();
+                outputs.extend_from_slice(&out);
+            }
+            Err(e) => writeln!(log, "{algo}: {e:?}").unwrap(),
+        }
+    };
+    // CRC32 and a prefetched SHA1 leave just enough room for AES.
+    invoke(&mut cp, &mut log, ids::CRC32);
+    writeln!(log, "hint sha1: {}", cp.prefetch_hint(ids::SHA1)).unwrap();
+    invoke(&mut cp, &mut log, ids::AES128);
+    // TDES needs 18 frames: CRC32 and SHA1 free only 16 before the
+    // LRU reaches the just-invoked AES, so the prefetch rolls back.
+    writeln!(log, "hint tdes: {}", cp.prefetch_hint(ids::TDES)).unwrap();
+    writeln!(log, "resident: {:?}", cp.resident()).unwrap();
+    for algo in [ids::SHA1, ids::TDES, ids::XTEA, ids::CRC8, ids::AES128] {
+        invoke(&mut cp, &mut log, algo);
+    }
+    writeln!(log, "hint sha256: {}", cp.prefetch_hint(ids::SHA256)).unwrap();
+    for algo in [ids::SHA256, ids::CRC32, ids::TDES, ids::SHA1] {
+        invoke(&mut cp, &mut log, algo);
+    }
+    // an upset on a resident function, found and repaired by a scrub
+    let victim = cp.resident()[0];
+    writeln!(
+        log,
+        "seu {victim}: {}",
+        cp.os_mut().inject_seu(victim, &mut rng)
+    )
+    .unwrap();
+    writeln!(log, "scrub: {:?}", cp.scrub().unwrap()).unwrap();
+    invoke(&mut cp, &mut log, victim);
+    // flash rot: the next miss fails its CRC until the re-download
+    cp.os_mut().inject_rom_rot(ids::AES128, &mut rng).unwrap();
+    invoke(&mut cp, &mut log, ids::AES128);
+    writeln!(log, "redownload: {:?}", cp.os_mut().redownload(ids::AES128)).unwrap();
+    writeln!(log, "hint xtea: {}", cp.prefetch_hint(ids::XTEA)).unwrap();
+    for algo in [ids::AES128, ids::XTEA, ids::TDES, ids::SHA1, ids::CRC32] {
+        invoke(&mut cp, &mut log, algo);
+    }
+    writeln!(
+        log,
+        "stats: {:?}\nstore: {:?}\nresident: {:?}\noutputs: {:016x}",
+        cp.stats(),
+        cp.os().frame_store().stats(),
+        cp.resident(),
+        fnv1a(&outputs)
+    )
+    .unwrap();
+    log
+}
+
+/// The card's miss path pinned for every codec, both reconfiguration
+/// modes, built-in prefetch off and on, the decoded cache on and off
+/// and the frame store on and off: one digest of [`card_snapshot`] per
+/// combination, listed codec-major in `CodecId::ALL` order, then
+/// Partial before Full, then prefetch, cache and store off before on.
+#[test]
+fn card_miss_path_snapshots_are_stable() {
+    use aaod_mcu::ReconfigMode;
+    const PINNED: [u64; 96] = [
+        0x173677ad44c35ccf,
+        0x173677ad44c35ccf,
+        0xcde3c3a2ec50177a,
+        0xcde3c3a2ec50177a,
+        0x84bc83a801628c6d,
+        0x84bc83a801628c6d,
+        0x96643c60d571296a,
+        0x96643c60d571296a,
+        0x41e522e69749a83f,
+        0x41e522e69749a83f,
+        0x15d5a3e8f6fc10ff,
+        0x15d5a3e8f6fc10ff,
+        0x41e522e69749a83f,
+        0x41e522e69749a83f,
+        0x15d5a3e8f6fc10ff,
+        0x15d5a3e8f6fc10ff,
+        0x28ac06611ca198f7,
+        0x28ac06611ca198f7,
+        0xda4f12c41ef38279,
+        0xda4f12c41ef38279,
+        0x85b724344f4963a4,
+        0x85b724344f4963a4,
+        0xb6dace7e6989e659,
+        0xb6dace7e6989e659,
+        0xa0c2dd6cf586f070,
+        0xa0c2dd6cf586f070,
+        0xc3152e78b31828bc,
+        0xc3152e78b31828bc,
+        0xa0c2dd6cf586f070,
+        0xa0c2dd6cf586f070,
+        0xc3152e78b31828bc,
+        0xc3152e78b31828bc,
+        0xdbf002af063bb739,
+        0xdbf002af063bb739,
+        0xb6866b2cc301a1bc,
+        0xb6866b2cc301a1bc,
+        0x0cad6842526c40f4,
+        0x0cad6842526c40f4,
+        0x39e5b9e5db7a1032,
+        0x39e5b9e5db7a1032,
+        0x37729247c7de67d3,
+        0x37729247c7de67d3,
+        0xb96f02bf7d14d0e5,
+        0xb96f02bf7d14d0e5,
+        0x37729247c7de67d3,
+        0x37729247c7de67d3,
+        0xb96f02bf7d14d0e5,
+        0xb96f02bf7d14d0e5,
+        0x20a309f877525787,
+        0x20a309f877525787,
+        0xf089508772d18cc4,
+        0xf089508772d18cc4,
+        0x9353fffece6dc322,
+        0x9353fffece6dc322,
+        0xec9e3c3cd363ebb0,
+        0xec9e3c3cd363ebb0,
+        0xc5e619e2c4cccb36,
+        0xc5e619e2c4cccb36,
+        0x933dcf0800ba6d33,
+        0x933dcf0800ba6d33,
+        0xc5e619e2c4cccb36,
+        0xc5e619e2c4cccb36,
+        0x933dcf0800ba6d33,
+        0x933dcf0800ba6d33,
+        0xd6c405fc2e5efb4c,
+        0xd6c405fc2e5efb4c,
+        0xf12ed5a4206bb01e,
+        0xf12ed5a4206bb01e,
+        0xf73c0e7561d6e672,
+        0xf73c0e7561d6e672,
+        0xf3be07b4c98066ad,
+        0xf3be07b4c98066ad,
+        0x1994a6582f1afa77,
+        0x1994a6582f1afa77,
+        0xa54e91b5b628a136,
+        0xa54e91b5b628a136,
+        0x1994a6582f1afa77,
+        0x1994a6582f1afa77,
+        0xa54e91b5b628a136,
+        0xa54e91b5b628a136,
+        0x1346704e6ac07619,
+        0xaf0e28312740f49b,
+        0x09153a7fa542f407,
+        0x5212ee4c7744dd82,
+        0x26f37255e75804c4,
+        0x10ffece8147e968f,
+        0x01f609ca52d8354f,
+        0x7e42e7783b2f61a1,
+        0xd03a7d701d2a4868,
+        0xee43df55300c739a,
+        0x1d5c09305ef9bf28,
+        0x0705669e9a5ef06f,
+        0xd03a7d701d2a4868,
+        0xee43df55300c739a,
+        0x1d5c09305ef9bf28,
+        0x0705669e9a5ef06f,
+    ];
+    let mut got = Vec::new();
+    let mut drifted = Vec::new();
+    for codec in CodecId::ALL {
+        for mode in [ReconfigMode::Partial, ReconfigMode::Full] {
+            for prefetch in [false, true] {
+                for cache in [0, 64 * 1024] {
+                    for store in [0, 256 * 1024] {
+                        let snap = card_snapshot(codec, mode, prefetch, cache, store);
+                        let digest = fnv1a(snap.as_bytes());
+                        if PINNED.get(got.len()) != Some(&digest) {
+                            drifted.push(format!(
+                                "{codec} {mode:?} prefetch={prefetch} cache={cache} \
+                                 store={store}:\n{snap}"
+                            ));
+                        }
+                        got.push(digest);
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        drifted.is_empty(),
+        "{} card snapshots drifted; digests {got:#x?}\nfirst:\n{}",
+        drifted.len(),
+        drifted.first().map_or("", String::as_str)
+    );
+}

@@ -435,7 +435,8 @@ proptest! {
         for &id in &algos {
             os.install(id).unwrap();
         }
-        os.take_details(); // drop install-time noise; evictions start at a clean ledger
+        let mut details = Vec::new();
+        os.take_details_into(&mut details); // drop install-time noise; evictions start at a clean ledger
         let install_evictions = os.stats().evictions;
         let mut rng = aaod_sim::SplitMix64::new(seed);
         let total = os.geometry().frames();
@@ -464,8 +465,8 @@ proptest! {
             // the observability stream is a second bookkeeper: every
             // charged eviction (demand or prefetch) must appear as a
             // detail event, and nothing may appear uncharged
-            traced_evictions += os
-                .take_details()
+            os.take_details_into(&mut details);
+            traced_evictions += details
                 .iter()
                 .filter(|e| matches!(e, aaod_sim::DetailEvent::Eviction { .. }))
                 .count() as u64;
