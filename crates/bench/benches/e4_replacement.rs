@@ -59,9 +59,10 @@ fn print_tables() {
         println!("{t}");
     }
     println!(
-        "expected shape: belady is the upper bound everywhere; LRU leads the\n\
-         practical policies on zipf/phased/bursty; round-robin at capacity is\n\
-         LRU's worst case; hit rates rise monotonically with device size.\n"
+        "expected shape: round-robin at capacity is LRU's worst case; hit\n\
+         rates rise monotonically with device size. Belady (a next-use\n\
+         oracle) does not bound mean service for variable-size functions,\n\
+         and LFU, not LRU, leads the practical policies on zipf.\n"
     );
 }
 

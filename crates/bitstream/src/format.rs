@@ -82,7 +82,10 @@ impl BitstreamHeader {
             compressed_len: u32::from_le_bytes([bytes[22], bytes[23], bytes[24], bytes[25]]),
             payload_crc: u32::from_le_bytes([bytes[26], bytes[27], bytes[28], bytes[29]]),
         };
-        if header.uncompressed_len != header.n_frames as u32 * header.frame_bytes {
+        // widened: a hostile frame size must not overflow the product
+        if u64::from(header.uncompressed_len)
+            != u64::from(header.n_frames) * u64::from(header.frame_bytes)
+        {
             return Err(BitstreamError::Malformed(format!(
                 "uncompressed length {} != {} frames x {} bytes",
                 header.uncompressed_len, header.n_frames, header.frame_bytes
@@ -384,6 +387,19 @@ mod tests {
         assert!(matches!(
             Bitstream::decode(&bytes),
             Err(BitstreamError::CrcMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn oversized_frame_size_is_malformed_not_an_overflow() {
+        // frame_bytes' top byte flipped: n_frames × frame_bytes no
+        // longer fits a u32, which used to overflow in debug builds
+        let bs = sample(4, 64, 7);
+        let mut bytes = bs.encode(registry::codec(CodecId::Null, 64).as_ref());
+        bytes[17] ^= 0x80;
+        assert!(matches!(
+            BitstreamHeader::parse(&bytes),
+            Err(BitstreamError::Malformed(_))
         ));
     }
 

@@ -399,7 +399,7 @@ pub(crate) fn plan_with(
 ) -> DispatchPlan {
     let requests = workload.requests();
     let n = requests.len();
-    let bank = AlgorithmBank::standard();
+    let bank = factory().os().bank().clone();
     let calibrated = calibrate(workload, &bank, factory);
     let misses: BTreeMap<u16, u64> = calibrated
         .iter()

@@ -145,9 +145,10 @@ impl DecodedCache {
 
     /// Inserts decoded `frames` under `key`, evicting least recently
     /// used entries until the byte bound holds. An entry larger than
-    /// the whole cache is not stored. Returns the number of entries
-    /// evicted.
-    pub fn insert(&mut self, key: DecodedKey, frames: Vec<Vec<u8>>) -> usize {
+    /// the whole cache is not stored. The frames arrive shared, so the
+    /// caller may keep its own handle on them without a copy. Returns
+    /// the number of entries evicted.
+    pub fn insert(&mut self, key: DecodedKey, frames: Arc<Vec<Vec<u8>>>) -> usize {
         if !self.is_enabled() {
             return 0;
         }
@@ -175,7 +176,7 @@ impl DecodedCache {
         self.entries.insert(
             key,
             Entry {
-                frames: Arc::new(frames),
+                frames,
                 bytes: size,
                 stamp: self.clock,
             },
@@ -214,8 +215,8 @@ impl DecodedCache {
 mod tests {
     use super::*;
 
-    fn frames(n: usize, bytes_each: usize, fill: u8) -> Vec<Vec<u8>> {
-        (0..n).map(|_| vec![fill; bytes_each]).collect()
+    fn frames(n: usize, bytes_each: usize, fill: u8) -> Arc<Vec<Vec<u8>>> {
+        Arc::new((0..n).map(|_| vec![fill; bytes_each]).collect())
     }
 
     #[test]

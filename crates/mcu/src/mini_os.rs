@@ -31,7 +31,7 @@ use aaod_bitstream::codec::{registry, CodecId};
 use aaod_bitstream::{Bitstream, BitstreamHeader, FrameStore, HEADER_BYTES};
 use aaod_fabric::{
     run_decoded_netlist_batch, BatchScratch, ConfigPort, Device, DeviceGeometry, FrameAddress,
-    FunctionKind, Netlist, NetlistTable,
+    FunctionImage, FunctionKind, Netlist, NetlistTable,
 };
 use aaod_mem::{FunctionRecord, LocalRam, MemError, MemTiming, RecordFields, Rom, RECORD_BYTES};
 use aaod_sim::{Clock, DetailEvent, DetailLog, SimTime, SplitMix64};
@@ -170,6 +170,36 @@ struct ResidentDecode {
     kind: Arc<FunctionKind>,
 }
 
+/// One function's configuration image as a full-path configuration
+/// fetched, CRC-checked and decompressed it from ROM. While the ROM's
+/// mutation stamp still reads `rom_stamp`, its record (codec included)
+/// and bytes are unchanged and would decode to the same frames, windows
+/// and bytes again, so a miss replays them instead (see
+/// [`MiniOs::configure_resident`]).
+#[derive(Clone)]
+struct VerifiedImage {
+    rom_stamp: u64,
+    /// The decoded frames, shared with the decoded-bitstream cache.
+    frames: Arc<Vec<Vec<u8>>>,
+    /// The decoding's share of the [`ConfigReport`]. It is replayed
+    /// only where it is a function of the ROM bytes alone, i.e. never
+    /// for a DeltaV2 bitstream probing an enabled frame store.
+    decompress_time: SimTime,
+    windows: u64,
+    bytes: usize,
+    /// What a readback of exactly these frames parses to; `None` if
+    /// the parse fails or names another algorithm.
+    kind: Option<Arc<FunctionKind>>,
+}
+
+/// The host's memo of one algorithm: the last verified image of its
+/// ROM bitstream, and the last decode of its configured frames.
+#[derive(Default)]
+struct ImageMemo {
+    image: Option<VerifiedImage>,
+    resident: Option<ResidentDecode>,
+}
+
 /// How [`MiniOs::execute_one`] obtains each input's output.
 enum Evaluation<'a> {
     /// Netlist outputs, evaluated for the whole batch up front.
@@ -222,9 +252,9 @@ pub struct MiniOs {
     batch_scratch: BatchScratch,
     /// Reusable flat buffer for frame readback decode.
     frame_flat: Vec<u8>,
-    /// Last successful frame decode per function; see
-    /// [`ResidentDecode`].
-    resident_decodes: BTreeMap<u16, ResidentDecode>,
+    /// Per function: its verified ROM image and its last frame decode;
+    /// see [`ImageMemo`].
+    images: BTreeMap<u16, ImageMemo>,
     /// Truth table of each function's last decoded netlist, kept across
     /// eviction, reconfiguration and `reset()`: it is valid for any
     /// fresh decode whose netlist is `==` to the one it was built from,
@@ -278,7 +308,7 @@ impl MiniOs {
             last_invoked: None,
             batch_scratch: BatchScratch::default(),
             frame_flat: Vec::new(),
-            resident_decodes: BTreeMap::new(),
+            images: BTreeMap::new(),
             netlist_tables: BTreeMap::new(),
         }
     }
@@ -388,37 +418,24 @@ impl MiniOs {
 
         // 3. decode the configured bits back into an executable payload
         // — once per batch, and only if a frame changed since the last
-        // decode. Any mutation (reconfiguration, SEU, tear, patch)
-        // advances the frames' stamps and forces the full readback,
-        // digest check and parse again.
+        // decode (or since a configuration wrote a verified image's
+        // frames, whose parse is known). Any mutation (reconfiguration,
+        // SEU, tear, patch) advances the frames' stamps and forces the
+        // full readback, digest check and parse again.
         let frames = &self
             .table
             .get(algo_id)
             .expect("function resident at this point")
             .frames;
-        let kind = match self.resident_decodes.get(&algo_id) {
+        let memo = self.images.get(&algo_id).and_then(|m| m.resident.as_ref());
+        let kind = match memo {
             Some(memo) if self.device.stamp(frames) <= memo.clock => Arc::clone(&memo.kind),
             _ => {
                 let image = self
                     .device
                     .decode_function_with(frames, &mut self.frame_flat)?;
-                if image.algo_id() != algo_id {
-                    return Err(McuError::RecordMismatch(format!(
-                        "frames decode to algorithm {}, record says {algo_id}",
-                        image.algo_id()
-                    )));
-                }
-                let kind = Arc::new(image.kind()?);
-                if let FunctionKind::Netlist { netlist, .. } = kind.as_ref() {
-                    self.sync_netlist_table(algo_id, netlist);
-                }
-                self.resident_decodes.insert(
-                    algo_id,
-                    ResidentDecode {
-                        clock: self.device.clock(),
-                        kind: Arc::clone(&kind),
-                    },
-                );
+                let kind = Arc::new(parse_kind(&image, algo_id)?);
+                self.remember_resident(algo_id, Arc::clone(&kind));
                 kind
             }
         };
@@ -483,6 +500,35 @@ impl MiniOs {
             }
         }
         Ok(results)
+    }
+
+    /// Records that `algo_id`'s configured frames decode to `kind` as of
+    /// the device's current mutation clock, and brings its truth table
+    /// in step with the netlist.
+    fn remember_resident(&mut self, algo_id: u16, kind: Arc<FunctionKind>) {
+        if let FunctionKind::Netlist { netlist, .. } = kind.as_ref() {
+            self.sync_netlist_table(algo_id, netlist);
+        }
+        self.images.entry(algo_id).or_default().resident = Some(ResidentDecode {
+            clock: self.device.clock(),
+            kind,
+        });
+    }
+
+    /// Called after every write of `written` to the function's frames
+    /// succeeded: if they are the verified image's own frames and its
+    /// parse is known, the readback of step 3 would parse exactly that,
+    /// so remember it now.
+    fn seed_resident(&mut self, algo_id: u16, written: &Arc<Vec<Vec<u8>>>) {
+        let kind = self
+            .images
+            .get(&algo_id)
+            .and_then(|m| m.image.as_ref())
+            .filter(|image| Arc::ptr_eq(&image.frames, written))
+            .and_then(|image| image.kind.clone());
+        if let Some(kind) = kind {
+            self.remember_resident(algo_id, kind);
+        }
     }
 
     /// Keeps `algo_id`'s truth table if it was built from a netlist
@@ -668,6 +714,15 @@ impl MiniOs {
     /// decoded-bitstream cache over an ROM fetch + decompression.
     /// Returns the configuration report, the ROM read time (zero on a
     /// decoded-cache hit) and whether the cache served the frames.
+    ///
+    /// A ROM fetch whose bytes are unchanged since a full-path
+    /// configuration verified them (same ROM stamp) replays that run
+    /// instead of repeating it: the same fetch, the same frames written
+    /// through the port, the first run's decompress time, windows and
+    /// bytes, and the same detail events. Only the host skips the CRC
+    /// and the decompression. A DeltaV2 bitstream with an enabled frame
+    /// store always takes the full path, because its store probes are
+    /// modelled state.
     fn configure_resident(
         &mut self,
         record: &FunctionRecord,
@@ -695,6 +750,7 @@ impl MiniOs {
                     algo: record.algo_id,
                     frames: report.frames_written as u32,
                 });
+                self.seed_resident(record.algo_id, &cached);
                 return Ok((report, SimTime::ZERO, true));
             }
         }
@@ -706,20 +762,63 @@ impl MiniOs {
             algo: record.algo_id,
             bytes: encoded.len() as u64,
         });
-        // the module probes the frame store itself when the bitstream
-        // is DeltaV2; for every other codec the counters stand still
-        let before = self.frame_store.stats();
-        let (report, produced) = self.config_module.configure(
-            encoded,
-            Some(&mut self.frame_store),
-            &mut self.device,
-            &self.port,
-            frames,
-        )?;
-        let after = self.frame_store.stats();
-        self.stats.frame_store_hits += after.hits - before.hits;
-        self.stats.frame_store_misses += after.misses - before.misses;
-        self.stats.frame_store_bytes_deduped += after.bytes_deduped - before.bytes_deduped;
+        let store_probes =
+            record.codec == CodecId::DeltaV2.to_byte() && self.frame_store.is_enabled();
+        let replay = self
+            .images
+            .get(&record.algo_id)
+            .and_then(|m| m.image.as_ref())
+            .filter(|image| image.rom_stamp == self.rom.stamp() && !store_probes)
+            .cloned();
+        let (report, written) = match replay {
+            Some(image) => {
+                let port = self.config_module.configure_decoded(
+                    &image.frames,
+                    &mut self.device,
+                    &self.port,
+                    frames,
+                )?;
+                let report = ConfigReport {
+                    decompress_time: image.decompress_time,
+                    windows: image.windows,
+                    bytes: image.bytes,
+                    ..port
+                };
+                self.seed_resident(record.algo_id, &image.frames);
+                (report, image.frames)
+            }
+            None => {
+                // the module probes the frame store itself when the
+                // bitstream is DeltaV2; for every other codec the
+                // counters stand still
+                let before = self.frame_store.stats();
+                let (report, produced) = self.config_module.configure(
+                    encoded,
+                    Some(&mut self.frame_store),
+                    &mut self.device,
+                    &self.port,
+                    frames,
+                )?;
+                let after = self.frame_store.stats();
+                self.stats.frame_store_hits += after.hits - before.hits;
+                self.stats.frame_store_misses += after.misses - before.misses;
+                self.stats.frame_store_bytes_deduped += after.bytes_deduped - before.bytes_deduped;
+                let produced = Arc::new(produced);
+                let kind = FunctionImage::decode_frames(&produced, self.device.geometry())
+                    .ok()
+                    .and_then(|image| parse_kind(&image, record.algo_id).ok())
+                    .map(Arc::new);
+                self.images.entry(record.algo_id).or_default().image = Some(VerifiedImage {
+                    rom_stamp: self.rom.stamp(),
+                    frames: Arc::clone(&produced),
+                    decompress_time: report.decompress_time,
+                    windows: report.windows,
+                    bytes: report.bytes,
+                    kind,
+                });
+                (report, produced)
+            }
+        };
         self.details.push(DetailEvent::Decompress {
             algo: record.algo_id,
             windows: report.windows,
@@ -735,7 +834,7 @@ impl MiniOs {
                 algo: record.algo_id,
                 hit: false,
             });
-            self.decoded.insert(key, produced);
+            self.decoded.insert(key, written);
         }
         Ok((report, rom_time, false))
     }
@@ -914,8 +1013,11 @@ impl MiniOs {
         let geom = self.device.geometry();
         self.device = Device::new(geom);
         // the fresh device's mutation clock restarts at zero, so no
-        // earlier decode can be validated against its stamps
-        self.resident_decodes.clear();
+        // earlier decode can be validated against its stamps; the
+        // verified ROM images stay, because the ROM survives a reset
+        for memo in self.images.values_mut() {
+            memo.resident = None;
+        }
         self.free.reset();
         self.table = ReplacementTable::new();
         // The watchdog ledger restarts from zero: drop the decoded
@@ -1275,6 +1377,21 @@ impl MiniOs {
         out
     }
 }
+
+/// The executable payload of a decoded `image`, which must name
+/// `algo_id`.
+fn parse_kind(image: &FunctionImage, algo_id: u16) -> Result<FunctionKind, McuError> {
+    if image.algo_id() != algo_id {
+        return Err(McuError::RecordMismatch(format!(
+            "frames decode to algorithm {}, record says {algo_id}",
+            image.algo_id()
+        )));
+    }
+    Ok(image.kind()?)
+}
+
+#[cfg(test)]
+mod memo_tests;
 
 #[cfg(test)]
 mod tests {

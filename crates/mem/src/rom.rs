@@ -38,6 +38,10 @@ pub struct Rom {
     record_probes: std::cell::Cell<u64>,
     /// Payload fetches served (observability-layer gauge).
     fetches: std::cell::Cell<u64>,
+    /// Mutation stamp: bumped by every call that changes the stored
+    /// bytes, so a host-side copy derived from them can tell they are
+    /// unchanged since it was made.
+    stamp: u64,
 }
 
 impl Rom {
@@ -58,6 +62,7 @@ impl Rom {
             bytes_read: std::cell::Cell::new(0),
             record_probes: std::cell::Cell::new(0),
             fetches: std::cell::Cell::new(0),
+            stamp: 0,
         }
     }
 
@@ -124,6 +129,7 @@ impl Rom {
         let slot = self.capacity() - (self.n_records + 1) * RECORD_BYTES;
         self.data[slot..slot + RECORD_BYTES].copy_from_slice(&record.to_bytes());
         self.n_records += 1;
+        self.stamp += 1;
         Ok(())
     }
 
@@ -202,6 +208,7 @@ impl Rom {
             });
         }
         self.data[r.start as usize + offset] ^= mask;
+        self.stamp += 1;
         Ok(())
     }
 
@@ -233,6 +240,7 @@ impl Rom {
         if end == self.bitstream_end {
             self.bitstream_end = removed.start as usize;
         }
+        self.stamp += 1;
         Ok(())
     }
 
@@ -244,6 +252,14 @@ impl Rom {
     /// Record-table probes performed so far (E6 metric).
     pub fn record_probes(&self) -> u64 {
         self.record_probes.get()
+    }
+
+    /// The mutation stamp: how many successful `download`,
+    /// `corrupt_payload` and `remove_record` calls have changed the ROM.
+    /// Those are the only writes to its bytes, so two equal readings
+    /// mean every record and payload read the same in between.
+    pub fn stamp(&self) -> u64 {
+        self.stamp
     }
 
     /// Payload fetches served so far. Together with
@@ -422,6 +438,26 @@ mod tests {
             rom.remove_record(42),
             Err(MemError::RecordNotFound(42))
         ));
+    }
+
+    #[test]
+    fn stamp_moves_on_every_write_and_only_then() {
+        let mut rom = Rom::new(200);
+        assert_eq!(rom.stamp(), 0);
+        rom.download(fields(1), &[1u8; 30]).unwrap();
+        let r = rom.lookup(1).unwrap();
+        rom.bitstream_bytes(&r);
+        rom.records();
+        assert_eq!(rom.stamp(), 1, "reads leave the stamp alone");
+        assert!(rom.download(fields(1), &[1u8; 30]).is_err());
+        assert!(rom.download(fields(2), &[2u8; 300]).is_err());
+        assert!(rom.corrupt_payload(1, 30, 1).is_err());
+        assert!(rom.remove_record(9).is_err());
+        assert_eq!(rom.stamp(), 1, "failed writes leave it too");
+        rom.corrupt_payload(1, 3, 1).unwrap();
+        assert_eq!(rom.stamp(), 2);
+        rom.remove_record(1).unwrap();
+        assert_eq!(rom.stamp(), 3);
     }
 
     #[test]

@@ -24,13 +24,14 @@
 //! The workload seed is taken from `AAOD_DISPATCH_SEED` when set (the
 //! CI dispatch matrix sweeps it) and falls back to a fixed default.
 
+use aaod_algos::{ids, AlgorithmBank};
 use aaod_core::{
     CoProcessor, DeadlinePolicy, Engine, EngineConfig, EngineResult, OverloadConfig, ShardPolicy,
     TraceConfig,
 };
 use aaod_sim::trace::EventKind;
 use aaod_sim::SimTime;
-use aaod_workload::{mixes, Workload};
+use aaod_workload::{mixes, TenantSpec, Workload};
 use std::collections::BTreeMap;
 
 /// Workload seed: `AAOD_DISPATCH_SEED` if set, else fixed.
@@ -307,5 +308,62 @@ fn dynamic_conserves_jobs_under_overload() {
         } else {
             assert_eq!(got, want, "surviving output {i} corrupted");
         }
+    }
+}
+
+/// Regression: the dynamic planner used to scale its calibrated costs
+/// along the standard bank's shapes whatever bank the cards carried,
+/// so an extended-bank card's DSP/AI kernels got the `input_len + 8`
+/// fallback instead of their own fabric cycles. Calibration runs at
+/// each kernel's first request length, so the error showed only on
+/// mixed lengths. There the misjudged runs were dealt and stolen
+/// across both shards, and each shard reconfigured back and forth
+/// between two ~60 KiB kernels (27–30 misses and a 12× busier shard
+/// on these seeds). Planned with the cards' own bank, each kernel
+/// keeps a shard of its own.
+#[test]
+fn dynamic_plans_with_the_cards_bank_on_mixed_lengths() {
+    let tenant = |name: &str, algo: u16, input_len: usize| TenantSpec {
+        name: name.into(),
+        algos: vec![algo],
+        weight: 1,
+        offered: 1,
+        input_len,
+        quota: None,
+    };
+    let specs = [
+        tenant("mm-small", ids::MATMUL16, 512),
+        tenant("mm-large", ids::MATMUL16, 8192),
+        tenant("ft-small", ids::FFT64, 128),
+        tenant("ft-large", ids::FFT64, 8192),
+    ];
+    for seed in 1..=3 {
+        let workload = Workload::multi_tenant(&specs, 300, seed);
+        let r = Engine::with_factory(
+            EngineConfig {
+                workers: 2,
+                verify: true,
+                shard: ShardPolicy::Dynamic,
+                ..EngineConfig::default()
+            },
+            || {
+                CoProcessor::builder()
+                    .bank(AlgorithmBank::extended())
+                    .build()
+            },
+        )
+        .serve(&workload)
+        .expect("serve");
+        assert_eq!(
+            r.stats.misses, 2,
+            "seed {seed}: one install per kernel, {:?}",
+            r.dispatch
+        );
+        let busy: Vec<u64> = r.shard_busy.iter().map(|t| t.as_ps()).collect();
+        let (lo, hi) = (busy.iter().min().unwrap(), busy.iter().max().unwrap());
+        assert!(
+            *hi * 4 <= *lo * 5,
+            "seed {seed}: shard busy times {busy:?} are more than 1.25x apart"
+        );
     }
 }
