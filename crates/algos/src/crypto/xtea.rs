@@ -4,6 +4,13 @@
 //! cycles. A tiny cipher in hardware — a compact loop-rolled core fits
 //! a handful of frames, making it the "small function" of the bank
 //! (useful for replacement-policy experiments where area matters).
+//!
+//! On the host, the kernel expands the 64 round constants
+//! (`sum + key[..]`) once per call and encrypts `LANES` independent
+//! ECB blocks per round in lockstep: every block applies the same
+//! constant, so the lane loops vectorise. A short final group runs
+//! block by block. The scalar one-block loop stays in the tests as
+//! the oracle.
 
 use crate::filler::behavioral_image;
 use crate::ids;
@@ -13,25 +20,57 @@ use aaod_fabric::{DeviceGeometry, FunctionImage};
 const DELTA: u32 = 0x9E37_79B9;
 const ROUNDS: u32 = 32;
 
+/// The 64 half-round constants of one key, in order: round `r`
+/// adds `schedule[r][0]` into `v0`, then `schedule[r][1]` into `v1`.
+type Schedule = [[u32; 2]; ROUNDS as usize];
+
+fn schedule(key: &[u32; 4]) -> Schedule {
+    let mut sum = 0u32;
+    std::array::from_fn(|_| {
+        let k0 = sum.wrapping_add(key[(sum & 3) as usize]);
+        sum = sum.wrapping_add(DELTA);
+        [k0, sum.wrapping_add(key[((sum >> 11) & 3) as usize])]
+    })
+}
+
+/// The XTEA mix of one half: `((v << 4) ^ (v >> 5)) + v`.
+#[inline(always)]
+fn mix(v: u32) -> u32 {
+    ((v << 4) ^ (v >> 5)).wrapping_add(v)
+}
+
+/// Encrypts the `L` consecutive 8-byte blocks of `bytes` in place.
+///
+/// The blocks are independent and run in lockstep, halves split into
+/// `v0` and `v1` arrays, so each half-round is one loop over the lanes.
+fn crypt_in_place<const L: usize>(bytes: &mut [u8], schedule: &Schedule) {
+    let half = |j: usize| u32::from_be_bytes(bytes[4 * j..4 * j + 4].try_into().expect("4 bytes"));
+    let mut v0: [u32; L] = std::array::from_fn(|j| half(2 * j));
+    let mut v1: [u32; L] = std::array::from_fn(|j| half(2 * j + 1));
+    for &[k0, k1] in schedule {
+        for (a, &b) in v0.iter_mut().zip(&v1) {
+            *a = a.wrapping_add(mix(b) ^ k0);
+        }
+        for (b, &a) in v1.iter_mut().zip(&v0) {
+            *b = b.wrapping_add(mix(a) ^ k1);
+        }
+    }
+    for ((dst, a), b) in bytes.chunks_exact_mut(8).zip(v0).zip(v1) {
+        dst[..4].copy_from_slice(&a.to_be_bytes());
+        dst[4..].copy_from_slice(&b.to_be_bytes());
+    }
+}
+
+/// Blocks the kernel encrypts in lockstep. A round is a handful of
+/// shifts, xors and adds per block, so wide groups keep the vector
+/// units fed. On x86-64 at 1504 B, 8 or 16 lanes measured 1.7–2.1×
+/// the scalar loop, 32 lanes 3.5–3.9× and 64 lanes 2.4–2.8×.
+const LANES: usize = 32;
+
 /// Encrypts one 8-byte block (two big-endian u32 halves).
 pub fn encrypt_block(block: &[u8; 8], key: &[u32; 4]) -> [u8; 8] {
-    let mut v0 = u32::from_be_bytes([block[0], block[1], block[2], block[3]]);
-    let mut v1 = u32::from_be_bytes([block[4], block[5], block[6], block[7]]);
-    let mut sum = 0u32;
-    for _ in 0..ROUNDS {
-        v0 = v0.wrapping_add(
-            (((v1 << 4) ^ (v1 >> 5)).wrapping_add(v1))
-                ^ (sum.wrapping_add(key[(sum & 3) as usize])),
-        );
-        sum = sum.wrapping_add(DELTA);
-        v1 = v1.wrapping_add(
-            (((v0 << 4) ^ (v0 >> 5)).wrapping_add(v0))
-                ^ (sum.wrapping_add(key[((sum >> 11) & 3) as usize])),
-        );
-    }
-    let mut out = [0u8; 8];
-    out[..4].copy_from_slice(&v0.to_be_bytes());
-    out[4..].copy_from_slice(&v1.to_be_bytes());
+    let mut out = *block;
+    crypt_in_place::<1>(&mut out, &schedule(key));
     out
 }
 
@@ -94,12 +133,17 @@ impl Kernel for Xtea {
     }
 
     fn execute(&self, params: &[u8], input: &[u8]) -> Result<Vec<u8>, AlgoError> {
-        let key = parse_key(params)?;
-        let mut out = Vec::with_capacity(input.len().div_ceil(8) * 8);
-        for chunk in input.chunks(8) {
-            let mut block = [0u8; 8];
-            block[..chunk.len()].copy_from_slice(chunk);
-            out.extend_from_slice(&encrypt_block(&block, &key));
+        let schedule = schedule(&parse_key(params)?);
+        // ECB over the zero-padded input, LANES blocks at a time; a
+        // short final group runs block by block
+        let mut out = vec![0u8; input.len().div_ceil(8) * 8];
+        out[..input.len()].copy_from_slice(input);
+        let mut groups = out.chunks_exact_mut(8 * LANES);
+        for group in &mut groups {
+            crypt_in_place::<LANES>(group, &schedule);
+        }
+        for block in groups.into_remainder().chunks_exact_mut(8) {
+            crypt_in_place::<1>(block, &schedule);
         }
         Ok(out)
     }
@@ -136,9 +180,72 @@ impl Kernel for Xtea {
     }
 }
 
+/// The scalar loop the kernel replaced: one block at a time, the
+/// round constants recomputed in every round. Tests compare the
+/// kernel against it.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    fn encrypt_block(block: &[u8; 8], key: &[u32; 4]) -> [u8; 8] {
+        let mut v0 = u32::from_be_bytes([block[0], block[1], block[2], block[3]]);
+        let mut v1 = u32::from_be_bytes([block[4], block[5], block[6], block[7]]);
+        let mut sum = 0u32;
+        for _ in 0..ROUNDS {
+            v0 = v0.wrapping_add(
+                (((v1 << 4) ^ (v1 >> 5)).wrapping_add(v1))
+                    ^ (sum.wrapping_add(key[(sum & 3) as usize])),
+            );
+            sum = sum.wrapping_add(DELTA);
+            v1 = v1.wrapping_add(
+                (((v0 << 4) ^ (v0 >> 5)).wrapping_add(v0))
+                    ^ (sum.wrapping_add(key[((sum >> 11) & 3) as usize])),
+            );
+        }
+        let mut out = [0u8; 8];
+        out[..4].copy_from_slice(&v0.to_be_bytes());
+        out[4..].copy_from_slice(&v1.to_be_bytes());
+        out
+    }
+
+    /// Zero-padded XTEA ECB under the 16-byte `key`.
+    pub(crate) fn ecb(key: &[u8], input: &[u8]) -> Vec<u8> {
+        let key = parse_key(key).expect("16-byte key");
+        let mut out = Vec::new();
+        for chunk in input.chunks(8) {
+            let mut block = [0u8; 8];
+            block[..chunk.len()].copy_from_slice(chunk);
+            out.extend_from_slice(&encrypt_block(&block, &key));
+        }
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lockstep::sweep_inputs;
+    use aaod_sim::SplitMix64;
+
+    /// Seeded sweep over random keys and empty, one-block,
+    /// `LANES + 1`-block, all-zero, all-ones and random ragged inputs:
+    /// the lockstep kernel is byte-identical to the scalar reference.
+    #[test]
+    fn kernel_matches_scalar_reference() {
+        let mut rng = SplitMix64::new(0x7EA_7EA);
+        for input in sweep_inputs(&mut rng, 8, LANES, 0xFF) {
+            let mut key = [0u8; 16];
+            rng.fill(&mut key);
+            for key in [key, [0; 16], [0xFF; 16]] {
+                assert_eq!(
+                    Xtea.execute(&key, &input).unwrap(),
+                    reference::ecb(&key, &input),
+                    "len {} key {key:?}",
+                    input.len()
+                );
+            }
+        }
+    }
 
     /// Published XTEA test vector.
     #[test]

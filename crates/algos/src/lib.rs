@@ -44,6 +44,8 @@ pub mod dsp;
 pub mod dsp_ai;
 pub mod filler;
 pub mod kernel;
+#[cfg(test)]
+mod lockstep;
 pub mod netlists;
 
 pub use bank::AlgorithmBank;

@@ -5,11 +5,12 @@
 //! a typed [`McuError`], never a panic.
 //!
 //! The inputs are MatMul16's LZSS bitstream (13,908 bytes) and the
-//! one-frame PARITY8 bitstream under each other codec. A debug build
-//! verifies a 13,908-byte payload CRC in about 2 ms, so in debug
-//! builds MatMul16's payload flips are taken at a stride of 509 bits
-//! (every byte offset class and bit position is still reached); a
-//! release build (`cargo test --release`) flips every bit. Header
+//! one-frame PARITY8 bitstream under each other codec. Each flip
+//! builds and feeds fresh cards, and MatMul16's payload has about
+//! 111,000 bits, so in debug builds its payload flips are taken at a
+//! stride of 509 bits (every byte offset class and bit position is
+//! still reached); a release build (`cargo test --release`) flips
+//! every bit. Header
 //! bits, truncations and the small bitstreams are exhaustive in both.
 
 use aaod_algos::{ids, AlgorithmBank};
