@@ -4,14 +4,19 @@
 //! lives in the function image's parameters, so "re-keying" the
 //! authenticator is a reconfiguration — exactly the agile usage the
 //! paper targets.
+//!
+//! On the host both hashes stream: each compresses its key block
+//! (`k ^ ipad`, `k ^ opad`) first and then feeds the message, or the
+//! inner digest, through the shared Merkle–Damgård framing, so no
+//! padded message is built on the heap. The `Vec`-building
+//! construction stays in the tests as the oracle.
 
-use crate::crypto::sha1::sha1;
+use crate::crypto::md::{be_bytes, merkle_damgard, BLOCK};
+use crate::crypto::sha1::{self, sha1};
 use crate::filler::behavioral_image;
 use crate::ids;
 use crate::kernel::{AlgoError, Kernel};
 use aaod_fabric::{DeviceGeometry, FunctionImage};
-
-const BLOCK: usize = 64;
 
 /// Computes HMAC-SHA-1 per RFC 2104.
 pub fn hmac_sha1(key: &[u8], message: &[u8]) -> [u8; 20] {
@@ -21,17 +26,15 @@ pub fn hmac_sha1(key: &[u8], message: &[u8]) -> [u8; 20] {
     } else {
         k[..key.len()].copy_from_slice(key);
     }
-    let mut inner = Vec::with_capacity(BLOCK + message.len());
-    let mut outer = Vec::with_capacity(BLOCK + 20);
-    for &b in &k {
-        inner.push(b ^ 0x36);
-    }
-    inner.extend_from_slice(message);
-    for &b in &k {
-        outer.push(b ^ 0x5C);
-    }
-    outer.extend_from_slice(&sha1(&inner));
-    sha1(&outer)
+    // H(k ^ pad || text), with the key block compressed first and
+    // `text` streamed after it
+    let keyed_hash = |pad: u8, text: &[u8]| -> [u8; 20] {
+        let mut h = sha1::H0;
+        sha1::compress(&mut h, &k.map(|b| b ^ pad));
+        merkle_damgard(text, BLOCK, |block| sha1::compress(&mut h, block));
+        be_bytes(&h)
+    };
+    keyed_hash(0x5C, &keyed_hash(0x36, message))
 }
 
 /// The HMAC-SHA-1 kernel. Parameters: the MAC key (1..=64 bytes).
@@ -98,12 +101,77 @@ impl Kernel for HmacSha1 {
     }
 }
 
+/// The HMAC the streaming one replaced: builds the `inner` and
+/// `outer` messages as `Vec`s and hashes them with the reference
+/// SHA-1. Tests compare [`hmac_sha1`] against it.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::BLOCK;
+    use crate::crypto::sha1::reference::sha1;
+
+    /// HMAC-SHA-1 over the reference SHA-1, building both padded
+    /// messages on the heap.
+    pub(crate) fn hmac_sha1(key: &[u8], message: &[u8]) -> [u8; 20] {
+        let mut k = [0u8; BLOCK];
+        if key.len() > BLOCK {
+            k[..20].copy_from_slice(&sha1(key));
+        } else {
+            k[..key.len()].copy_from_slice(key);
+        }
+        let mut inner = Vec::with_capacity(BLOCK + message.len());
+        let mut outer = Vec::with_capacity(BLOCK + 20);
+        for &b in &k {
+            inner.push(b ^ 0x36);
+        }
+        inner.extend_from_slice(message);
+        for &b in &k {
+            outer.push(b ^ 0x5C);
+        }
+        outer.extend_from_slice(&sha1(&inner));
+        sha1(&outer)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Seeded sweep: every key length 1..=64 plus keys longer than a
+    /// block, over every message length 0..=300, the padding
+    /// boundaries and random lengths up to 1600 bytes. The streaming
+    /// MAC is identical to the `Vec`-building reference.
+    #[test]
+    fn streaming_matches_reference() {
+        let mut rng = aaod_sim::SplitMix64::new(0x4AC);
+        let lengths = crate::crypto::md::sweep_lengths(&mut rng);
+        let key_lens = (1..=BLOCK).chain([65, 80, 128, 200]);
+        for (i, key_len) in key_lens.enumerate() {
+            let mut key = vec![0u8; key_len];
+            rng.fill(&mut key);
+            // every key meets the boundary lengths; the rest of the
+            // lengths are spread across the keys
+            for &len in lengths
+                .iter()
+                .skip(i % 7)
+                .step_by(7)
+                .chain(&[55, 56, 64, 119, 120, 128])
+            {
+                let mut msg = vec![0u8; len];
+                rng.fill(&mut msg);
+                assert_eq!(
+                    hmac_sha1(&key, &msg),
+                    reference::hmac_sha1(&key, &msg),
+                    "key {key_len} B, message {len} B"
+                );
+            }
+        }
+        // the kernel rejects keys over a block, so the long-key path
+        // is only reachable through `hmac_sha1`
+        assert!(HmacSha1.execute(&[0; BLOCK + 1], b"x").is_err());
     }
 
     /// RFC 2202 test case 1.

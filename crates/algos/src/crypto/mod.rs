@@ -10,6 +10,7 @@
 pub mod aes;
 pub mod des;
 pub mod hmac;
+mod md;
 pub mod sha1;
 pub mod sha256;
 pub mod xtea;

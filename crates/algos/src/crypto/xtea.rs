@@ -8,9 +8,11 @@
 //! On the host, the kernel expands the 64 round constants
 //! (`sum + key[..]`) once per call and encrypts `LANES` independent
 //! ECB blocks per round in lockstep: every block applies the same
-//! constant, so the lane loops vectorise. A short final group runs
-//! block by block. The scalar one-block loop stays in the tests as
-//! the oracle.
+//! constant, so the lane loops vectorise. A final group of at least
+//! `PAD_MIN_BLOCKS` blocks is zero-padded into one more lockstep group
+//! and only its real blocks are copied back; a shorter one runs block
+//! by block, so a one-block input costs no more than the scalar loop.
+//! The scalar one-block loop stays in the tests as the oracle.
 
 use crate::filler::behavioral_image;
 use crate::ids;
@@ -66,6 +68,12 @@ fn crypt_in_place<const L: usize>(bytes: &mut [u8], schedule: &Schedule) {
 /// units fed. On x86-64 at 1504 B, 8 or 16 lanes measured 1.7–2.1×
 /// the scalar loop, 32 lanes 3.5–3.9× and 64 lanes 2.4–2.8×.
 const LANES: usize = 32;
+
+/// Fewest blocks in a short final group that run as one padded
+/// `LANES`-wide group rather than block by block. On x86-64 one
+/// `LANES`-wide group measured 506–513 ns, against 472–495 ns for 4
+/// scalar blocks and 574–586 ns for 5.
+const PAD_MIN_BLOCKS: usize = 5;
 
 /// Encrypts one 8-byte block (two big-endian u32 halves).
 pub fn encrypt_block(block: &[u8; 8], key: &[u32; 4]) -> [u8; 8] {
@@ -134,16 +142,25 @@ impl Kernel for Xtea {
 
     fn execute(&self, params: &[u8], input: &[u8]) -> Result<Vec<u8>, AlgoError> {
         let schedule = schedule(&parse_key(params)?);
-        // ECB over the zero-padded input, LANES blocks at a time; a
-        // short final group runs block by block
+        // ECB over the zero-padded input, LANES blocks at a time
         let mut out = vec![0u8; input.len().div_ceil(8) * 8];
         out[..input.len()].copy_from_slice(input);
         let mut groups = out.chunks_exact_mut(8 * LANES);
         for group in &mut groups {
             crypt_in_place::<LANES>(group, &schedule);
         }
-        for block in groups.into_remainder().chunks_exact_mut(8) {
-            crypt_in_place::<1>(block, &schedule);
+        let tail = groups.into_remainder();
+        if tail.len() >= 8 * PAD_MIN_BLOCKS {
+            // one more lockstep group, padded; only the real blocks
+            // are copied back
+            let mut group = [0u8; 8 * LANES];
+            group[..tail.len()].copy_from_slice(tail);
+            crypt_in_place::<LANES>(&mut group, &schedule);
+            tail.copy_from_slice(&group[..tail.len()]);
+        } else {
+            for block in tail.chunks_exact_mut(8) {
+                crypt_in_place::<1>(block, &schedule);
+            }
         }
         Ok(out)
     }
@@ -243,6 +260,30 @@ mod tests {
                     "len {} key {key:?}",
                     input.len()
                 );
+            }
+        }
+    }
+
+    /// Every final group of 0..=31 blocks, after zero or two full
+    /// groups, ending in a whole or a partial block, on both sides of
+    /// `PAD_MIN_BLOCKS`: the padded group and the block-by-block tail
+    /// are byte-identical to the scalar reference, and the padding
+    /// never leaks into the output.
+    #[test]
+    fn every_tail_matches_scalar_reference() {
+        let mut rng = SplitMix64::new(0x7A11);
+        let mut key = [0u8; 16];
+        rng.fill(&mut key);
+        for groups in [0, 2] {
+            for blocks in 0..LANES {
+                for partial in [0, 1 + rng.index(7)] {
+                    let len = (groups * LANES + blocks) * 8 + partial;
+                    let mut input = vec![0u8; len];
+                    rng.fill(&mut input);
+                    let out = Xtea.execute(&key, &input).unwrap();
+                    assert_eq!(out.len(), len.div_ceil(8) * 8);
+                    assert_eq!(out, reference::ecb(&key, &input), "len {len}");
+                }
             }
         }
     }

@@ -400,8 +400,9 @@ impl Cluster {
             }
             let engine = self.card_engine(c);
             let sub = workload.subset(indices);
-            let result = engine.serve(&sub)?;
+            let mut result = engine.serve(&sub)?;
             card_busy[c] = result.makespan;
+            let mut card_outs = result.outputs.take();
             for (k, &idx) in indices.iter().enumerate() {
                 // A card engine applies the tenant quotas the workload
                 // carries, on the card's share of the stream; a job it
@@ -410,10 +411,9 @@ impl Cluster {
                 if let Some(err) = failed_at.or_else(|| result.quota_exceeded.get(&k)) {
                     faulted += 1;
                     failed.insert(idx, err.clone());
-                } else if let (Some(out), Some(card_out)) =
-                    (outputs.as_mut(), result.outputs.as_ref())
+                } else if let (Some(out), Some(card_outs)) = (outputs.as_mut(), card_outs.as_mut())
                 {
-                    out[idx] = card_out[k].clone();
+                    out[idx] = std::mem::take(&mut card_outs[k]);
                 }
             }
         }

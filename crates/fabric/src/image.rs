@@ -639,10 +639,10 @@ pub fn run_decoded_netlist_batch(
     }
 }
 
-/// Widest netlist a [`NetlistTable`] tabulates: `2^16` `u16` entries,
-/// 128 KiB, at most.
+/// Widest netlist a [`NetlistTable`] tabulates: `2^16` entries of at
+/// most two bytes, 128 KiB, at most (64 KiB for 8 or fewer outputs).
 const TABLE_MAX_INPUTS: usize = 16;
-/// Most outputs a [`NetlistTable`] entry holds (one `u16` pattern).
+/// Most outputs a [`NetlistTable`] entry holds (two bytes).
 const TABLE_MAX_OUTPUTS: usize = 16;
 
 /// Lane masks for one table-filling [`Netlist::eval_words`] walk: lane
@@ -666,7 +666,11 @@ const LANE_PATTERN_MASKS: [u64; 6] = [
 /// 64-entry block with one bit-sliced walk of the netlist, so every
 /// entry is still computed LUT by LUT from the decoded bits; the table
 /// only spares re-walking a pattern it has seen. Storage is
-/// `2^n_inputs` entries plus one "filled" bit per block.
+/// `2^n_inputs` entries of `n_outputs.div_ceil(8)` bytes each, little
+/// endian in one strided byte array, plus one "filled" bit per block:
+/// an 8-output table (CRC-8's streaming step) takes one byte per
+/// entry, so its dependent lookup chain touches half the cache lines
+/// a `u16` entry would.
 ///
 /// The table is a pure function of the netlist's value: it stays valid
 /// for any netlist `==` to [`NetlistTable::netlist`], whichever frames
@@ -691,7 +695,9 @@ const LANE_PATTERN_MASKS: [u64; 6] = [
 #[derive(Debug, Clone)]
 pub struct NetlistTable {
     netlist: Netlist,
-    entries: Vec<u16>,
+    /// Entry `p` is `entries[p * entry_bytes..][..entry_bytes]`.
+    entries: Vec<u8>,
+    entry_bytes: usize,
     filled: Vec<u64>,
     in_words: Vec<u64>,
     out_words: Vec<u64>,
@@ -706,8 +712,10 @@ impl NetlistTable {
             return None;
         }
         let n_entries = 1usize << netlist.n_inputs();
+        let entry_bytes = netlist.n_outputs().div_ceil(8);
         Some(NetlistTable {
-            entries: vec![0; n_entries],
+            entries: vec![0; n_entries * entry_bytes],
+            entry_bytes,
             filled: vec![0; n_entries.div_ceil(64).div_ceil(64)],
             in_words: vec![0; netlist.n_inputs()],
             out_words: vec![0; netlist.n_outputs()],
@@ -733,7 +741,12 @@ impl NetlistTable {
         if (self.filled[block >> 6] >> (block & 63)) & 1 == 0 {
             self.fill(block);
         }
-        self.entries[pattern]
+        // a netlist has 1..=16 outputs, so an entry is one or two bytes
+        if self.entry_bytes == 1 {
+            self.entries[pattern] as u16
+        } else {
+            u16::from_le_bytes([self.entries[2 * pattern], self.entries[2 * pattern + 1]])
+        }
     }
 
     /// Evaluates the 64 patterns of `block` in one walk: the low six
@@ -750,13 +763,16 @@ impl NetlistTable {
         }
         self.netlist
             .eval_words(&self.in_words, &mut self.out_words, &mut self.nets);
-        let lanes = self.entries.len().min(64);
-        for (lane, entry) in self.entries[base..base + lanes].iter_mut().enumerate() {
-            *entry = self
+        let width = self.entry_bytes;
+        let lanes = (1usize << self.netlist.n_inputs()).min(64);
+        for lane in 0..lanes {
+            let entry = self
                 .out_words
                 .iter()
                 .enumerate()
-                .fold(0, |acc, (k, w)| acc | (((w >> lane) & 1) as u16) << k);
+                .fold(0u16, |acc, (k, w)| acc | (((w >> lane) & 1) as u16) << k);
+            let at = (base + lane) * width;
+            self.entries[at..at + width].copy_from_slice(&entry.to_le_bytes()[..width]);
         }
         self.filled[block >> 6] |= 1 << (block & 63);
     }
@@ -1007,6 +1023,20 @@ mod tests {
                     .fold(0u16, |acc, (k, &o)| acc | (o as u16) << k);
                 assert_eq!(table.lookup(p), want, "{n_inputs} inputs, pattern {p:#x}");
             }
+        }
+    }
+
+    #[test]
+    fn table_entries_are_as_wide_as_their_outputs() {
+        for (n_outputs, width) in [(4, 1), (8, 1), (9, 2), (16, 2)] {
+            let mut b = NetlistBuilder::new();
+            let ins = b.inputs(8);
+            for k in 0..n_outputs {
+                b.output(ins[k % 8]);
+            }
+            let table = NetlistTable::new(b.finish().unwrap()).expect("width fits");
+            assert_eq!(table.entry_bytes, width, "{n_outputs} outputs");
+            assert_eq!(table.entries.len(), 256 * width, "{n_outputs} outputs");
         }
     }
 

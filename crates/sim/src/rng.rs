@@ -6,6 +6,10 @@
 //! Using our own generator (rather than an external crate) guarantees
 //! experiment outputs are bit-stable across toolchain and dependency
 //! upgrades.
+//!
+//! Every request payload is [`SplitMix64::fill`] output, so `fill` is on
+//! the per-request host path: it writes whole 8-byte words, and its
+//! bytes are pinned against the word stream in the tests.
 
 /// SplitMix64 pseudo-random generator (Steele, Lea & Flood 2014).
 ///
@@ -81,11 +85,19 @@ impl SplitMix64 {
         self.next_f64() < p
     }
 
-    /// Fills `buf` with random bytes.
+    /// Fills `buf` with random bytes: the little-endian bytes of one
+    /// [`next_u64`](Self::next_u64) per 8-byte word, written a whole
+    /// word at a time, and the leading bytes of one more for a short
+    /// remainder.
     pub fn fill(&mut self, buf: &mut [u8]) {
-        for chunk in buf.chunks_mut(8) {
-            let v = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&v[..chunk.len()]);
+        let mut words = buf.chunks_exact_mut(8);
+        for word in &mut words {
+            word.copy_from_slice(&self.next_u64().to_le_bytes());
+        }
+        let rest = words.into_remainder();
+        if !rest.is_empty() {
+            let len = rest.len();
+            rest.copy_from_slice(&self.next_u64().to_le_bytes()[..len]);
         }
     }
 
@@ -139,6 +151,24 @@ mod tests {
         for _ in 0..10_000 {
             let x = r.next_f64();
             assert!((0.0..1.0).contains(&x));
+        }
+    }
+
+    /// `fill` is the concatenated little-endian `next_u64` words,
+    /// truncated to the buffer, at every remainder.
+    #[test]
+    fn fill_matches_concatenated_words() {
+        for len in (0..=67usize).chain([4096]) {
+            let mut words = SplitMix64::new(len as u64);
+            let want: Vec<u8> = (0..len.div_ceil(8))
+                .flat_map(|_| words.next_u64().to_le_bytes())
+                .take(len)
+                .collect();
+            let mut filler = SplitMix64::new(len as u64);
+            let mut got = vec![0u8; len];
+            filler.fill(&mut got);
+            assert_eq!(got, want, "len {len}");
+            assert_eq!(filler, words, "len {len}: same words drawn");
         }
     }
 

@@ -720,6 +720,19 @@ mod tests {
 
     const ALGOS: [u16; 5] = [1, 2, 3, 4, 5];
 
+    /// Payload bytes are part of every golden: their FNV-1a digests are
+    /// pinned, so a change to the generator or its `fill` cannot drift
+    /// the payloads under the goldens unnoticed.
+    #[test]
+    fn request_input_digests_are_pinned() {
+        use aaod_fabric::digest::fnv1a64;
+        assert_eq!(fnv1a64(&request_input(1, 5, 4096)), 0xeec5_8f66_1741_2527);
+        assert_eq!(
+            fnv1a64(&request_input(97531, 3, 1500)),
+            0xfab1_26d0_5e06_2845
+        );
+    }
+
     #[test]
     fn generators_produce_n_requests() {
         assert_eq!(Workload::uniform(&ALGOS, 50, 8, 1).len(), 50);
