@@ -67,37 +67,27 @@ static TE1: [u32; 256] = t_table(1);
 static TE2: [u32; 256] = t_table(2);
 static TE3: [u32; 256] = t_table(3);
 
-/// Expands a 16-byte key into 11 round keys.
-fn expand_key(key: &[u8; 16]) -> [[u8; 16]; 11] {
-    let mut w = [[0u8; 4]; 44];
-    for i in 0..4 {
-        w[i].copy_from_slice(&key[i * 4..i * 4 + 4]);
-    }
-    for i in 4..44 {
-        let mut t = w[i - 1];
-        if i % 4 == 0 {
-            t.rotate_left(1);
-            for b in &mut t {
-                *b = SBOX[*b as usize];
-            }
-            t[0] ^= RCON[i / 4 - 1];
-        }
-        for j in 0..4 {
-            w[i][j] = w[i - 4][j] ^ t[j];
-        }
-    }
-    let mut rk = [[0u8; 16]; 11];
-    for (r, round_key) in rk.iter_mut().enumerate() {
-        for c in 0..4 {
-            round_key[c * 4..c * 4 + 4].copy_from_slice(&w[r * 4 + c]);
-        }
+/// Round keys as big-endian column words, the form the T-table rounds
+/// XOR in: round `r`'s column `c` is key-schedule word `w[4r + c]`.
+type RoundKeyWords = [[u32; 4]; 11];
+
+/// Expands a 16-byte key into the 44 key-schedule words of FIPS-197
+/// §5.2, built as big-endian words: `RotWord` is a rotate, `SubWord`
+/// four S-box lookups, and `Rcon` lands in the top byte.
+fn expand_key(key: &[u8; 16]) -> RoundKeyWords {
+    let mut rk = [[0u32; 4]; 11];
+    rk[0] = columns(*key);
+    for (r, &rcon) in RCON.iter().enumerate() {
+        let prev = rk[r];
+        let last = prev[3].rotate_left(8).to_be_bytes();
+        let mut t = u32::from_be_bytes(last.map(|b| SBOX[b as usize])) ^ (u32::from(rcon) << 24);
+        rk[r + 1] = prev.map(|w| {
+            t ^= w;
+            t
+        });
     }
     rk
 }
-
-/// Round keys as big-endian column words (`round_keys.map(columns)`),
-/// the form the T-table rounds XOR in.
-type RoundKeyWords = [[u32; 4]; 11];
 
 /// The four big-endian column words of a 16-byte (column-major) block.
 fn columns(block: [u8; 16]) -> [u32; 4] {
@@ -139,11 +129,6 @@ fn encrypt_words(block: [u8; 16], rk: &RoundKeyWords) -> [u8; 16] {
     out
 }
 
-/// Encrypts one 16-byte block with the expanded key.
-pub fn encrypt_block(block: &[u8; 16], round_keys: &[[u8; 16]; 11]) -> [u8; 16] {
-    encrypt_words(*block, &round_keys.map(columns))
-}
-
 /// The AES-128 kernel (ECB encryption over zero-padded 16-byte blocks).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Aes128;
@@ -166,7 +151,7 @@ impl Kernel for Aes128 {
             kernel: "aes128",
             reason: format!("key must be 16 bytes, got {}", params.len()),
         })?;
-        let rk = expand_key(&key).map(columns);
+        let rk = expand_key(&key);
         let mut out = Vec::with_capacity(input.len().div_ceil(16) * 16);
         for chunk in input.chunks(16) {
             let mut block = [0u8; 16];
@@ -220,6 +205,34 @@ impl Kernel for Aes128 {
 #[cfg(test)]
 mod reference {
     use super::*;
+
+    /// Expands a 16-byte key into 11 byte-wise round keys.
+    pub(super) fn expand_key(key: &[u8; 16]) -> [[u8; 16]; 11] {
+        let mut w = [[0u8; 4]; 44];
+        for i in 0..4 {
+            w[i].copy_from_slice(&key[i * 4..i * 4 + 4]);
+        }
+        for i in 4..44 {
+            let mut t = w[i - 1];
+            if i % 4 == 0 {
+                t.rotate_left(1);
+                for b in &mut t {
+                    *b = SBOX[*b as usize];
+                }
+                t[0] ^= RCON[i / 4 - 1];
+            }
+            for j in 0..4 {
+                w[i][j] = w[i - 4][j] ^ t[j];
+            }
+        }
+        let mut rk = [[0u8; 16]; 11];
+        for (r, round_key) in rk.iter_mut().enumerate() {
+            for c in 0..4 {
+                round_key[c * 4..c * 4 + 4].copy_from_slice(&w[r * 4 + c]);
+            }
+        }
+        rk
+    }
 
     fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
         for i in 0..16 {
@@ -309,6 +322,38 @@ mod tests {
         }
     }
 
+    /// Seeded key sweep: the word-wise key schedule equals the
+    /// byte-wise one read as big-endian column words.
+    #[test]
+    fn key_expansion_matches_byte_wise_reference() {
+        let mut rng = aaod_sim::SplitMix64::new(0xAE5_C0DE);
+        for _ in 0..512 {
+            let mut key = [0u8; 16];
+            rng.fill(&mut key);
+            assert_eq!(expand_key(&key), reference::expand_key(&key).map(columns));
+        }
+    }
+
+    /// FIPS-197 Appendix A.1: the expanded key of
+    /// `2b7e1516 28aed2a6 abf71588 09cf4f3c`, all 44 words.
+    #[test]
+    fn fips197_appendix_a1_key_expansion() {
+        let key = [
+            0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf,
+            0x4f, 0x3c,
+        ];
+        let w: [u32; 44] = [
+            0x2b7e1516, 0x28aed2a6, 0xabf71588, 0x09cf4f3c, 0xa0fafe17, 0x88542cb1, 0x23a33939,
+            0x2a6c7605, 0xf2c295f2, 0x7a96b943, 0x5935807a, 0x7359f67f, 0x3d80477d, 0x4716fe3e,
+            0x1e237e44, 0x6d7a883b, 0xef44a541, 0xa8525b7f, 0xb671253b, 0xdb0bad00, 0xd4d1c6f8,
+            0x7c839d87, 0xcaf2b8bc, 0x11f915bc, 0x6d88a37a, 0x110b3efd, 0xdbf98641, 0xca0093fd,
+            0x4e54f70e, 0x5f5fc9f3, 0x84a64fb2, 0x4ea6dc4f, 0xead27321, 0xb58dbad2, 0x312bf560,
+            0x7f8d292f, 0xac7766f3, 0x19fadc21, 0x28d12941, 0x575c006e, 0xd014f9a8, 0xc9ee2589,
+            0xe13f0cc8, 0xb6630ca6,
+        ];
+        assert_eq!(expand_key(&key).as_flattened(), &w[..]);
+    }
+
     /// FIPS-197 Appendix B example.
     #[test]
     fn fips197_vector() {
@@ -324,8 +369,7 @@ mod tests {
             0x39, 0x25, 0x84, 0x1d, 0x02, 0xdc, 0x09, 0xfb, 0xdc, 0x11, 0x85, 0x97, 0x19, 0x6a,
             0x0b, 0x32,
         ];
-        let rk = expand_key(&key);
-        assert_eq!(encrypt_block(&pt, &rk), expected);
+        assert_eq!(encrypt_words(pt, &expand_key(&key)), expected);
     }
 
     /// FIPS-197 Appendix C.1 (key 000102...0f, pt 00112233...ff).
@@ -341,8 +385,7 @@ mod tests {
             0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4,
             0xc5, 0x5a,
         ];
-        let rk = expand_key(&key);
-        assert_eq!(encrypt_block(&pt, &rk), expected);
+        assert_eq!(encrypt_words(pt, &expand_key(&key)), expected);
     }
 
     /// NIST SP 800-38A F.1.1 (AES-128 ECB, 4 blocks).
@@ -376,7 +419,7 @@ mod tests {
             ),
         ];
         for (pt, ct) in cases {
-            assert_eq!(encrypt_block(&pt, &rk), ct);
+            assert_eq!(encrypt_words(pt, &rk), ct);
         }
     }
 

@@ -190,7 +190,7 @@ impl CoProcessor {
     /// Propagates controller errors (unknown algorithm, full ROM,
     /// duplicates…).
     pub fn install(&mut self, algo_id: u16) -> Result<SimTime, CoreError> {
-        let encoded = self.os.encode_bitstream(algo_id)?;
+        let encoded = self.os.bank_bitstream(algo_id)?;
         let pci = self.transfer(encoded.len() as u64, Direction::Write);
         let rom = self.os.download(&encoded)?;
         Ok(pci + rom)

@@ -644,6 +644,9 @@ pub fn run_decoded_netlist_batch(
 const TABLE_MAX_INPUTS: usize = 16;
 /// Most outputs a [`NetlistTable`] entry holds (two bytes).
 const TABLE_MAX_OUTPUTS: usize = 16;
+/// Widest netlist whose [`NetlistTable`] fills on first use: at most
+/// four 64-entry blocks.
+const EAGER_TABLE_INPUTS: usize = 8;
 
 /// Lane masks for one table-filling [`Netlist::eval_words`] walk: lane
 /// `L` carries pattern bit `i` exactly when bit `i` of `L` is set, so
@@ -665,7 +668,10 @@ const LANE_PATTERN_MASKS: [u64; 6] = [
 /// of an entry is output `k`. A missing entry fills its whole aligned
 /// 64-entry block with one bit-sliced walk of the netlist, so every
 /// entry is still computed LUT by LUT from the decoded bits; the table
-/// only spares re-walking a pattern it has seen. Storage is
+/// only spares re-walking a pattern it has seen. A table of at most 8
+/// inputs (four blocks) fills every block on first use instead, so a
+/// combinational input byte with a one-byte entry is read straight
+/// (POPCNT8, PARITY8). Storage is
 /// `2^n_inputs` entries of `n_outputs.div_ceil(8)` bytes each, little
 /// endian in one strided byte array, plus one "filled" bit per block:
 /// an 8-output table (CRC-8's streaming step) takes one byte per
@@ -793,17 +799,32 @@ impl NetlistTable {
         inputs: &[&[u8]],
     ) -> Result<Vec<Vec<u8>>, FabricError> {
         let (in_bytes, out_bytes) = netlist_io_bytes(&self.netlist, mode)?;
+        let eager = self.netlist.n_inputs() <= EAGER_TABLE_INPUTS;
+        if eager {
+            let n_blocks = (1usize << self.netlist.n_inputs()).div_ceil(64);
+            for block in 0..n_blocks {
+                if (self.filled[0] >> block) & 1 == 0 {
+                    self.fill(block);
+                }
+            }
+        }
         Ok(inputs
             .iter()
             .map(|input| match mode {
+                // an eager table's combinational input is one byte per
+                // block, and every entry is filled
+                NetlistMode::Combinational if eager && out_bytes == 1 => {
+                    input.iter().map(|&b| self.entries[b as usize]).collect()
+                }
                 NetlistMode::Combinational => {
-                    let mut out = Vec::with_capacity(input.len().div_ceil(in_bytes) * out_bytes);
-                    for block in input.chunks(in_bytes) {
+                    let mut out = vec![0u8; input.len().div_ceil(in_bytes) * out_bytes];
+                    for (block, dst) in input.chunks(in_bytes).zip(out.chunks_exact_mut(out_bytes))
+                    {
                         let pattern = block
                             .iter()
                             .rev()
                             .fold(0usize, |acc, &b| acc << 8 | b as usize);
-                        out.extend_from_slice(&self.lookup(pattern).to_le_bytes()[..out_bytes]);
+                        dst.copy_from_slice(&self.lookup(pattern).to_le_bytes()[..out_bytes]);
                     }
                     out
                 }

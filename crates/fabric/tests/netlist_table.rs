@@ -137,3 +137,60 @@ fn table_matches_scalar_on_flipped_bank_images() {
     }
     assert!(checked >= 100, "only {checked} flipped netlists decoded");
 }
+
+/// Every combinational netlist of the extended bank, decoded from its
+/// image: one table per netlist, fed every length 0..=300 one call at a
+/// time and then as one batch, returns exactly the scalar walk's bytes.
+/// An 8-input table fills on first use, so this also covers its
+/// straight reads from the first call on.
+#[test]
+fn table_matches_scalar_on_every_combinational_bank_netlist() {
+    let bank = AlgorithmBank::extended();
+    let geom = DeviceGeometry::default();
+    let mut rng = SplitMix64::new(0x0c0b_1300);
+    let mut checked = Vec::new();
+    for kernel in bank.iter() {
+        let image = bank.build_image(kernel.algo_id(), geom).unwrap();
+        let Ok(FunctionKind::Netlist {
+            netlist,
+            mode: NetlistMode::Combinational,
+        }) = image.kind()
+        else {
+            continue;
+        };
+        let mut table = NetlistTable::new(netlist.clone()).expect("bank netlists fit");
+        let inputs: Vec<Vec<u8>> = (0..=300)
+            .map(|len| {
+                let mut v = vec![0u8; len];
+                rng.fill(&mut v);
+                v
+            })
+            .collect();
+        for input in &inputs {
+            let want = run_decoded_netlist(&netlist, NetlistMode::Combinational, input).unwrap();
+            let got = table
+                .run_batch(NetlistMode::Combinational, &[input])
+                .unwrap();
+            assert_eq!(got, [want], "{}: {} bytes", kernel.name(), input.len());
+            if netlist.n_inputs() == 8 {
+                assert_eq!(table.filled_blocks(), 4, "{}: filled lazily", kernel.name());
+            }
+        }
+        let refs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
+        let want: Vec<Vec<u8>> = refs
+            .iter()
+            .map(|input| run_decoded_netlist(&netlist, NetlistMode::Combinational, input).unwrap())
+            .collect();
+        assert_eq!(
+            table.run_batch(NetlistMode::Combinational, &refs).unwrap(),
+            want,
+            "{}: batch",
+            kernel.name()
+        );
+        checked.push(kernel.algo_id());
+    }
+    checked.sort_unstable();
+    let mut expected = vec![ids::ADDER8, ids::POPCNT8, ids::PARITY8];
+    expected.sort_unstable();
+    assert_eq!(checked, expected);
+}

@@ -171,11 +171,11 @@ struct ResidentDecode {
 }
 
 /// One function's configuration image as a full-path configuration
-/// fetched, CRC-checked and decompressed it from ROM. While the ROM's
-/// mutation stamp still reads `rom_stamp`, its record (codec included)
-/// and bytes are unchanged and would decode to the same frames, windows
-/// and bytes again, so a miss replays them instead (see
-/// [`MiniOs::configure_resident`]).
+/// fetched, CRC-checked and decompressed it from ROM. While the
+/// function's ROM record stamp still reads `rom_stamp`, its record
+/// (codec included) and bytes are unchanged and would decode to the
+/// same frames, windows and bytes again, so a miss replays them instead
+/// (see [`MiniOs::configure_resident`]).
 #[derive(Clone)]
 struct VerifiedImage {
     rom_stamp: u64,
@@ -192,10 +192,15 @@ struct VerifiedImage {
     kind: Option<Arc<FunctionKind>>,
 }
 
-/// The host's memo of one algorithm: the last verified image of its
-/// ROM bitstream, and the last decode of its configured frames.
+/// The host's memo of one algorithm: its bank bitstream as this card
+/// encodes it, the last verified image of its ROM bitstream, and the
+/// last decode of its configured frames.
 #[derive(Default)]
 struct ImageMemo {
+    /// What [`MiniOs::encode_bitstream`] returns for the algorithm. The
+    /// bank, the geometry and the codec are fixed when the card is
+    /// built, so every later encoding would produce these bytes.
+    encoded: Option<Arc<[u8]>>,
     image: Option<VerifiedImage>,
     resident: Option<ResidentDecode>,
 }
@@ -352,13 +357,29 @@ impl MiniOs {
         Ok(t)
     }
 
+    /// [`MiniOs::encode_bitstream`], encoded once per card: the bytes
+    /// are kept in the algorithm's memo and handed out again on every
+    /// later call, which is what makes a re-download cheap on the host.
+    ///
+    /// # Errors
+    ///
+    /// As [`MiniOs::encode_bitstream`].
+    pub fn bank_bitstream(&mut self, algo_id: u16) -> Result<Arc<[u8]>, McuError> {
+        if let Some(encoded) = self.images.get(&algo_id).and_then(|m| m.encoded.as_ref()) {
+            return Ok(Arc::clone(encoded));
+        }
+        let encoded: Arc<[u8]> = self.encode_bitstream(algo_id)?.into();
+        self.images.entry(algo_id).or_default().encoded = Some(Arc::clone(&encoded));
+        Ok(encoded)
+    }
+
     /// Convenience: encode + download a bank algorithm.
     ///
     /// # Errors
     ///
     /// As [`MiniOs::encode_bitstream`] and [`MiniOs::download`].
     pub fn install(&mut self, algo_id: u16) -> Result<SimTime, McuError> {
-        let encoded = self.encode_bitstream(algo_id)?;
+        let encoded = self.bank_bitstream(algo_id)?;
         self.download(&encoded)
     }
 
@@ -716,7 +737,7 @@ impl MiniOs {
     /// decoded-cache hit) and whether the cache served the frames.
     ///
     /// A ROM fetch whose bytes are unchanged since a full-path
-    /// configuration verified them (same ROM stamp) replays that run
+    /// configuration verified them (same record stamp) replays that run
     /// instead of repeating it: the same fetch, the same frames written
     /// through the port, the first run's decompress time, windows and
     /// bytes, and the same detail events. Only the host skips the CRC
@@ -768,7 +789,9 @@ impl MiniOs {
             .images
             .get(&record.algo_id)
             .and_then(|m| m.image.as_ref())
-            .filter(|image| image.rom_stamp == self.rom.stamp() && !store_probes)
+            .filter(|image| {
+                image.rom_stamp == self.rom.record_stamp(record.algo_id) && !store_probes
+            })
             .cloned();
         let (report, written) = match replay {
             Some(image) => {
@@ -809,7 +832,7 @@ impl MiniOs {
                     .and_then(|image| parse_kind(&image, record.algo_id).ok())
                     .map(Arc::new);
                 self.images.entry(record.algo_id).or_default().image = Some(VerifiedImage {
-                    rom_stamp: self.rom.stamp(),
+                    rom_stamp: self.rom.record_stamp(record.algo_id),
                     frames: Arc::clone(&produced),
                     decompress_time: report.decompress_time,
                     windows: report.windows,
@@ -1041,6 +1064,13 @@ impl MiniOs {
     /// verifies the image digest, and repairs any corrupted function
     /// by reconfiguring it in place from its ROM bitstream.
     ///
+    /// Every resident function is charged its readback time and counted
+    /// as checked. The host skips the digest check and parse of a
+    /// function whose frames have not changed since they last decoded
+    /// as it (its memoized decode is still valid): they would pass
+    /// again. An SEU, a torn configuration or a patch advances the
+    /// frames' stamps, so damage is always read back and found.
+    ///
     /// Real Virtex-class devices suffer configuration-memory upsets
     /// (SEUs); periodic scrubbing is the standard defence, and the
     /// image digest gives this controller an end-to-end check that
@@ -1063,10 +1093,16 @@ impl MiniOs {
             // readback cost: pulling the frames back through the port
             report.time += self.port.frames_time(geom, frames.len());
             report.frames_checked += frames.len();
-            let healthy = matches!(
-                self.device.decode_function_with(frames, &mut self.frame_flat),
-                Ok(img) if img.algo_id() == id
-            );
+            let verified = self
+                .images
+                .get(&id)
+                .and_then(|m| m.resident.as_ref())
+                .is_some_and(|memo| self.device.stamp(frames) <= memo.clock);
+            let healthy = verified
+                || matches!(
+                    self.device.decode_function_with(frames, &mut self.frame_flat),
+                    Ok(img) if img.algo_id() == id
+                );
             if healthy {
                 continue;
             }
@@ -1182,9 +1218,9 @@ impl MiniOs {
         let mut corrupt = Vec::new();
         let mut scanned = 0u64;
         for record in self.rom.records() {
-            let encoded = self.rom.bitstream_bytes(&record).to_vec();
+            let encoded = self.rom.bitstream_bytes(&record);
             scanned += encoded.len() as u64;
-            let ok = BitstreamHeader::parse(&encoded)
+            let ok = BitstreamHeader::parse(encoded)
                 .and_then(|h| h.verify_payload(&encoded[HEADER_BYTES..]))
                 .is_ok();
             if !ok {
@@ -1199,8 +1235,10 @@ impl MiniOs {
     /// Corruption recovery: re-downloads a function whose ROM image
     /// went bad. The function is evicted (if resident), its decoded
     /// cache entries are purged, the rotten record is removed from the
-    /// ROM, and a fresh image is encoded and downloaded. Returns the
-    /// total modelled recovery time, also charged to the clock.
+    /// ROM, and a fresh image is downloaded: the card's own encoding
+    /// ([`MiniOs::bank_bitstream`]), which the host encodes only once.
+    /// Returns the total modelled recovery time, also charged to the
+    /// clock.
     ///
     /// # Errors
     ///

@@ -366,6 +366,7 @@ fn sweep(codec: CodecId) {
                 observe(&mut uncached),
                 "{case}, step {step}: {op:?}"
             );
+            assert!(memoized.rom == uncached.rom, "{case}, step {step}: {op:?}");
             assert_memo_sound(&memoized);
             if let (Outcome::Invoke(Ok(reports)), Op::Invoke { algo, .. }) = (&got, op) {
                 let report = &reports[0].1;
@@ -415,4 +416,169 @@ fn memoized_card_matches_an_uncached_card_frame_xor() {
 #[test]
 fn memoized_card_matches_an_uncached_card_delta_v2() {
     sweep(CodecId::DeltaV2);
+}
+
+/// The six sweep functions installed on a 40-frame card under `codec`,
+/// traced, with every function's bitstream encoded by `install`.
+fn installed_card(codec: CodecId) -> MiniOs {
+    let mut os = MiniOs::new(MiniOsConfig {
+        geometry: DeviceGeometry::new(40, 16),
+        codec,
+        ..MiniOsConfig::default()
+    });
+    for id in ALGOS {
+        os.install(id).unwrap();
+    }
+    os.set_trace(true);
+    take_details(&mut os);
+    os
+}
+
+#[test]
+fn redownloads_from_the_encoded_memo_match_fresh_encodings() {
+    for codec in CodecId::ALL {
+        let mut memoized = installed_card(codec);
+        let mut fresh = installed_card(codec);
+        let encoded: BTreeMap<u16, Arc<[u8]>> = ALGOS
+            .iter()
+            .map(|&id| {
+                let bytes = memoized.images[&id]
+                    .encoded
+                    .clone()
+                    .expect("install memoizes");
+                assert_eq!(bytes[..], memoized.encode_bitstream(id).unwrap()[..]);
+                (id, bytes)
+            })
+            .collect();
+        let mut rng = SplitMix64::new(0xe2c0 ^ u64::from(codec.to_byte()));
+        let mut redownloads = 0;
+        for step in 0..36 {
+            let algo = ALGOS[rng.index(ALGOS.len())];
+            let op = match rng.index(3) {
+                0 => Op::RomRot(algo, rng.next_u64()),
+                1 => Op::Redownload(algo),
+                _ => Op::Invoke { algo, batch: 2 },
+            };
+            let inputs: Vec<Vec<u8>> = (0..2)
+                .map(|_| {
+                    let mut input = vec![0u8; 32];
+                    rng.fill(&mut input);
+                    input
+                })
+                .collect();
+            for memo in fresh.images.values_mut() {
+                memo.encoded = None;
+            }
+            let got = apply(&mut memoized, op, &inputs);
+            let want = apply(&mut fresh, op, &inputs);
+            assert_eq!(got, want, "{codec}, step {step}: {op:?}");
+            assert_eq!(
+                observe(&mut memoized),
+                observe(&mut fresh),
+                "{codec}, step {step}: {op:?}"
+            );
+            assert!(memoized.rom == fresh.rom, "{codec}, step {step}: {op:?}");
+            redownloads += matches!(op, Op::Redownload(_)) as usize;
+        }
+        assert_eq!(memoized.rom_patrol(), fresh.rom_patrol(), "{codec}");
+        assert!(redownloads > 0, "{codec}: no re-download drawn");
+        for (id, bytes) in &encoded {
+            let now = memoized.images[id].encoded.as_ref().expect("kept");
+            assert!(Arc::ptr_eq(bytes, now), "{codec}: algo {id} encoded again");
+        }
+    }
+}
+
+#[test]
+fn rom_rot_of_one_algorithm_leaves_the_others_replayable() {
+    let input = vec![0x3c; 4096];
+    let mut os = dsp_card();
+    for id in ids::DSP_AI {
+        os.invoke(id, &input).unwrap();
+    }
+    let [rotten, healthy, other] = ids::DSP_AI;
+    os.inject_rom_rot(rotten, &mut SplitMix64::new(7)).unwrap();
+    let frames = Arc::clone(&image(&os, healthy).frames);
+    let (out, report) = os.invoke(healthy, &input).unwrap();
+    assert!(!report.hit && !report.decoded_cache_hit, "{report:?}");
+    assert!(
+        Arc::ptr_eq(&frames, &image(&os, healthy).frames),
+        "another algorithm's rot forced a decompression"
+    );
+    assert!(decode_is_seeded(&os, healthy));
+    assert_eq!(out, os.bank().execute_software(healthy, &input).unwrap());
+    // the rotten algorithm takes the full path and fails its CRC, now
+    // and after the healthy ones move again
+    for _ in 0..2 {
+        let err = os.invoke(rotten, &input).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                McuError::Bitstream(aaod_bitstream::BitstreamError::CrcMismatch { .. })
+            ),
+            "{err}"
+        );
+        os.invoke(other, &input).unwrap();
+    }
+    // a re-download touches only its own record: the others still
+    // replay, and the fresh one decodes once, then replays too
+    os.redownload(rotten).unwrap();
+    let frames = Arc::clone(&image(&os, other).frames);
+    os.invoke(healthy, &input).unwrap();
+    os.invoke(other, &input).unwrap();
+    assert!(Arc::ptr_eq(&frames, &image(&os, other).frames));
+    for _ in 0..2 {
+        let (out, report) = os.invoke(rotten, &input).unwrap();
+        assert!(!report.hit);
+        assert_eq!(out, os.bank().execute_software(rotten, &input).unwrap());
+        os.invoke(healthy, &input).unwrap();
+    }
+    assert!(decode_is_seeded(&os, rotten));
+}
+
+/// A scrub on the memo must report and repair exactly what a scrub
+/// that reads every function back does, on a clean card, after an SEU
+/// and after a torn configuration.
+#[test]
+fn memo_aware_scrub_matches_a_full_readback() {
+    let fault = |os: &mut MiniOs, what: &str, id: u16| match what {
+        "seu" => assert!(os.inject_seu(id, &mut SplitMix64::new(u64::from(id)))),
+        "torn" => assert!(os.inject_torn(id)),
+        _ => {}
+    };
+    let input = vec![0xa7; 48];
+    for what in ["clean", "seu", "torn"] {
+        for target in ALGOS {
+            let card = || {
+                let mut os = MiniOs::new(MiniOsConfig::default());
+                for id in ALGOS {
+                    os.install(id).unwrap();
+                    os.invoke(id, &input).unwrap();
+                }
+                os.set_trace(true);
+                take_details(&mut os);
+                os
+            };
+            let (mut memoized, mut uncached) = (card(), card());
+            assert_eq!(memoized.resident().len(), ALGOS.len());
+            for id in ALGOS {
+                assert!(memoized.images[&id].resident.is_some(), "algo {id}");
+            }
+            fault(&mut memoized, what, target);
+            fault(&mut uncached, what, target);
+            uncached.images.clear();
+            let got = memoized.scrub().unwrap();
+            assert_eq!(Ok(got.clone()), uncached.scrub(), "{what} on {target}");
+            let repaired: &[u16] = if what == "clean" { &[] } else { &[target] };
+            assert_eq!(got.repaired, repaired, "{what} on {target}");
+            assert_eq!(observe(&mut memoized), observe(&mut uncached));
+            for id in ALGOS {
+                assert_eq!(
+                    memoized.invoke(id, &input),
+                    uncached.invoke(id, &input),
+                    "{what} on {target}: algo {id}"
+                );
+            }
+        }
+    }
 }

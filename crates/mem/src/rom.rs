@@ -8,6 +8,7 @@
 
 use crate::error::MemError;
 use crate::record::{FunctionRecord, RecordFields, RECORD_BYTES};
+use std::collections::BTreeMap;
 
 /// The co-processor's configuration ROM image.
 ///
@@ -38,10 +39,11 @@ pub struct Rom {
     record_probes: std::cell::Cell<u64>,
     /// Payload fetches served (observability-layer gauge).
     fetches: std::cell::Cell<u64>,
-    /// Mutation stamp: bumped by every call that changes the stored
-    /// bytes, so a host-side copy derived from them can tell they are
-    /// unchanged since it was made.
-    stamp: u64,
+    /// Per-algorithm mutation stamps: bumped by every call that changes
+    /// that algorithm's record or payload, so a host-side copy derived
+    /// from them can tell they are unchanged since it was made. An entry
+    /// outlives its record, so a re-download never repeats a reading.
+    stamps: BTreeMap<u16, u64>,
 }
 
 impl Rom {
@@ -62,7 +64,7 @@ impl Rom {
             bytes_read: std::cell::Cell::new(0),
             record_probes: std::cell::Cell::new(0),
             fetches: std::cell::Cell::new(0),
-            stamp: 0,
+            stamps: BTreeMap::new(),
         }
     }
 
@@ -129,7 +131,7 @@ impl Rom {
         let slot = self.capacity() - (self.n_records + 1) * RECORD_BYTES;
         self.data[slot..slot + RECORD_BYTES].copy_from_slice(&record.to_bytes());
         self.n_records += 1;
-        self.stamp += 1;
+        self.touch(fields.algo_id);
         Ok(())
     }
 
@@ -208,7 +210,7 @@ impl Rom {
             });
         }
         self.data[r.start as usize + offset] ^= mask;
-        self.stamp += 1;
+        self.touch(algo_id);
         Ok(())
     }
 
@@ -240,8 +242,12 @@ impl Rom {
         if end == self.bitstream_end {
             self.bitstream_end = removed.start as usize;
         }
-        self.stamp += 1;
+        self.touch(algo_id);
         Ok(())
+    }
+
+    fn touch(&mut self, algo_id: u16) {
+        *self.stamps.entry(algo_id).or_default() += 1;
     }
 
     /// Total payload bytes read so far (timing input).
@@ -254,12 +260,15 @@ impl Rom {
         self.record_probes.get()
     }
 
-    /// The mutation stamp: how many successful `download`,
-    /// `corrupt_payload` and `remove_record` calls have changed the ROM.
-    /// Those are the only writes to its bytes, so two equal readings
-    /// mean every record and payload read the same in between.
-    pub fn stamp(&self) -> u64 {
-        self.stamp
+    /// `algo_id`'s mutation stamp: how many successful `download`,
+    /// `corrupt_payload` and `remove_record` calls have touched that
+    /// algorithm. Those are the only writes to the ROM, and each changes
+    /// one algorithm's bytes alone (a removal shifts later records up a
+    /// slot but changes none of their fields, and a download only
+    /// writes past every live payload), so two equal readings mean the
+    /// algorithm's record and payload read the same in between.
+    pub fn record_stamp(&self, algo_id: u16) -> u64 {
+        self.stamps.get(&algo_id).copied().unwrap_or(0)
     }
 
     /// Payload fetches served so far. Together with
@@ -441,23 +450,37 @@ mod tests {
     }
 
     #[test]
-    fn stamp_moves_on_every_write_and_only_then() {
-        let mut rom = Rom::new(200);
-        assert_eq!(rom.stamp(), 0);
+    fn record_stamp_moves_on_every_write_to_its_algorithm_and_only_then() {
+        let mut rom = Rom::new(300);
+        assert_eq!(rom.record_stamp(1), 0);
         rom.download(fields(1), &[1u8; 30]).unwrap();
         let r = rom.lookup(1).unwrap();
         rom.bitstream_bytes(&r);
         rom.records();
-        assert_eq!(rom.stamp(), 1, "reads leave the stamp alone");
+        assert_eq!(rom.record_stamp(1), 1, "reads leave the stamp alone");
         assert!(rom.download(fields(1), &[1u8; 30]).is_err());
         assert!(rom.download(fields(2), &[2u8; 300]).is_err());
         assert!(rom.corrupt_payload(1, 30, 1).is_err());
         assert!(rom.remove_record(9).is_err());
-        assert_eq!(rom.stamp(), 1, "failed writes leave it too");
+        assert_eq!(rom.record_stamp(1), 1, "failed writes leave it too");
+        assert_eq!(rom.record_stamp(2), 0);
+        // writes to other algorithms leave it, a removal shifting its
+        // record included
+        rom.download(fields(2), &[2u8; 20]).unwrap();
+        rom.download(fields(3), &[3u8; 20]).unwrap();
+        rom.corrupt_payload(2, 3, 1).unwrap();
+        rom.remove_record(2).unwrap();
+        assert_eq!(rom.record_stamp(1), 1);
+        assert_eq!(rom.record_stamp(2), 3);
+        assert_eq!(rom.record_stamp(3), 1);
         rom.corrupt_payload(1, 3, 1).unwrap();
-        assert_eq!(rom.stamp(), 2);
+        assert_eq!(rom.record_stamp(1), 2);
         rom.remove_record(1).unwrap();
-        assert_eq!(rom.stamp(), 3);
+        assert_eq!(rom.record_stamp(1), 3);
+        // a re-download never repeats an earlier reading
+        rom.download(fields(1), &[1u8; 30]).unwrap();
+        assert_eq!(rom.record_stamp(1), 4);
+        assert_eq!(rom.record_stamp(3), 1);
     }
 
     #[test]
