@@ -10,7 +10,7 @@ use aaod_algos::ids;
 use aaod_bench::{criterion_fast, installed_coproc};
 use aaod_core::CoProcessor;
 use aaod_fabric::DeviceGeometry;
-use aaod_mcu::LruPolicy;
+use aaod_mcu::Replacement;
 use aaod_sim::report::Table;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -18,7 +18,7 @@ use std::hint::black_box;
 fn print_table() {
     let mut cp = installed_coproc(
         DeviceGeometry::default(),
-        Box::new(LruPolicy),
+        Replacement::Lru,
         &[ids::AES128, ids::SHA1, ids::CRC32, ids::CRC8],
     );
     let mut t = Table::new(
@@ -59,7 +59,7 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("e1_end_to_end");
 
     // warm path: function resident
-    let mut cp = installed_coproc(DeviceGeometry::default(), Box::new(LruPolicy), &[ids::SHA1]);
+    let mut cp = installed_coproc(DeviceGeometry::default(), Replacement::Lru, &[ids::SHA1]);
     cp.invoke(ids::SHA1, b"warm-up").expect("warm-up");
     group.bench_function("invoke_hit_sha1_1500B", |b| {
         let input = vec![0u8; 1500];

@@ -9,7 +9,9 @@
 #![warn(missing_docs)]
 
 use aaod_core::CoProcessor;
-use aaod_mcu::ReplacementPolicy;
+use aaod_mcu::Replacement;
+
+pub mod e4;
 
 /// Builds a co-processor with the given policy and geometry, with all
 /// of `algos` installed.
@@ -19,7 +21,7 @@ use aaod_mcu::ReplacementPolicy;
 /// Panics if an install fails (bench configuration error).
 pub fn installed_coproc(
     geometry: aaod_fabric::DeviceGeometry,
-    policy: Box<dyn ReplacementPolicy>,
+    policy: Replacement,
     algos: &[u16],
 ) -> CoProcessor {
     let mut cp = CoProcessor::builder()

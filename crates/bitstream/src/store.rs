@@ -68,7 +68,7 @@ pub fn frame_key(frame: &[u8]) -> FrameKey {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Entry {
     raw: Arc<Vec<u8>>,
     canonical: Arc<Vec<u8>>,
@@ -106,7 +106,7 @@ pub struct FrameStoreStats {
 /// A capacity of zero disables the store: every lookup misses and
 /// inserts are dropped, which the codec path treats as "decode
 /// everything locally".
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FrameStore {
     capacity_bytes: usize,
     bytes: usize,

@@ -360,7 +360,7 @@ impl Cluster {
 
         // Placement: calibrate once on a scratch card, replicate hot
         // algorithms, pin cold ones.
-        let costs = dispatch::calibrate(workload, bank, &*self.factory);
+        let costs = dispatch::calibrate(workload, bank, (self.factory)());
         // Online mode starts every algorithm on a single card — the
         // router's hysteresis gate earns any further copies from the
         // stream itself.

@@ -10,9 +10,7 @@ use crate::error::CoreError;
 use aaod_algos::AlgorithmBank;
 use aaod_bitstream::codec::CodecId;
 use aaod_fabric::DeviceGeometry;
-use aaod_mcu::{
-    InvokeReport, LruPolicy, MiniOs, MiniOsConfig, OsStats, ReconfigMode, ReplacementPolicy,
-};
+use aaod_mcu::{InvokeReport, MiniOs, MiniOsConfig, OsStats, ReconfigMode, Replacement};
 use aaod_pci::{Direction, PciBus, PciConfig, PciError};
 use aaod_sim::trace::DetailEvent;
 use aaod_sim::SimTime;
@@ -63,7 +61,8 @@ pub struct CoProcessorBuilder {
 
 impl CoProcessorBuilder {
     /// Starts from the default configuration (96×16 device, LZSS,
-    /// 256-byte window, LRU, partial reconfiguration, 33 MHz PCI).
+    /// 256-byte window, LRU, partial reconfiguration, 64-bit/66 MHz
+    /// PCI).
     pub fn new() -> Self {
         CoProcessorBuilder {
             os: MiniOsConfig::default(),
@@ -91,7 +90,7 @@ impl CoProcessorBuilder {
     }
 
     /// Sets the replacement policy.
-    pub fn policy(mut self, policy: Box<dyn ReplacementPolicy>) -> Self {
+    pub fn policy(mut self, policy: Replacement) -> Self {
         self.os.policy = policy;
         self
     }
@@ -169,7 +168,7 @@ impl Default for CoProcessorBuilder {
 }
 
 /// The assembled card, as seen from the host.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CoProcessor {
     os: MiniOs,
     bus: PciBus,
@@ -397,7 +396,7 @@ impl CoProcessor {
 
 impl Default for CoProcessor {
     fn default() -> Self {
-        CoProcessor::builder().policy(Box::new(LruPolicy)).build()
+        CoProcessor::builder().build()
     }
 }
 

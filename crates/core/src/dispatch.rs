@@ -51,7 +51,9 @@
 
 use crate::coproc::CoProcessor;
 use crate::engine::BATCH_MAX;
+use crate::error::CoreError;
 use aaod_algos::AlgorithmBank;
+use aaod_sim::SimTime;
 use aaod_workload::Workload;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -156,9 +158,38 @@ pub(crate) struct AlgoCost {
     shape_base: u64,
 }
 
-/// Calibrates every distinct algorithm of `workload` on a scratch
-/// card built by `factory` (bring-up, not serving time — the card is
-/// dropped). Building the scratch card with the *engine's* factory
+/// A cold then a warm invocation's host total, or the first error.
+type ColdWarm = Result<(SimTime, SimTime), CoreError>;
+
+/// Installs each distinct algorithm of `workload` on `scratch` in id
+/// order and invokes it twice with its first-seen input: per id, that
+/// input's length and the two times. The scratch card is bring-up,
+/// not serving time, and is dropped.
+pub(crate) fn measure(
+    workload: &Workload,
+    mut scratch: CoProcessor,
+) -> BTreeMap<u16, (usize, ColdWarm)> {
+    let mut first_input: BTreeMap<u16, Vec<u8>> = BTreeMap::new();
+    for (i, req) in workload.requests().iter().enumerate() {
+        first_input
+            .entry(req.algo_id)
+            .or_insert_with(|| workload.input(i));
+    }
+    first_input
+        .into_iter()
+        .map(|(algo, input)| {
+            let times = scratch.install(algo).and_then(|_| {
+                let (_, cold) = scratch.invoke(algo, &input)?;
+                let (_, warm) = scratch.invoke(algo, &input)?;
+                Ok((cold.total(), warm.total()))
+            });
+            (algo, (input.len(), times))
+        })
+        .collect()
+}
+
+/// Calibrates every distinct algorithm of `workload` on `scratch` (see
+/// [`measure`]). Building the scratch card with the *engine's* factory
 /// means the measured miss costs reflect the shards' actual codec and
 /// frame-store settings: when the DeltaV2 store shrinks
 /// reconfiguration, the planner's affinity handicap shrinks with it
@@ -168,41 +199,29 @@ pub(crate) struct AlgoCost {
 pub(crate) fn calibrate(
     workload: &Workload,
     bank: &AlgorithmBank,
-    factory: &(dyn Fn() -> CoProcessor + Send + Sync),
+    scratch: CoProcessor,
 ) -> BTreeMap<u16, AlgoCost> {
-    let requests = workload.requests();
-    let mut first_input: BTreeMap<u16, Vec<u8>> = BTreeMap::new();
-    for (i, req) in requests.iter().enumerate() {
-        first_input
-            .entry(req.algo_id)
-            .or_insert_with(|| workload.input(i));
-    }
-    let mut scratch = factory();
-    let mut costs = BTreeMap::new();
-    for (&algo, input) in &first_input {
-        let shape_base = shape(bank, algo, input.len());
-        let measured = scratch.install(algo).ok().and_then(|_| {
-            let (_, cold) = scratch.invoke(algo, input).ok()?;
-            let (_, warm) = scratch.invoke(algo, input).ok()?;
-            Some((cold.total().as_ps(), warm.total().as_ps()))
-        });
-        let cost = match measured {
-            Some((cold_ps, warm_ps)) => AlgoCost {
-                warm_ps: warm_ps.max(1),
-                miss_ps: cold_ps.saturating_sub(warm_ps),
-                shape_base,
-            },
-            // Shape units read as ~nanoseconds; the ranking still
-            // works and the miss bias stays conservative.
-            None => AlgoCost {
-                warm_ps: shape_base * 1_000,
-                miss_ps: shape_base * 16_000,
-                shape_base,
-            },
-        };
-        costs.insert(algo, cost);
-    }
-    costs
+    measure(workload, scratch)
+        .into_iter()
+        .map(|(algo, (input_len, times))| {
+            let shape_base = shape(bank, algo, input_len);
+            let cost = match times {
+                Ok((cold, warm)) => AlgoCost {
+                    warm_ps: warm.as_ps().max(1),
+                    miss_ps: cold.as_ps().saturating_sub(warm.as_ps()),
+                    shape_base,
+                },
+                // Shape units read as ~nanoseconds; the ranking still
+                // works and the miss bias stays conservative.
+                Err(_) => AlgoCost {
+                    warm_ps: shape_base * 1_000,
+                    miss_ps: shape_base * 16_000,
+                    shape_base,
+                },
+            };
+            (algo, cost)
+        })
+        .collect()
 }
 
 /// Estimated modelled service time of one request in picoseconds: the
@@ -399,8 +418,9 @@ pub(crate) fn plan_with(
 ) -> DispatchPlan {
     let requests = workload.requests();
     let n = requests.len();
-    let bank = factory().os().bank().clone();
-    let calibrated = calibrate(workload, &bank, factory);
+    let scratch = factory();
+    let bank = scratch.os().bank().clone();
+    let calibrated = calibrate(workload, &bank, scratch);
     let misses: BTreeMap<u16, u64> = calibrated
         .iter()
         .map(|(&algo, c)| (algo, c.miss_ps))

@@ -1120,13 +1120,12 @@ impl Engine {
     }
 
     /// Resolves the per-job deadline budget. An absolute policy is
-    /// returned as-is; a percentile policy calibrates on a scratch
-    /// card: each distinct algorithm is installed and invoked twice
-    /// with its first-seen input (the second, resident invocation
-    /// estimates the steady-state service time), then the budget is
-    /// `multiplier ×` the requested percentile of the per-request
-    /// estimates. The scratch card is bring-up, not serving time —
-    /// it contributes to no statistic.
+    /// returned as-is; a percentile policy measures each distinct
+    /// algorithm on a scratch card (`dispatch::measure`), takes the
+    /// warm invocation as its steady-state service time, and sets the
+    /// budget to `multiplier ×` the requested percentile of the
+    /// per-request estimates. The first measurement error, in id
+    /// order, is returned.
     fn resolve_deadline_budget(
         &self,
         workload: &Workload,
@@ -1135,23 +1134,12 @@ impl Engine {
         match oc.deadline {
             DeadlinePolicy::Absolute(budget) => Ok(budget),
             DeadlinePolicy::Percentile { pct, multiplier } => {
-                let requests = workload.requests();
-                let mut first_input: BTreeMap<u16, Vec<u8>> = BTreeMap::new();
-                for (i, req) in requests.iter().enumerate() {
-                    first_input
-                        .entry(req.algo_id)
-                        .or_insert_with(|| workload.input(i));
-                }
-                let mut scratch = (self.factory)();
                 let mut est: BTreeMap<u16, SimTime> = BTreeMap::new();
-                for (&algo, input) in &first_input {
-                    scratch.install(algo)?;
-                    scratch.invoke(algo, input)?;
-                    let (_, report) = scratch.invoke(algo, input)?;
-                    est.insert(algo, report.total());
+                for (algo, (_, times)) in dispatch::measure(workload, (self.factory)()) {
+                    est.insert(algo, times?.1);
                 }
                 let mut samples = TimeAccumulator::new();
-                for r in requests {
+                for r in workload.requests() {
                     samples.push(est[&r.algo_id]);
                 }
                 // an empty workload has no samples: the base is zero

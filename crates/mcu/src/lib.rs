@@ -7,11 +7,11 @@
 //! * [`FreeFrameList`] — the mini-OS's ledger of frames "currently not
 //!   used to realize any logic", allocated first-fit and possibly
 //!   non-contiguously.
-//! * [`ReplacementTable`] and [`ReplacementPolicy`] — the Frame
-//!   Replacement Table ("list of frames occupied by each algorithm …
-//!   along with a time stamp") and the policy that picks eviction
-//!   victims. The paper specifies least-recently-used; FIFO, LFU,
-//!   random and the Belady oracle are provided as experiment baselines.
+//! * [`ReplacementTable`] and [`Replacement`] — the Frame Replacement
+//!   Table ("list of frames occupied by each algorithm … along with a
+//!   time stamp") and the one enum of victim rules. The paper specifies
+//!   least-recently-used, the default; FIFO, LFU, random and the Belady
+//!   oracle are the experiment baselines.
 //! * [`ConfigModule`] — fetches a compressed bitstream from ROM and
 //!   "decompresses the compressed bit-stream window by window",
 //!   driving the configuration port frame by frame.
@@ -60,8 +60,5 @@ pub use decoded_cache::DecodedCache;
 pub use error::McuError;
 pub use free_frames::FreeFrameList;
 pub use mini_os::{InvokeReport, MiniOs, MiniOsConfig, ReconfigMode, ScrubReport};
-pub use replacement::{
-    BeladyPolicy, FifoPolicy, LfuPolicy, LruPolicy, RandomPolicy, ReplacementPolicy,
-    ReplacementTable, Residency,
-};
+pub use replacement::{Replacement, ReplacementTable, Residency};
 pub use stats::OsStats;

@@ -24,7 +24,7 @@ use crate::data_modules::{DataInputModule, OutputCollectionModule};
 use crate::decoded_cache::DecodedCache;
 use crate::error::McuError;
 use crate::free_frames::FreeFrameList;
-use crate::replacement::{LruPolicy, ReplacementPolicy, ReplacementTable};
+use crate::replacement::{Replacement, ReplacementTable};
 use crate::stats::OsStats;
 use aaod_algos::{AlgoError, AlgorithmBank};
 use aaod_bitstream::codec::{registry, CodecId};
@@ -55,6 +55,7 @@ pub enum ReconfigMode {
 }
 
 /// Construction parameters for [`MiniOs`].
+#[derive(Debug, Clone)]
 pub struct MiniOsConfig {
     /// Device shape.
     pub geometry: DeviceGeometry,
@@ -65,7 +66,7 @@ pub struct MiniOsConfig {
     /// Codec used by [`MiniOs::encode_bitstream`].
     pub codec: CodecId,
     /// Frame replacement policy.
-    pub policy: Box<dyn ReplacementPolicy>,
+    pub policy: Replacement,
     /// The algorithm bank behavioural images dispatch into.
     pub bank: AlgorithmBank,
     /// Partial (paper) or full (baseline) reconfiguration.
@@ -95,29 +96,13 @@ impl Default for MiniOsConfig {
             rom_capacity: 512 * 1024,
             window: 256,
             codec: CodecId::Lzss,
-            policy: Box::new(LruPolicy),
+            policy: Replacement::Lru,
             bank: AlgorithmBank::standard(),
             mode: ReconfigMode::Partial,
             prefetch: false,
             decoded_cache_bytes: 64 * 1024,
             frame_store_bytes: 256 * 1024,
         }
-    }
-}
-
-impl std::fmt::Debug for MiniOsConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MiniOsConfig")
-            .field("geometry", &self.geometry)
-            .field("rom_capacity", &self.rom_capacity)
-            .field("window", &self.window)
-            .field("codec", &self.codec)
-            .field("policy", &self.policy.name())
-            .field("mode", &self.mode)
-            .field("prefetch", &self.prefetch)
-            .field("decoded_cache_bytes", &self.decoded_cache_bytes)
-            .field("frame_store_bytes", &self.frame_store_bytes)
-            .finish()
     }
 }
 
@@ -165,6 +150,7 @@ impl InvokeReport {
 /// `clock`. A function only ever comes to occupy frames by having them
 /// configured, which advances their stamps, so a move to other frames
 /// invalidates the entry too.
+#[derive(Clone)]
 struct ResidentDecode {
     clock: u64,
     kind: Arc<FunctionKind>,
@@ -195,7 +181,7 @@ struct VerifiedImage {
 /// The host's memo of one algorithm: its bank bitstream as this card
 /// encodes it, the last verified image of its ROM bitstream, and the
 /// last decode of its configured frames.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct ImageMemo {
     /// What [`MiniOs::encode_bitstream`] returns for the algorithm. The
     /// bank, the geometry and the codec are fixed when the card is
@@ -225,6 +211,7 @@ pub struct ScrubReport {
 }
 
 /// The complete microcontroller: memories, modules, ledgers and policy.
+#[derive(Clone)]
 pub struct MiniOs {
     device: Device,
     port: ConfigPort,
@@ -238,7 +225,7 @@ pub struct MiniOs {
     table: ReplacementTable,
     decoded: DecodedCache,
     frame_store: FrameStore,
-    policy: Box<dyn ReplacementPolicy>,
+    policy: Replacement,
     bank: AlgorithmBank,
     codec: CodecId,
     mode: ReconfigMode,
@@ -1443,10 +1430,9 @@ mod tests {
         details
     }
 
-    fn small_os(frames: u16, policy: Box<dyn ReplacementPolicy>) -> MiniOs {
+    fn small_os(frames: u16) -> MiniOs {
         MiniOs::new(MiniOsConfig {
             geometry: DeviceGeometry::new(frames, 16),
-            policy,
             ..MiniOsConfig::default()
         })
     }
@@ -1501,7 +1487,7 @@ mod tests {
     fn eviction_under_pressure_lru() {
         // Device with 40 frames: AES (24) + SHA1 (12) fit; adding
         // SHA256 (16) must evict the least recently used (AES).
-        let mut os = small_os(40, Box::new(LruPolicy));
+        let mut os = small_os(40);
         for id in [ids::AES128, ids::SHA1, ids::SHA256] {
             os.install(id).unwrap();
         }
@@ -1519,7 +1505,7 @@ mod tests {
     fn multiple_evictions_when_one_is_not_enough() {
         // 30 frames; CRC32 (2) + XTEA (6) + SHA1 (12) resident = 20 used.
         // AES needs 24 -> must evict enough algorithms to free 14+ frames.
-        let mut os = small_os(30, Box::new(LruPolicy));
+        let mut os = small_os(30);
         for id in [ids::CRC32, ids::XTEA, ids::SHA1, ids::AES128] {
             os.install(id).unwrap();
         }
@@ -1533,7 +1519,7 @@ mod tests {
 
     #[test]
     fn function_too_large_rejected() {
-        let mut os = small_os(8, Box::new(LruPolicy));
+        let mut os = small_os(8);
         os.install(ids::AES128).unwrap(); // needs 24 > 8
         assert!(matches!(
             os.invoke(ids::AES128, &[0; 16]),
@@ -2509,7 +2495,7 @@ mod tests {
     #[test]
     fn detail_log_records_evictions() {
         // 40 frames: AES (24) + SHA1 (12) fit; SHA256 (16) evicts AES.
-        let mut os = small_os(40, Box::new(LruPolicy));
+        let mut os = small_os(40);
         for id in [ids::AES128, ids::SHA1, ids::SHA256] {
             os.install(id).unwrap();
         }

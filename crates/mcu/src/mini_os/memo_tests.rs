@@ -80,20 +80,19 @@ fn warm_dsp_misses_replay_the_memo_and_skip_the_readback() {
 }
 
 /// Runs `fault` on the resident MatMul16 of a memoized card and of an
-/// uncached twin, then invokes it on both: the memo may not hide the
-/// fault, so both must fail with the same error.
+/// uncached twin (its clone with the memo cleared), then invokes it on
+/// both: the memo may not hide the fault, so both must fail with the
+/// same error.
 fn faulted_invoke(fault: impl Fn(&mut MiniOs)) -> McuError {
     let input = vec![7u8; 4096];
     let mut memoized = dsp_card();
-    let mut uncached = dsp_card();
-    for os in [&mut memoized, &mut uncached] {
-        // warm up, then make the next MatMul16 miss a seeded replay
-        for id in ids::DSP_AI {
-            os.invoke(id, &input).unwrap();
-        }
-        os.invoke(ids::MATMUL16, &input).unwrap();
+    // warm up, then make the next MatMul16 miss a seeded replay
+    for id in ids::DSP_AI {
+        memoized.invoke(id, &input).unwrap();
     }
+    memoized.invoke(ids::MATMUL16, &input).unwrap();
     assert!(decode_is_seeded(&memoized, ids::MATMUL16));
+    let mut uncached = memoized.clone();
     uncached.images.clear();
     fault(&mut memoized);
     fault(&mut uncached);
@@ -334,7 +333,7 @@ fn sweep(codec: CodecId) {
                 ^ u64::from(mode == ReconfigMode::Full),
         );
         let mut memoized = sweep_card(codec, decoded, store, mode, &bitstreams);
-        let mut uncached = sweep_card(codec, decoded, store, mode, &bitstreams);
+        let mut uncached = memoized.clone();
         // a DeltaV2 bitstream probing the store never replays, and its
         // decode is the slowest, so a shorter walk covers it
         let replayable = !(codec == CodecId::DeltaV2 && store);
@@ -547,19 +546,16 @@ fn memo_aware_scrub_matches_a_full_readback() {
         _ => {}
     };
     let input = vec![0xa7; 48];
+    let mut card = MiniOs::new(MiniOsConfig::default());
+    for id in ALGOS {
+        card.install(id).unwrap();
+        card.invoke(id, &input).unwrap();
+    }
+    card.set_trace(true);
+    take_details(&mut card);
     for what in ["clean", "seu", "torn"] {
         for target in ALGOS {
-            let card = || {
-                let mut os = MiniOs::new(MiniOsConfig::default());
-                for id in ALGOS {
-                    os.install(id).unwrap();
-                    os.invoke(id, &input).unwrap();
-                }
-                os.set_trace(true);
-                take_details(&mut os);
-                os
-            };
-            let (mut memoized, mut uncached) = (card(), card());
+            let (mut memoized, mut uncached) = (card.clone(), card.clone());
             assert_eq!(memoized.resident().len(), ALGOS.len());
             for id in ALGOS {
                 assert!(memoized.images[&id].resident.is_some(), "algo {id}");
@@ -580,5 +576,70 @@ fn memo_aware_scrub_matches_a_full_readback() {
                 );
             }
         }
+    }
+}
+
+/// The uncached twins above are clones, so a clone must be a card of
+/// its own. The same commands on a clone and on its original return
+/// the same outputs, reports, stats and detail events and leave the
+/// same device, ROM and table, and running them on the clone leaves
+/// the original as it was.
+#[test]
+fn a_clone_runs_like_its_original_and_apart_from_it() {
+    for (mode, policy) in [
+        (ReconfigMode::Partial, Replacement::Lru),
+        (ReconfigMode::Partial, Replacement::random(3)),
+        (ReconfigMode::Full, Replacement::Lru),
+    ] {
+        let case = format!("{mode:?} {}", policy.name());
+        let mut original = MiniOs::new(MiniOsConfig {
+            geometry: DeviceGeometry::new(40, 16),
+            mode,
+            policy,
+            ..MiniOsConfig::default()
+        });
+        for id in ALGOS {
+            original.install(id).unwrap();
+            original.invoke(id, &[0x11; 32]).unwrap();
+        }
+        original.set_trace(true);
+        take_details(&mut original);
+        let mut rng = SplitMix64::new(0xc107e);
+        let script: Vec<(Op, Vec<Vec<u8>>)> = (0..200)
+            .map(|_| {
+                let op = Op::draw(&mut rng);
+                let inputs = (0..3)
+                    .map(|i| vec![rng.next_u64() as u8; 16 << i])
+                    .collect();
+                (op, inputs)
+            })
+            .collect();
+        let kinds: std::collections::HashSet<_> = script
+            .iter()
+            .map(|(op, _)| std::mem::discriminant(op))
+            .collect();
+        assert_eq!(kinds.len(), 9, "{case}: the script misses a command");
+
+        let before = observe(&mut original);
+        let (rom, table) = (original.rom.clone(), original.table.clone());
+        let mut clone = original.clone();
+        let on_clone: Vec<(Outcome, Observed)> = script
+            .iter()
+            .map(|(op, inputs)| (apply(&mut clone, *op, inputs), observe(&mut clone)))
+            .collect();
+        assert_eq!(observe(&mut original), before, "{case}");
+        assert!(original.rom == rom && original.table == table, "{case}");
+
+        for (step, ((op, inputs), (outcome, seen))) in script.iter().zip(on_clone).enumerate() {
+            assert_eq!(
+                apply(&mut original, *op, inputs),
+                outcome,
+                "{case}, step {step}"
+            );
+            assert_eq!(observe(&mut original), seen, "{case}, step {step}");
+        }
+        assert!(original.device == clone.device, "{case}");
+        assert!(original.rom == clone.rom, "{case}");
+        assert_eq!(original.table, clone.table, "{case}");
     }
 }

@@ -5,15 +5,14 @@
 //! specifying the last moment at which it was accessed. That algorithm
 //! which has the oldest time stamp provides extra frames for potential
 //! reconfiguration" — i.e. the paper's policy is LRU over whole
-//! algorithms. [`LruPolicy`] implements exactly that; [`FifoPolicy`],
-//! [`LfuPolicy`], [`RandomPolicy`] and the clairvoyant [`BeladyPolicy`]
-//! are provided as baselines and an upper bound for experiment E4.
+//! algorithms. [`Replacement::Lru`] implements exactly that; FIFO,
+//! LFU, random and the clairvoyant Belady oracle are the other
+//! [`Replacement`] rules, baselines for experiment E4.
 
 use aaod_fabric::FrameAddress;
 use aaod_sim::{SimTime, SplitMix64};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
-use std::fmt;
 
 /// Per-resident-algorithm bookkeeping: the Frame Replacement Table row.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,176 +100,89 @@ impl ReplacementTable {
 }
 
 /// Chooses which resident algorithm surrenders its frames when the
-/// free-frame list cannot satisfy a new configuration.
-///
-/// Object-safe: the mini-OS holds the policy as a trait object chosen
-/// at construction.
-pub trait ReplacementPolicy: fmt::Debug + Send {
+/// free-frame list cannot satisfy a new configuration. LRU, FIFO and
+/// LFU break ties toward the smaller id; among algorithms never used
+/// again, Belady evicts the larger id.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub enum Replacement {
+    /// The paper's policy: evict the algorithm with the oldest
+    /// last-access timestamp.
+    #[default]
+    Lru,
+    /// Evict the algorithm configured earliest.
+    Fifo,
+    /// Evict the least-frequently-used algorithm (ties: oldest access).
+    Lfu,
+    /// Evict a uniformly random resident algorithm, drawn from a
+    /// seeded generator (deterministic).
+    Random(SplitMix64),
+    /// Belady's clairvoyant policy: evict the resident algorithm whose
+    /// next use in the remaining request trace is farthest away (or
+    /// never). It is the next-use oracle of E4, not a bound on mean
+    /// service when functions differ in size.
+    Belady(VecDeque<u16>),
+}
+
+impl Replacement {
+    /// A random policy seeded with `seed`.
+    pub fn random(seed: u64) -> Self {
+        Replacement::Random(SplitMix64::new(seed))
+    }
+
+    /// A Belady oracle over the upcoming request trace (in order).
+    pub fn belady<I: IntoIterator<Item = u16>>(trace: I) -> Self {
+        Replacement::Belady(trace.into_iter().collect())
+    }
+
     /// Policy name for reports.
-    fn name(&self) -> &'static str;
-
-    /// Picks the victim among the algorithms in `table`, or `None` if
-    /// the table is empty. Must return a key of `table`.
-    fn victim(&mut self, table: &ReplacementTable) -> Option<u16>;
-
-    /// Called once per host request, before residency is checked (the
-    /// Belady oracle advances its future window here).
-    fn on_request(&mut self, _algo_id: u16) {}
-}
-
-/// The paper's policy: evict the algorithm with the oldest
-/// last-access timestamp.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LruPolicy;
-
-impl ReplacementPolicy for LruPolicy {
-    fn name(&self) -> &'static str {
-        "lru"
-    }
-
-    fn victim(&mut self, table: &ReplacementTable) -> Option<u16> {
-        table
-            .iter()
-            .min_by_key(|(id, r)| (r.last_access, *id))
-            .map(|(id, _)| id)
-    }
-}
-
-/// Evict the algorithm configured earliest.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FifoPolicy;
-
-impl ReplacementPolicy for FifoPolicy {
-    fn name(&self) -> &'static str {
-        "fifo"
-    }
-
-    fn victim(&mut self, table: &ReplacementTable) -> Option<u16> {
-        table
-            .iter()
-            .min_by_key(|(id, r)| (r.loaded_at, *id))
-            .map(|(id, _)| id)
-    }
-}
-
-/// Evict the least-frequently-used algorithm (ties: oldest access).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LfuPolicy;
-
-impl ReplacementPolicy for LfuPolicy {
-    fn name(&self) -> &'static str {
-        "lfu"
-    }
-
-    fn victim(&mut self, table: &ReplacementTable) -> Option<u16> {
-        table
-            .iter()
-            .min_by_key(|(id, r)| (r.accesses, r.last_access, *id))
-            .map(|(id, _)| id)
-    }
-}
-
-/// Evict a uniformly random resident algorithm (seeded, deterministic).
-#[derive(Debug, Clone)]
-pub struct RandomPolicy {
-    rng: SplitMix64,
-}
-
-impl RandomPolicy {
-    /// Creates the policy with an RNG seed.
-    pub fn new(seed: u64) -> Self {
-        RandomPolicy {
-            rng: SplitMix64::new(seed),
-        }
-    }
-}
-
-impl ReplacementPolicy for RandomPolicy {
-    fn name(&self) -> &'static str {
-        "random"
-    }
-
-    fn victim(&mut self, table: &ReplacementTable) -> Option<u16> {
-        let ids = table.resident_ids();
-        if ids.is_empty() {
-            None
-        } else {
-            Some(ids[self.rng.index(ids.len())])
-        }
-    }
-}
-
-/// Belady's clairvoyant policy: evict the resident algorithm whose
-/// next use is farthest in the future (or never). Requires the full
-/// request trace up front; it is the unreachable upper bound in E4.
-#[derive(Debug, Clone)]
-pub struct BeladyPolicy {
-    future: VecDeque<u16>,
-}
-
-impl BeladyPolicy {
-    /// Creates the oracle from the upcoming request trace (in order).
-    pub fn new<I: IntoIterator<Item = u16>>(trace: I) -> Self {
-        BeladyPolicy {
-            future: trace.into_iter().collect(),
+    pub fn name(&self) -> &'static str {
+        match self {
+            Replacement::Lru => "lru",
+            Replacement::Fifo => "fifo",
+            Replacement::Lfu => "lfu",
+            Replacement::Random(_) => "random",
+            Replacement::Belady(_) => "belady",
         }
     }
 
-    /// Remaining future requests (for tests).
-    pub fn remaining(&self) -> usize {
-        self.future.len()
-    }
-}
-
-impl ReplacementPolicy for BeladyPolicy {
-    fn name(&self) -> &'static str {
-        "belady"
-    }
-
-    fn on_request(&mut self, algo_id: u16) {
-        // Consume the front of the trace; tolerate divergence by
-        // scanning forward to the matching request.
-        while let Some(front) = self.future.pop_front() {
-            if front == algo_id {
-                break;
+    /// Called once per host request, before residency is checked: the
+    /// Belady oracle consumes the trace up to and including `algo_id`,
+    /// scanning past requests that diverged from it.
+    pub fn on_request(&mut self, algo_id: u16) {
+        if let Replacement::Belady(future) = self {
+            while let Some(front) = future.pop_front() {
+                if front == algo_id {
+                    break;
+                }
             }
         }
     }
 
-    fn victim(&mut self, table: &ReplacementTable) -> Option<u16> {
-        let ids = table.resident_ids();
-        if ids.is_empty() {
-            return None;
+    /// Picks the victim among the algorithms in `table`, or `None` if
+    /// the table is empty.
+    pub fn victim(&mut self, table: &ReplacementTable) -> Option<u16> {
+        match self {
+            Replacement::Lru => table
+                .iter()
+                .min_by_key(|&(id, r)| (r.last_access, id))
+                .map(|(id, _)| id),
+            Replacement::Fifo => table
+                .iter()
+                .min_by_key(|&(id, r)| (r.loaded_at, id))
+                .map(|(id, _)| id),
+            Replacement::Lfu => table
+                .iter()
+                .min_by_key(|&(id, r)| (r.accesses, r.last_access, id))
+                .map(|(id, _)| id),
+            Replacement::Random(rng) => {
+                let ids = table.resident_ids();
+                (!ids.is_empty()).then(|| ids[rng.index(ids.len())])
+            }
+            Replacement::Belady(future) => table.iter().map(|(id, _)| id).max_by_key(|&id| {
+                let next = future.iter().position(|&a| a == id);
+                (next.unwrap_or(usize::MAX), id)
+            }),
         }
-        // distance to next use; None = never used again
-        ids.iter()
-            .copied()
-            .max_by_key(|&id| {
-                let next = self.future.iter().position(|&a| a == id);
-                match next {
-                    None => (usize::MAX, id),
-                    Some(d) => (d, id),
-                }
-            })
-            .or(Some(ids[0]))
-    }
-}
-
-/// Constructs a policy by name (used by benches and examples).
-///
-/// `"belady"` requires the trace, so it is not constructible here;
-/// build it directly with [`BeladyPolicy::new`].
-///
-/// # Panics
-///
-/// Panics on an unknown name.
-pub fn policy_by_name(name: &str, seed: u64) -> Box<dyn ReplacementPolicy> {
-    match name {
-        "lru" => Box::new(LruPolicy),
-        "fifo" => Box::new(FifoPolicy),
-        "lfu" => Box::new(LfuPolicy),
-        "random" => Box::new(RandomPolicy::new(seed)),
-        other => panic!("unknown replacement policy {other:?}"),
     }
 }
 
@@ -294,36 +206,51 @@ mod tests {
     #[test]
     fn lru_picks_oldest_timestamp() {
         let t = table_with(&[(1, 100, 0, 5), (2, 50, 0, 9), (3, 200, 0, 1)]);
-        assert_eq!(LruPolicy.victim(&t), Some(2));
+        assert_eq!(Replacement::Lru.victim(&t), Some(2));
     }
 
     #[test]
     fn fifo_picks_earliest_load() {
         let t = table_with(&[(1, 100, 30, 5), (2, 50, 10, 9), (3, 200, 20, 1)]);
-        assert_eq!(FifoPolicy.victim(&t), Some(2));
+        assert_eq!(Replacement::Fifo.victim(&t), Some(2));
     }
 
     #[test]
     fn lfu_picks_fewest_accesses() {
         let t = table_with(&[(1, 100, 0, 5), (2, 50, 0, 9), (3, 200, 0, 1)]);
-        assert_eq!(LfuPolicy.victim(&t), Some(3));
+        assert_eq!(Replacement::Lfu.victim(&t), Some(3));
+    }
+
+    #[test]
+    fn ties_break_by_id() {
+        // equal stamps, loads and counts: LRU, FIFO and LFU take the
+        // smaller id; Belady takes the larger of those never used again
+        let t = table_with(&[(4, 9, 9, 2), (2, 9, 9, 2), (7, 9, 9, 2)]);
+        assert_eq!(Replacement::Lru.victim(&t), Some(2));
+        assert_eq!(Replacement::Fifo.victim(&t), Some(2));
+        assert_eq!(Replacement::Lfu.victim(&t), Some(2));
+        assert_eq!(Replacement::belady([2u16]).victim(&t), Some(7));
     }
 
     #[test]
     fn policies_return_none_on_empty_table() {
         let t = ReplacementTable::new();
-        assert_eq!(LruPolicy.victim(&t), None);
-        assert_eq!(FifoPolicy.victim(&t), None);
-        assert_eq!(LfuPolicy.victim(&t), None);
-        assert_eq!(RandomPolicy::new(0).victim(&t), None);
-        assert_eq!(BeladyPolicy::new([]).victim(&t), None);
+        for mut policy in [
+            Replacement::Lru,
+            Replacement::Fifo,
+            Replacement::Lfu,
+            Replacement::random(0),
+            Replacement::belady([]),
+        ] {
+            assert_eq!(policy.victim(&t), None, "{}", policy.name());
+        }
     }
 
     #[test]
     fn random_is_deterministic_per_seed() {
         let t = table_with(&[(1, 0, 0, 0), (2, 0, 0, 0), (3, 0, 0, 0)]);
-        let mut a = RandomPolicy::new(7);
-        let mut b = RandomPolicy::new(7);
+        let mut a = Replacement::random(7);
+        let mut b = Replacement::random(7);
         for _ in 0..20 {
             assert_eq!(a.victim(&t), b.victim(&t));
         }
@@ -336,7 +263,7 @@ mod tests {
         // 2 at distance 1, 3 at distance 3 -> victim 3? No: max
         // distance wins, and an algo never used again beats all.
         let t = table_with(&[(1, 0, 0, 0), (2, 0, 0, 0), (3, 0, 0, 0)]);
-        let mut p = BeladyPolicy::new([1u16, 2, 1, 3]);
+        let mut p = Replacement::belady([1u16, 2, 1, 3]);
         assert_eq!(p.victim(&t), Some(3));
         // after consuming request 1, future = [2,1,3]; add algo 4 that
         // never recurs — it must be the victim.
@@ -347,11 +274,11 @@ mod tests {
 
     #[test]
     fn belady_consumes_trace() {
-        let mut p = BeladyPolicy::new([5u16, 6, 7]);
+        let mut p = Replacement::belady([5u16, 6, 7]);
         p.on_request(5);
-        assert_eq!(p.remaining(), 2);
+        assert_eq!(p, Replacement::belady([6u16, 7]));
         p.on_request(7); // skips the diverged 6
-        assert_eq!(p.remaining(), 0);
+        assert_eq!(p, Replacement::belady([]));
     }
 
     #[test]
@@ -374,18 +301,5 @@ mod tests {
         assert_eq!(r.frames, vec![FrameAddress(4), FrameAddress(9)]);
         assert!(t.remove(1).is_none());
         assert!(t.is_empty());
-    }
-
-    #[test]
-    fn policy_by_name_constructs() {
-        for name in ["lru", "fifo", "lfu", "random"] {
-            assert_eq!(policy_by_name(name, 1).name(), name);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown replacement policy")]
-    fn unknown_policy_panics() {
-        let _ = policy_by_name("clock", 0);
     }
 }

@@ -22,7 +22,7 @@
 //!
 //! let w = Workload::zipf(&[1, 2, 3, 4], 100, 1.1, 256, 42);
 //! assert_eq!(w.len(), 100);
-//! let trace = w.algo_trace(); // feed to BeladyPolicy
+//! let trace = w.algo_trace(); // feed to Replacement::belady
 //! assert_eq!(trace.len(), 100);
 //! ```
 

@@ -1,62 +1,17 @@
 //! Frame-replacement policy explorer (experiment E4).
 //!
-//! Sweeps the paper's LRU policy against FIFO, LFU, random and the
-//! clairvoyant Belady oracle across workload shapes and device sizes,
-//! reporting hit rate and total service time. The paper specifies
-//! "the frequently least used algorithm" (oldest timestamp) as the
-//! victim; this explorer shows where that choice wins and where it
-//! does not (round-robin defeats LRU, bursty forgives everything).
+//! Prints the E4 sweep: the paper's LRU policy against FIFO, LFU,
+//! random and the Belady next-use oracle across workload shapes and
+//! device sizes, with hit rate and mean service time per cell. The
+//! paper evicts the algorithm with the oldest access timestamp; the
+//! tables show where that choice wins and where it does not
+//! (round-robin at capacity defeats LRU, FIFO and LFU alike).
+//! EXPERIMENTS.md (E4) discusses the results.
 //!
 //! Run with: `cargo run --example policy_explorer`
 
-use aaod_core::{run_workload, CoProcessor, CoreError};
-use aaod_fabric::DeviceGeometry;
-use aaod_mcu::replacement::policy_by_name;
-use aaod_mcu::{BeladyPolicy, ReplacementPolicy};
-use aaod_sim::report::Table;
-use aaod_workload::{mixes, Workload};
+use aaod_bench::e4::E4;
 
-fn workloads(algos: &[u16]) -> Vec<Workload> {
-    vec![
-        Workload::zipf(algos, 300, 1.2, 512, 11),
-        Workload::uniform(algos, 300, 512, 12),
-        Workload::round_robin(algos, 300, 512),
-        Workload::phased(algos, 300, 30, 3, 512, 13),
-        Workload::bursty(algos, 300, 12, 512, 14),
-    ]
-}
-
-fn main() -> Result<(), CoreError> {
-    let algos = mixes::full_bank();
-
-    for frames in [48u16, 96] {
-        let geom = DeviceGeometry::new(frames, 16);
-        let mut t = Table::new(
-            &format!("E4: hit rate by policy ({frames}-frame device)"),
-            &["workload", "lru", "fifo", "lfu", "random", "belady"],
-        );
-        for workload in workloads(&algos) {
-            let mut row = vec![workload.name().to_string()];
-            for policy_name in ["lru", "fifo", "lfu", "random", "belady"] {
-                let policy: Box<dyn ReplacementPolicy> = if policy_name == "belady" {
-                    Box::new(BeladyPolicy::new(workload.algo_trace()))
-                } else {
-                    policy_by_name(policy_name, 99)
-                };
-                let mut cp = CoProcessor::builder().geometry(geom).policy(policy).build();
-                for &id in &algos {
-                    cp.install(id)?;
-                }
-                let r = run_workload(&mut cp, &workload, false)?;
-                row.push(format!("{:.1}%", r.hit_rate().unwrap_or(0.0) * 100.0));
-            }
-            t.row_owned(row);
-        }
-        println!("{t}");
-    }
-    println!(
-        "expected shape: belady bounds everything from above; LRU ~ best\n\
-         practical policy on zipf/phased; round-robin hurts LRU most."
-    );
-    Ok(())
+fn main() {
+    print!("{}", E4::run().tables());
 }

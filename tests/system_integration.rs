@@ -5,8 +5,7 @@ use aaod_bitstream::codec::CodecId;
 use aaod_core::baselines::SoftwareExecutor;
 use aaod_core::{run_workload, CoProcessor, ReconfigMode};
 use aaod_fabric::DeviceGeometry;
-use aaod_mcu::replacement::policy_by_name;
-use aaod_mcu::{BeladyPolicy, LruPolicy};
+use aaod_mcu::Replacement;
 use aaod_workload::{mixes, Workload};
 
 /// Installs every bank algorithm and checks hardware output equals the
@@ -106,7 +105,7 @@ fn full_and_partial_agree_on_outputs() {
 fn belady_upper_bounds_lru_hit_rate() {
     let algos = mixes::full_bank();
     let w = Workload::zipf(&algos, 250, 1.1, 64, 77);
-    let hit_rate = |policy: Box<dyn aaod_mcu::ReplacementPolicy>| {
+    let hit_rate = |policy: Replacement| {
         let mut cp = CoProcessor::builder()
             .geometry(DeviceGeometry::new(48, 16))
             .policy(policy)
@@ -119,8 +118,8 @@ fn belady_upper_bounds_lru_hit_rate() {
             .hit_rate()
             .unwrap()
     };
-    let lru = hit_rate(Box::new(LruPolicy));
-    let belady = hit_rate(Box::new(BeladyPolicy::new(w.algo_trace())));
+    let lru = hit_rate(Replacement::Lru);
+    let belady = hit_rate(Replacement::belady(w.algo_trace()));
     assert!(
         belady >= lru - 1e-9,
         "belady {belady} must not lose to lru {lru}"
@@ -133,10 +132,10 @@ fn belady_upper_bounds_lru_hit_rate() {
 fn lru_competitive_with_random_on_skewed_workloads() {
     let algos = mixes::full_bank();
     let w = Workload::zipf(&algos, 300, 1.4, 64, 123);
-    let run_with = |name: &str| {
+    let run_with = |policy: Replacement| {
         let mut cp = CoProcessor::builder()
             .geometry(DeviceGeometry::new(40, 16))
-            .policy(policy_by_name(name, 5))
+            .policy(policy)
             .build();
         for &id in &algos {
             cp.install(id).unwrap();
@@ -146,8 +145,8 @@ fn lru_competitive_with_random_on_skewed_workloads() {
             .hit_rate()
             .unwrap()
     };
-    let lru = run_with("lru");
-    let random = run_with("random");
+    let lru = run_with(Replacement::Lru);
+    let random = run_with(Replacement::random(5));
     assert!(
         lru + 0.02 >= random,
         "lru {lru} unexpectedly lost to random {random} by a wide margin"
@@ -155,6 +154,35 @@ fn lru_competitive_with_random_on_skewed_workloads() {
 }
 
 /// The ROM rejects overflow and the card keeps working afterwards.
+/// A cloned card is a card of its own, PCI bus included: the same
+/// workload on the clone and on its original gives the same run and
+/// ledgers, and serving on the clone leaves the original untouched.
+#[test]
+fn a_cloned_card_serves_like_its_original() {
+    let algos = mixes::full_bank();
+    let w = Workload::zipf(&algos, 120, 1.1, 64, 9);
+    let mut original = CoProcessor::builder()
+        .geometry(DeviceGeometry::new(48, 16))
+        .policy(Replacement::random(7))
+        .build();
+    for &id in &algos {
+        original.install(id).unwrap();
+    }
+    run_workload(&mut original, &w, false).unwrap();
+    let before = (original.stats(), original.pci_stats(), original.resident());
+    let mut clone = original.clone();
+    let on_clone = run_workload(&mut clone, &w, true).unwrap();
+    assert_eq!(
+        (original.stats(), original.pci_stats(), original.resident()),
+        before
+    );
+    assert_eq!(run_workload(&mut original, &w, true).unwrap(), on_clone);
+    assert_eq!(
+        (original.stats(), original.pci_stats(), original.resident()),
+        (clone.stats(), clone.pci_stats(), clone.resident())
+    );
+}
+
 #[test]
 fn rom_exhaustion_is_clean() {
     let mut cp = CoProcessor::builder()

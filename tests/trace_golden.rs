@@ -15,16 +15,13 @@
 //! and commit the rewritten files. The failure message prints the
 //! first differing line so an unintentional drift is obvious.
 
+#[path = "support/golden.rs"]
+mod golden;
+
 use aaod_algos::ids;
 use aaod_core::{Engine, EngineConfig, ShardPolicy, TraceConfig};
 use aaod_workload::Workload;
-use std::path::PathBuf;
-
-/// `tests/golden/` at the repository root (the test is compiled from
-/// `crates/bench`, two levels down).
-fn golden_dir() -> PathBuf {
-    PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden"))
-}
+use golden::check_golden;
 
 /// The quickstart working set: fits the default 96-frame device, so
 /// the trace exercises hits, misses and batching but no evictions.
@@ -50,46 +47,6 @@ fn traced_jsonl(seed: u64, workers: usize) -> String {
     .serve(&w)
     .expect("traced serve");
     r.trace.expect("trace requested").to_jsonl()
-}
-
-/// Compares `got` against the golden file, or rewrites it under
-/// `AAOD_BLESS=1`. On mismatch, reports the first differing line.
-fn check_golden(name: &str, got: &str) {
-    let path = golden_dir().join(name);
-    if std::env::var_os("AAOD_BLESS").is_some() {
-        std::fs::create_dir_all(golden_dir()).expect("create tests/golden");
-        std::fs::write(&path, got).expect("write golden");
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}); regenerate with \
-             `AAOD_BLESS=1 cargo test --test trace_golden`",
-            path.display()
-        )
-    });
-    if got == want {
-        return;
-    }
-    let (line_no, got_line, want_line) = got
-        .lines()
-        .zip(want.lines())
-        .enumerate()
-        .find(|(_, (g, w))| g != w)
-        .map(|(i, (g, w))| (i + 1, g.to_string(), w.to_string()))
-        .unwrap_or_else(|| {
-            (
-                got.lines().count().min(want.lines().count()) + 1,
-                format!("<{} lines>", got.lines().count()),
-                format!("<{} lines>", want.lines().count()),
-            )
-        });
-    panic!(
-        "trace drifted from golden {} at line {line_no}:\n  got:  {got_line}\n  want: {want_line}\n\
-         If the change is intentional, re-bless with \
-         `AAOD_BLESS=1 cargo test --test trace_golden` and commit the diff.",
-        path.display()
-    );
 }
 
 #[test]
