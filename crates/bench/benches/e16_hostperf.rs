@@ -22,7 +22,8 @@
 //!
 //! Regression floors this bench commits to (and CI re-asserts):
 //! **combinational bit-sliced speedup ≥ 4×** over the scalar walk,
-//! **a warm CRC-8 card hit at 1500 B ≤ 10× `execute_software`**, and
+//! **a warm CRC-8 card hit at 1500 B ≤ 1× `execute_software`** (its
+//! affine streaming step runs eight bytes per dependent lookup), and
 //! absolute req/s floors set conservatively (~half of the recorded
 //! baseline in `BENCH_hostperf.json`) so shared-runner noise cannot
 //! trip them but losing an allocation-free, bit-sliced or tabulated
@@ -80,8 +81,10 @@ const FLOOR_FRACTION: f64 = 0.8;
 /// evaluation must beat the scalar walk by at least this factor.
 const FLOOR_COMBINATIONAL_SPEEDUP: f64 = 4.0;
 /// A warm CRC-8 card hit at 1500 B may cost at most this many times
-/// the kernel's `execute_software`. A ratio, so it holds on any runner.
-const CEILING_CRC8_HIT_OVER_SOFTWARE: f64 = 10.0;
+/// the kernel's `execute_software`: no more than the software kernel,
+/// since the netlist's affine step runs eight bytes per dependent
+/// lookup. A ratio, so it holds on any runner.
+const CEILING_CRC8_HIT_OVER_SOFTWARE: f64 = 1.0;
 
 fn print_throughput_table() {
     let reps = 5;

@@ -660,6 +660,145 @@ const LANE_PATTERN_MASKS: [u64; 6] = [
     0xFFFF_FFFF_0000_0000,
 ];
 
+/// Whether `lut` is affine over GF(2) on the patterns its constant
+/// inputs leave reachable: an XOR of a subset of its other inputs,
+/// possibly inverted. An input read twice is checked as two free
+/// inputs, which can only reject a LUT, never accept a wrong one.
+fn lut_is_affine(lut: &Lut) -> bool {
+    let (mut fixed, mut live) = (0usize, 0usize);
+    for (k, &net) in lut.inputs.iter().enumerate() {
+        match net {
+            NetId::ZERO => {}
+            NetId::ONE => fixed |= 1 << k,
+            _ => live |= 1 << k,
+        }
+    }
+    let bit = |pattern: usize| (lut.truth >> pattern) & 1;
+    let c = bit(fixed);
+    (0..16usize).filter(|&p| p & !live == fixed).all(|p| {
+        let linear = (0..4)
+            .filter(|&k| (p & live) >> k & 1 == 1)
+            .fold(c, |acc, k| acc ^ bit(fixed | 1 << k) ^ c);
+        bit(p) == linear
+    })
+}
+
+/// `M·v` over GF(2) for the matrix whose column `i` is `cols[i]`.
+fn gf2_apply(cols: &[u8; 8], v: u8) -> u8 {
+    (0..8)
+        .filter(|&i| (v >> i) & 1 == 1)
+        .fold(0, |acc, i| acc ^ cols[i])
+}
+
+/// The columns of `a·m`.
+fn gf2_compose(a: &[u8; 8], m: &[u8; 8]) -> [u8; 8] {
+    m.map(|col| gf2_apply(a, col))
+}
+
+/// The 256-entry map `v → M·v`, built from the 8 column images by XOR:
+/// entry `v` is entry `v` without its lowest set bit, XOR that bit's
+/// column.
+fn gf2_map(cols: &[u8; 8]) -> [u8; 256] {
+    let mut map = [0u8; 256];
+    for v in 1..256usize {
+        map[v] = map[v & (v - 1)] ^ cols[v.trailing_zeros() as usize];
+    }
+    map
+}
+
+/// A streaming step whose every LUT is affine, so that the whole step
+/// is `step(s, b) = A·s ⊕ B·b ⊕ c` over GF(2) for a state `s` of at
+/// most 8 bits and a data byte `b`. Affine maps compose, so eight
+/// steps are `s₈ = A⁸·s ⊕ (A⁷·B·b₀ ⊕ … ⊕ A⁰·B·b₇ ⊕ c₈)`, one dependent
+/// lookup per eight bytes. This is slicing-by-8 (Kounavis & Berry,
+/// 2005) derived from the decoded netlist instead of from a polynomial.
+/// The eleven maps take 2.75 KiB.
+#[derive(Debug, Clone)]
+struct AffineStep {
+    /// `A·s`, `B·b` and `c`: one step, for the bytes after the last
+    /// whole group of eight.
+    s1: [u8; 256],
+    d1: [u8; 256],
+    c1: u8,
+    /// `A⁸·s`, `A⁷⁻ⁱ·B·b` for byte `i` of a group of eight, and
+    /// `step⁸(0, 0…0)`.
+    s8: [u8; 256],
+    d8: [[u8; 256]; 8],
+    c8: u8,
+}
+
+impl AffineStep {
+    /// The maps of `netlist`'s streaming step (8 data inputs, then
+    /// `w ≤ 8` state inputs and `w` outputs), or `None` when that
+    /// shape does not hold or a LUT is not affine. `A`, `B` and `c`
+    /// come from one walk of the netlist: lane 0 is the zero pattern,
+    /// lane `1 + i` the unit pattern of input `i`.
+    fn derive(netlist: &Netlist) -> Option<Self> {
+        let w = netlist.n_outputs();
+        if w > 8 || netlist.n_inputs() != 8 + w || !netlist.luts().iter().all(lut_is_affine) {
+            return None;
+        }
+        let in_words: Vec<u64> = (0..8 + w).map(|i| 1 << (1 + i)).collect();
+        let mut out_words = vec![0u64; w];
+        netlist.eval_words(&in_words, &mut out_words, &mut Vec::new());
+        let lane = |l: usize| {
+            out_words
+                .iter()
+                .enumerate()
+                .fold(0u8, |acc, (k, word)| acc | (((word >> l) & 1) as u8) << k)
+        };
+        let c = lane(0);
+        let b: [u8; 8] = std::array::from_fn(|i| lane(1 + i) ^ c);
+        let a: [u8; 8] = std::array::from_fn(|j| if j < w { lane(9 + j) ^ c } else { 0 });
+        // d[i] = A⁷⁻ⁱ·B, so d[7] = B and each earlier byte takes one
+        // more A; A⁸ is A times A⁷
+        let mut d = [b; 8];
+        for i in (0..7).rev() {
+            d[i] = gf2_compose(&a, &d[i + 1]);
+        }
+        let identity: [u8; 8] = std::array::from_fn(|j| 1 << j);
+        let a8 = (0..8).fold(identity, |p, _| gf2_compose(&a, &p));
+        Some(AffineStep {
+            s1: gf2_map(&a),
+            d1: gf2_map(&b),
+            c1: c,
+            s8: gf2_map(&a8),
+            d8: d.map(|cols| gf2_map(&cols)),
+            c8: (0..8).fold(0, |s, _| gf2_apply(&a, s) ^ c),
+        })
+    }
+
+    /// The state after streaming `input` from state zero. Each group's
+    /// data terms are XORed before the state term, so the chain that
+    /// depends on the state is one lookup and one XOR per eight bytes.
+    fn run(&self, input: &[u8]) -> u8 {
+        let mut groups = input.chunks_exact(8);
+        let mut s = 0u8;
+        for group in &mut groups {
+            let d = group
+                .iter()
+                .zip(&self.d8)
+                .fold(self.c8, |d, (&byte, map)| d ^ map[byte as usize]);
+            s = self.s8[s as usize] ^ d;
+        }
+        groups.remainder().iter().fold(s, |s, &byte| {
+            self.s1[s as usize] ^ self.d1[byte as usize] ^ self.c1
+        })
+    }
+}
+
+/// How a [`NetlistTable`] runs streaming inputs; decided on the first
+/// streaming batch.
+#[derive(Debug, Clone)]
+enum StreamingStep {
+    /// No streaming batch has run yet.
+    Undecided,
+    /// Every LUT is affine: eight bytes per dependent lookup.
+    Affine(Box<AffineStep>),
+    /// One table lookup per byte.
+    Table,
+}
+
 /// A decoded netlist with a lazily filled truth table,
 /// `input pattern → output pattern`, for netlists of at most 16 inputs
 /// and 16 outputs.
@@ -673,10 +812,15 @@ const LANE_PATTERN_MASKS: [u64; 6] = [
 /// combinational input byte with a one-byte entry is read straight
 /// (POPCNT8, PARITY8). Storage is
 /// `2^n_inputs` entries of `n_outputs.div_ceil(8)` bytes each, little
-/// endian in one strided byte array, plus one "filled" bit per block:
-/// an 8-output table (CRC-8's streaming step) takes one byte per
-/// entry, so its dependent lookup chain touches half the cache lines
-/// a `u16` entry would.
+/// endian in one strided byte array allocated on the first fill, plus
+/// one "filled" bit per block.
+///
+/// A streaming step whose every LUT is affine over GF(2) (CRC-8's)
+/// never touches the table: on the first streaming batch the table
+/// derives 256-entry maps of the step and of eight steps at once from
+/// one walk of the netlist, and then runs eight bytes per dependent
+/// lookup (see [`NetlistTable::affine`]). Any other streaming step is
+/// one lookup of `byte | state << 8` per byte.
 ///
 /// The table is a pure function of the netlist's value: it stays valid
 /// for any netlist `==` to [`NetlistTable::netlist`], whichever frames
@@ -705,6 +849,7 @@ pub struct NetlistTable {
     entries: Vec<u8>,
     entry_bytes: usize,
     filled: Vec<u64>,
+    streaming: StreamingStep,
     in_words: Vec<u64>,
     out_words: Vec<u64>,
     nets: Vec<u64>,
@@ -718,11 +863,11 @@ impl NetlistTable {
             return None;
         }
         let n_entries = 1usize << netlist.n_inputs();
-        let entry_bytes = netlist.n_outputs().div_ceil(8);
         Some(NetlistTable {
-            entries: vec![0; n_entries * entry_bytes],
-            entry_bytes,
+            entries: Vec::new(),
+            entry_bytes: netlist.n_outputs().div_ceil(8),
             filled: vec![0; n_entries.div_ceil(64).div_ceil(64)],
+            streaming: StreamingStep::Undecided,
             in_words: vec![0; netlist.n_inputs()],
             out_words: vec![0; netlist.n_outputs()],
             nets: Vec::new(),
@@ -738,6 +883,13 @@ impl NetlistTable {
     /// How many 64-entry blocks have been filled so far.
     pub fn filled_blocks(&self) -> usize {
         self.filled.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Whether streaming inputs run from the affine step's maps: true
+    /// once a streaming batch has found every LUT affine, false before
+    /// the first streaming batch and for any other netlist.
+    pub fn affine(&self) -> bool {
+        matches!(self.streaming, StreamingStep::Affine(_))
     }
 
     /// The output pattern of `pattern`, filling its block on first use.
@@ -760,6 +912,9 @@ impl NetlistTable {
     /// broadcast. A table of fewer than 64 entries writes only those.
     #[cold]
     fn fill(&mut self, block: usize) {
+        if self.entries.is_empty() {
+            self.entries = vec![0; (1 << self.netlist.n_inputs()) * self.entry_bytes];
+        }
         let base = block << 6;
         for (i, w) in self.in_words.iter_mut().enumerate() {
             *w = match LANE_PATTERN_MASKS.get(i) {
@@ -786,8 +941,9 @@ impl NetlistTable {
     /// Executes the tabulated netlist on a batch of inputs, one output
     /// vector per input, byte-identical to [`run_decoded_netlist`] on
     /// each. A combinational block is one lookup of its little-endian
-    /// bytes (zero-padded at the tail); a streaming step is one lookup
-    /// of `byte | state << 8`.
+    /// bytes (zero-padded at the tail). A streaming input runs eight
+    /// bytes per dependent lookup when the step is affine, else one
+    /// lookup of `byte | state << 8` per byte.
     ///
     /// # Errors
     ///
@@ -799,6 +955,17 @@ impl NetlistTable {
         inputs: &[&[u8]],
     ) -> Result<Vec<Vec<u8>>, FabricError> {
         let (in_bytes, out_bytes) = netlist_io_bytes(&self.netlist, mode)?;
+        if mode == NetlistMode::Streaming {
+            if let StreamingStep::Undecided = self.streaming {
+                self.streaming = match AffineStep::derive(&self.netlist) {
+                    Some(step) => StreamingStep::Affine(Box::new(step)),
+                    None => StreamingStep::Table,
+                };
+            }
+            if let StreamingStep::Affine(step) = &self.streaming {
+                return Ok(inputs.iter().map(|input| vec![step.run(input)]).collect());
+            }
+        }
         let eager = self.netlist.n_inputs() <= EAGER_TABLE_INPUTS;
         if eager {
             let n_blocks = (1usize << self.netlist.n_inputs()).div_ceil(64);
@@ -1055,7 +1222,9 @@ mod tests {
             for k in 0..n_outputs {
                 b.output(ins[k % 8]);
             }
-            let table = NetlistTable::new(b.finish().unwrap()).expect("width fits");
+            let mut table = NetlistTable::new(b.finish().unwrap()).expect("width fits");
+            assert!(table.entries.is_empty(), "allocated before the first fill");
+            table.fill(0);
             assert_eq!(table.entry_bytes, width, "{n_outputs} outputs");
             assert_eq!(table.entries.len(), 256 * width, "{n_outputs} outputs");
         }

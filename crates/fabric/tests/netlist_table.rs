@@ -194,3 +194,198 @@ fn table_matches_scalar_on_every_combinational_bank_netlist() {
     expected.sort_unstable();
     assert_eq!(checked, expected);
 }
+
+/// The truth table of an affine LUT: the XOR of the pattern bits in
+/// `subset`, inverted when `invert`.
+fn xor_truth(subset: u16, invert: bool) -> u16 {
+    (0..16u16).fold(0, |truth, p| {
+        truth | (((p & subset).count_ones() as u16 & 1) ^ u16::from(invert)) << p
+    })
+}
+
+/// A streaming netlist of 8 data and `state` state inputs. Every LUT
+/// is an XOR or XNOR of a random subset of four random nets, constants
+/// and repeats among them, with random truth bits on the patterns a
+/// constant input never reaches; outputs are random nets, inputs and
+/// constants among them. A `near_miss` of `"first"`, `"last"` or
+/// `"between"` makes that LUT an AND or an OR of two distinct inputs or
+/// LUT outputs instead.
+fn affine_netlist(rng: &mut SplitMix64, state: usize, near_miss: Option<&str>) -> Netlist {
+    let mut b = NetlistBuilder::new();
+    let mut nets = vec![b.zero(), b.one()];
+    nets.extend(b.inputs(8 + state));
+    let n_luts = 1 + rng.index(40);
+    let and_at = near_miss.map(|at| match at {
+        "first" => 0,
+        "last" => n_luts - 1,
+        _ => rng.index(n_luts),
+    });
+    for k in 0..n_luts {
+        let out = if and_at == Some(k) {
+            let x = 2 + rng.index(nets.len() - 2);
+            let y = 2 + (x - 2 + 1 + rng.index(nets.len() - 3)) % (nets.len() - 2);
+            let truth = if rng.index(2) == 0 { 0x8888 } else { 0xEEEE };
+            b.lut4(truth, [nets[x], nets[y], b.zero(), b.zero()])
+        } else {
+            let ins = [0; 4].map(|_| nets[rng.index(nets.len())]);
+            let (mut fixed, mut constant) = (0u16, 0u16);
+            for (k, net) in ins.iter().enumerate() {
+                if *net == b.one() {
+                    fixed |= 1 << k;
+                }
+                if *net == b.one() || *net == b.zero() {
+                    constant |= 1 << k;
+                }
+            }
+            let reachable = (0..16u16)
+                .filter(|p| p & constant == fixed)
+                .fold(0u16, |mask, p| mask | 1 << p);
+            let affine = xor_truth(rng.next_u64() as u16 & 0xF, rng.index(2) == 1);
+            b.lut4(
+                (affine & reachable) | (rng.next_u64() as u16 & !reachable),
+                ins,
+            )
+        };
+        nets.push(out);
+    }
+    for _ in 0..state {
+        b.output(nets[rng.index(nets.len())]);
+    }
+    b.finish().unwrap()
+}
+
+/// Streams every length 0..=300 through one table, one call per input
+/// and then as one batch, against the scalar walk; returns the table.
+fn streams_like_the_scalar_walk(
+    netlist: &Netlist,
+    rng: &mut SplitMix64,
+    what: &str,
+) -> NetlistTable {
+    let mut table = NetlistTable::new(netlist.clone()).expect("streaming steps fit a table");
+    let inputs: Vec<Vec<u8>> = (0..=300)
+        .map(|len| {
+            let mut v = vec![0u8; len];
+            rng.fill(&mut v);
+            v
+        })
+        .collect();
+    let mut want = Vec::with_capacity(inputs.len());
+    for input in &inputs {
+        let expected = run_decoded_netlist(netlist, NetlistMode::Streaming, input).unwrap();
+        let got = table.run_batch(NetlistMode::Streaming, &[input]).unwrap();
+        assert_eq!(got[..], [&expected[..]], "{what}: {} bytes", input.len());
+        want.push(expected);
+    }
+    let refs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
+    assert_eq!(
+        table.run_batch(NetlistMode::Streaming, &refs).unwrap(),
+        want,
+        "{what}: batch"
+    );
+    table
+}
+
+/// Affine streaming steps of every state width run from their affine
+/// maps, fill no table block and stream exactly what the scalar walk
+/// streams. One AND or OR LUT anywhere (first, last or between) sends
+/// the step back to the lazily filled table, still byte-identical.
+#[test]
+fn affine_streaming_steps_match_the_scalar_walk() {
+    for state in 1..=8 {
+        let mut rng = SplitMix64::new(0xaff1_e000 + state as u64);
+        for round in 0..2 {
+            let nl = affine_netlist(&mut rng, state, None);
+            let what = format!("state {state} affine {round}");
+            let table = streams_like_the_scalar_walk(&nl, &mut rng, &what);
+            assert!(table.affine(), "{what}: not taken as affine");
+            assert_eq!(table.filled_blocks(), 0, "{what}: filled the table");
+        }
+        for at in ["first", "last", "between", "between"] {
+            let nl = affine_netlist(&mut rng, state, Some(at));
+            let what = format!("state {state} near miss, AND/OR {at} of {}", nl.n_luts());
+            let table = streams_like_the_scalar_walk(&nl, &mut rng, &what);
+            assert!(!table.affine(), "{what}: taken as affine");
+            assert!(table.filled_blocks() > 0, "{what}: no table fill");
+        }
+    }
+    // the bank's CRC-8, decoded from its image
+    let image = AlgorithmBank::standard()
+        .build_image(ids::CRC8, DeviceGeometry::default())
+        .unwrap();
+    let Ok(FunctionKind::Netlist { netlist, mode }) = image.kind() else {
+        panic!("CRC-8 is a netlist image");
+    };
+    assert_eq!(mode, NetlistMode::Streaming);
+    let table = streams_like_the_scalar_walk(&netlist, &mut SplitMix64::new(0xc8), "crc8");
+    assert!(table.affine() && table.filled_blocks() == 0);
+}
+
+/// Best-of-`runs` wall time of each of `a` and `b`, interleaved so a
+/// burst of machine noise hits both, in nanoseconds.
+fn best_of<A: FnMut(), B: FnMut()>(runs: usize, mut a: A, mut b: B) -> (u128, u128) {
+    let time = |f: &mut dyn FnMut()| {
+        let start = std::time::Instant::now();
+        f();
+        start.elapsed().as_nanos()
+    };
+    (0..runs).fold((u128::MAX, u128::MAX), |(ta, tb), _| {
+        (ta.min(time(&mut a)), tb.min(time(&mut b)))
+    })
+}
+
+/// CRC-8's affine step is at least 4× its lazily filled table chain at
+/// 1,500 B, and no slower at 256 B. The chain side streams the same netlist plus one dead AND
+/// LUT, which leaves every output as it is but makes the step
+/// non-affine. Both sides run warm in this process, best of 200, so the
+/// ratio does not depend on the runner's speed. Optimised builds only.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "times optimised code")]
+fn affine_step_beats_the_table_chain() {
+    use aaod_fabric::netlist::Lut;
+    use aaod_fabric::NetId;
+    use std::hint::black_box;
+
+    let image = AlgorithmBank::standard()
+        .build_image(ids::CRC8, DeviceGeometry::default())
+        .unwrap();
+    let Ok(FunctionKind::Netlist { netlist: crc8, .. }) = image.kind() else {
+        panic!("CRC-8 is a netlist image");
+    };
+    let mut luts = crc8.luts().to_vec();
+    luts.push(Lut {
+        inputs: [NetId(2), NetId(3), NetId::ZERO, NetId::ZERO],
+        truth: 0x8888,
+    });
+    let chained =
+        Netlist::from_parts(crc8.n_inputs() as u16, luts, crc8.outputs().to_vec()).unwrap();
+    let mut affine = NetlistTable::new(crc8).unwrap();
+    let mut chain = NetlistTable::new(chained).unwrap();
+    let mut rng = SplitMix64::new(0xc8_4a7e);
+    let mut slow_sizes = Vec::new();
+    for (len, floor) in [(256, 1.0), (1500, 4.0)] {
+        let mut input = vec![0u8; len];
+        rng.fill(&mut input);
+        let want = vec![aaod_algos::netlists::crc8_reference(&input)];
+        let run = |table: &mut NetlistTable| {
+            let mut outs = table
+                .run_batch(NetlistMode::Streaming, &[black_box(&input)])
+                .unwrap();
+            outs.pop().expect("one output per input")
+        };
+        assert_eq!(run(&mut affine), want);
+        // warm the chain's table with every state this input reaches
+        assert_eq!(run(&mut chain), want);
+        assert!(affine.affine() && !chain.affine());
+        let (fast, slow) = best_of(
+            200,
+            || drop(black_box(run(&mut affine))),
+            || drop(black_box(run(&mut chain))),
+        );
+        let ratio = slow as f64 / fast as f64;
+        println!("crc8 step @ {len} B: {slow} ns -> {fast} ns, {ratio:.2}x");
+        if ratio < floor {
+            slow_sizes.push(format!("{len} B {ratio:.2}x < {floor}x"));
+        }
+    }
+    assert!(slow_sizes.is_empty(), "below floor: {slow_sizes:?}");
+}

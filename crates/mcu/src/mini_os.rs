@@ -160,8 +160,8 @@ struct ResidentDecode {
 /// fetched, CRC-checked and decompressed it from ROM. While the
 /// function's ROM record stamp still reads `rom_stamp`, its record
 /// (codec included) and bytes are unchanged and would decode to the
-/// same frames, windows and bytes again, so a miss replays them instead
-/// (see [`MiniOs::configure_resident`]).
+/// same frames, windows and bytes again, so a miss or a scrub repair
+/// replays them instead (see [`MiniOs::replay_image`]).
 #[derive(Clone)]
 struct VerifiedImage {
     rom_stamp: u64,
@@ -252,6 +252,11 @@ pub struct MiniOs {
     /// fresh decode whose netlist is `==` to the one it was built from,
     /// and is rebuilt empty on every other fresh decode.
     netlist_tables: BTreeMap<u16, NetlistTable>,
+    /// How many configurations replayed a verified image
+    /// ([`MiniOs::replay_image`]); host work, so not an [`OsStats`]
+    /// field, which twin cards compare.
+    #[cfg(test)]
+    image_replays: u64,
 }
 
 impl std::fmt::Debug for MiniOs {
@@ -302,6 +307,8 @@ impl MiniOs {
             frame_flat: Vec::new(),
             images: BTreeMap::new(),
             netlist_tables: BTreeMap::new(),
+            #[cfg(test)]
+            image_replays: 0,
         }
     }
 
@@ -770,33 +777,11 @@ impl MiniOs {
             algo: record.algo_id,
             bytes: encoded.len() as u64,
         });
-        let store_probes =
-            record.codec == CodecId::DeltaV2.to_byte() && self.frame_store.is_enabled();
-        let replay = self
-            .images
-            .get(&record.algo_id)
-            .and_then(|m| m.image.as_ref())
-            .filter(|image| {
-                image.rom_stamp == self.rom.record_stamp(record.algo_id) && !store_probes
-            })
-            .cloned();
-        let (report, written) = match replay {
-            Some(image) => {
-                let port = self.config_module.configure_decoded(
-                    &image.frames,
-                    &mut self.device,
-                    &self.port,
-                    frames,
-                )?;
-                let report = ConfigReport {
-                    decompress_time: image.decompress_time,
-                    windows: image.windows,
-                    bytes: image.bytes,
-                    ..port
-                };
-                self.seed_resident(record.algo_id, &image.frames);
-                (report, image.frames)
-            }
+        let (report, written) = match self.replayable_image(record) {
+            Some(image) => (
+                self.replay_image(record.algo_id, &image, frames)?,
+                image.frames,
+            ),
             None => {
                 // the module probes the frame store itself when the
                 // bitstream is DeltaV2; for every other codec the
@@ -847,6 +832,51 @@ impl MiniOs {
             self.decoded.insert(key, written);
         }
         Ok((report, rom_time, false))
+    }
+
+    /// `record`'s verified image, if a configuration from ROM would
+    /// decode exactly that image in exactly that time: the record is
+    /// unchanged since the full-path configuration that verified it
+    /// (same stamp), and it is not a DeltaV2 bitstream probing an
+    /// enabled frame store, whose probes are modelled state.
+    fn replayable_image(&self, record: &FunctionRecord) -> Option<VerifiedImage> {
+        let store_probes =
+            record.codec == CodecId::DeltaV2.to_byte() && self.frame_store.is_enabled();
+        self.images
+            .get(&record.algo_id)
+            .and_then(|m| m.image.as_ref())
+            .filter(|image| {
+                image.rom_stamp == self.rom.record_stamp(record.algo_id) && !store_probes
+            })
+            .cloned()
+    }
+
+    /// Writes a [`MiniOs::replayable_image`] to `frames` in place of a
+    /// configuration from ROM: the report carries the port writes plus
+    /// the first run's decompress time, windows and bytes.
+    fn replay_image(
+        &mut self,
+        algo_id: u16,
+        image: &VerifiedImage,
+        frames: &[FrameAddress],
+    ) -> Result<ConfigReport, McuError> {
+        let port = self.config_module.configure_decoded(
+            &image.frames,
+            &mut self.device,
+            &self.port,
+            frames,
+        )?;
+        #[cfg(test)]
+        {
+            self.image_replays += 1;
+        }
+        self.seed_resident(algo_id, &image.frames);
+        Ok(ConfigReport {
+            decompress_time: image.decompress_time,
+            windows: image.windows,
+            bytes: image.bytes,
+            ..port
+        })
     }
 
     /// Stages one input, takes or computes its output, and collects
@@ -1056,7 +1086,11 @@ impl MiniOs {
     /// function whose frames have not changed since they last decoded
     /// as it (its memoized decode is still valid): they would pass
     /// again. An SEU, a torn configuration or a patch advances the
-    /// frames' stamps, so damage is always read back and found.
+    /// frames' stamps, so damage is always read back and found. A
+    /// repair replays the function's verified image where a miss would
+    /// (its record unchanged, no frame store probed): the same frames
+    /// and the same modelled time, without the host's CRC and
+    /// decompression.
     ///
     /// Real Virtex-class devices suffer configuration-memory upsets
     /// (SEUs); periodic scrubbing is the standard defence, and the
@@ -1098,17 +1132,20 @@ impl MiniOs {
                 .rom
                 .lookup(id)
                 .ok_or(McuError::Mem(MemError::RecordNotFound(id)))?;
+            let frames = frames.clone();
             let encoded = self.rom.bitstream_bytes(&record);
             report.time += self.mem_timing.rom_read_time(encoded.len() as u64);
             // no frame store: a repair decodes the whole bitstream, so
-            // its time does not depend on what the store holds
-            let (config, _) = self.config_module.configure(
-                encoded,
-                None,
-                &mut self.device,
-                &self.port,
-                frames,
-            )?;
+            // its time does not depend on what the store holds, and a
+            // verified image decoded without probing one replays it
+            let config = match self.replayable_image(&record) {
+                Some(image) => self.replay_image(id, &image, &frames)?,
+                None => {
+                    self.config_module
+                        .configure(encoded, None, &mut self.device, &self.port, &frames)?
+                        .0
+                }
+            };
             report.time += config.total();
             report.repaired.push(id);
         }
@@ -2298,6 +2335,17 @@ mod tests {
         }
     }
 
+    /// Writes `image` over the resident function's frames, as a patch
+    /// would; the image must take exactly as many frames.
+    fn patch(os: &mut MiniOs, algo: u16, image: aaod_fabric::FunctionImage) {
+        let encoded = image.encode(os.geometry());
+        let frames = os.table().get(algo).unwrap().frames.clone();
+        assert_eq!(encoded.len(), frames.len());
+        for (addr, frame) in frames.iter().zip(&encoded) {
+            os.device_mut().write_frame(*addr, frame).unwrap();
+        }
+    }
+
     #[test]
     fn netlists_too_wide_to_tabulate_run_bit_sliced() {
         // Patch CRC8's frames with a valid 24-input netlist that XORs
@@ -2306,14 +2354,6 @@ mod tests {
         // back to bit slicing. Restoring the bank image rebuilds it.
         let mut os = os_with(&[ids::CRC8]);
         let inputs = warm_crc8(&mut os);
-        let frames = os.table().get(ids::CRC8).unwrap().frames.clone();
-        let patch = |os: &mut MiniOs, image: aaod_fabric::FunctionImage| {
-            let encoded = image.encode(os.geometry());
-            assert_eq!(encoded.len(), frames.len());
-            for (addr, frame) in frames.iter().zip(&encoded) {
-                os.device_mut().write_frame(*addr, frame).unwrap();
-            }
-        };
         let mut b = aaod_fabric::NetlistBuilder::new();
         let ins = b.inputs(24);
         for i in 0..8 {
@@ -2327,7 +2367,7 @@ mod tests {
             1,
             1,
         );
-        patch(&mut os, wide);
+        patch(&mut os, ids::CRC8, wide);
         for input in inputs.iter().take(40) {
             let want: Vec<u8> = input
                 .chunks(3)
@@ -2337,18 +2377,16 @@ mod tests {
         }
         assert!(!os.netlist_tables.contains_key(&ids::CRC8));
         let restored = os.bank().build_image(ids::CRC8, os.geometry()).unwrap();
-        patch(&mut os, restored);
+        patch(&mut os, ids::CRC8, restored);
         assert_eq!(invoke_checked(&mut os, ids::CRC8, b"1").unwrap(), [0x97]);
-        assert_eq!(
-            crc8_filled_blocks(&os),
-            1,
-            "the restored table starts empty"
-        );
+        let table = &os.netlist_tables[&ids::CRC8];
+        assert!(table.affine(), "the restored table lost the affine step");
+        assert_eq!(table.filled_blocks(), 0, "the restored table filled");
     }
 
     /// Invokes CRC8 on 200 seeded inputs of 0..=300 bytes, checking
-    /// each against the uncached decode and `crc8_reference`, which
-    /// fills most of its truth table. Returns the inputs.
+    /// each against the uncached decode and `crc8_reference`. Returns
+    /// the inputs.
     fn warm_crc8(os: &mut MiniOs) -> Vec<Vec<u8>> {
         let mut rng = SplitMix64::new(0xc8c8);
         let inputs: Vec<Vec<u8>> = (0..200)
@@ -2367,31 +2405,73 @@ mod tests {
         inputs
     }
 
-    fn crc8_filled_blocks(os: &MiniOs) -> usize {
-        os.netlist_tables[&ids::CRC8].filled_blocks()
+    /// Invokes ADDER8, a lazily filled 16-input table, on 100 seeded
+    /// inputs of 0..=64 bytes, checking each against the uncached
+    /// decode and the software kernel. Returns the inputs.
+    fn warm_adder8(os: &mut MiniOs) -> Vec<Vec<u8>> {
+        let mut rng = SplitMix64::new(0xadd8);
+        let inputs: Vec<Vec<u8>> = (0..100)
+            .map(|_| {
+                let mut v = vec![0u8; rng.index(65)];
+                rng.fill(&mut v);
+                v
+            })
+            .collect();
+        for input in &inputs {
+            assert_eq!(
+                invoke_checked(os, ids::ADDER8, input).unwrap(),
+                os.bank().execute_software(ids::ADDER8, input).unwrap()
+            );
+        }
+        inputs
+    }
+
+    /// Whether CRC8 streams from its affine step with no table fill.
+    fn crc8_is_affine(os: &MiniOs) -> bool {
+        let table = &os.netlist_tables[&ids::CRC8];
+        table.affine() && table.filled_blocks() == 0
+    }
+
+    fn adder8_filled_blocks(os: &MiniOs) -> usize {
+        os.netlist_tables[&ids::ADDER8].filled_blocks()
     }
 
     #[test]
     fn upsets_after_a_warm_table_surface_and_scrub_restores_crc8() {
-        let mut os = os_with(&[ids::CRC8]);
+        let mut os = os_with(&[ids::CRC8, ids::ADDER8]);
         let inputs = warm_crc8(&mut os);
-        let warm = crc8_filled_blocks(&os);
+        let sums = warm_adder8(&mut os);
+        assert!(crc8_is_affine(&os));
+        let warm = adder8_filled_blocks(&os);
+        assert!(warm > 0, "ADDER8 filled no block");
         let mut changed = 0;
         for seed in 0..8 {
             assert!(os.inject_seu(ids::CRC8, &mut SplitMix64::new(seed)));
+            assert!(os.inject_seu(ids::ADDER8, &mut SplitMix64::new(seed)));
             for input in inputs.iter().take(20) {
                 let got = invoke_checked(&mut os, ids::CRC8, input);
                 if got != Ok(vec![aaod_algos::netlists::crc8_reference(input)]) {
                     changed += 1;
                 }
             }
-            assert_eq!(os.scrub().unwrap().repaired, vec![ids::CRC8]);
-            // the repaired frames decode to an equal netlist, so the
-            // table filled before the upset is still the one in use
+            for input in sums.iter().take(5) {
+                let _ = invoke_checked(&mut os, ids::ADDER8, input);
+            }
+            let mut repaired = os.scrub().unwrap().repaired;
+            repaired.sort_unstable();
+            assert_eq!(repaired, [ids::CRC8, ids::ADDER8]);
+            // the repaired frames decode to equal netlists, so CRC8
+            // keeps its affine step and ADDER8 the table it filled
+            // before the upset
             assert_eq!(invoke_checked(&mut os, ids::CRC8, b"1").unwrap(), [0x97]);
             assert!(
-                crc8_filled_blocks(&os) >= warm,
-                "seed {seed} dropped the table"
+                crc8_is_affine(&os),
+                "seed {seed} dropped CRC8's affine step"
+            );
+            invoke_checked(&mut os, ids::ADDER8, &[1, 2]).unwrap();
+            assert!(
+                adder8_filled_blocks(&os) >= warm,
+                "seed {seed} dropped ADDER8's table"
             );
             for input in inputs.iter().take(20) {
                 assert_eq!(
@@ -2405,34 +2485,84 @@ mod tests {
 
     #[test]
     fn eviction_reconfiguration_and_reset_keep_crc8_outputs_and_table() {
-        let mut os = os_with(&[ids::CRC32, ids::CRC8]);
+        let mut os = os_with(&[ids::CRC32, ids::CRC8, ids::ADDER8]);
         let inputs = warm_crc8(&mut os);
         let want: Vec<Vec<u8>> = inputs
             .iter()
             .map(|input| vec![aaod_algos::netlists::crc8_reference(input)])
             .collect();
-        let warm = crc8_filled_blocks(&os);
-        let before = os.table().get(ids::CRC8).unwrap().frames.clone();
+        let sums = warm_adder8(&mut os);
+        let warm = adder8_filled_blocks(&os);
+        let before = [ids::CRC8, ids::ADDER8].map(|id| os.table().get(id).unwrap().frames.clone());
         os.evict(ids::CRC8).unwrap();
-        // CRC32 takes the lowest freed frames, pushing CRC8 elsewhere
+        os.evict(ids::ADDER8).unwrap();
+        // CRC32 takes the lowest freed frames, pushing both elsewhere
         invoke_checked(&mut os, ids::CRC32, b"x").unwrap();
         invoke_checked(&mut os, ids::CRC8, b"1").unwrap();
-        assert_ne!(os.table().get(ids::CRC8).unwrap().frames, before);
+        invoke_checked(&mut os, ids::ADDER8, &[1, 2]).unwrap();
+        for (id, before) in [ids::CRC8, ids::ADDER8].iter().zip(&before) {
+            assert_ne!(&os.table().get(*id).unwrap().frames, before, "algo {id}");
+        }
+        assert!(
+            crc8_is_affine(&os),
+            "reconfiguration dropped the affine step"
+        );
         assert_eq!(
-            crc8_filled_blocks(&os),
+            adder8_filled_blocks(&os),
             warm,
             "reconfiguration dropped the table"
         );
         for (input, want) in inputs.iter().zip(&want) {
             assert_eq!(&invoke_checked(&mut os, ids::CRC8, input).unwrap(), want);
         }
-        let warm = crc8_filled_blocks(&os);
+        for input in &sums {
+            invoke_checked(&mut os, ids::ADDER8, input).unwrap();
+        }
+        let warm = adder8_filled_blocks(&os);
         os.reset();
         invoke_checked(&mut os, ids::CRC8, b"1").unwrap();
-        assert_eq!(crc8_filled_blocks(&os), warm, "reset dropped the table");
+        invoke_checked(&mut os, ids::ADDER8, &[1, 2]).unwrap();
+        assert!(crc8_is_affine(&os), "reset dropped the affine step");
+        assert_eq!(adder8_filled_blocks(&os), warm, "reset dropped the table");
         for (input, want) in inputs.iter().zip(&want) {
             assert_eq!(&invoke_checked(&mut os, ids::CRC8, input).unwrap(), want);
         }
+    }
+
+    #[test]
+    fn a_crc8_patched_with_an_and_lut_falls_back_to_its_table() {
+        // One XOR LUT of the bank's CRC8 becomes an AND of its first
+        // two inputs: the step is no longer affine, so it streams one
+        // table lookup per byte, still what the frames decode to.
+        let mut os = os_with(&[ids::CRC8]);
+        let inputs = warm_crc8(&mut os);
+        assert!(crc8_is_affine(&os));
+        let image = os.bank().build_image(ids::CRC8, os.geometry()).unwrap();
+        let Ok(FunctionKind::Netlist { netlist, mode }) = image.kind() else {
+            panic!("CRC8 is a netlist image");
+        };
+        let mut luts = netlist.luts().to_vec();
+        let last = luts.len() - 1;
+        luts[last].truth = 0x8888;
+        let anded =
+            Netlist::from_parts(netlist.n_inputs() as u16, luts, netlist.outputs().to_vec())
+                .unwrap();
+        patch(
+            &mut os,
+            ids::CRC8,
+            aaod_fabric::FunctionImage::from_netlist(ids::CRC8, anded, mode, 1, 1),
+        );
+        let mut changed = 0;
+        for input in &inputs {
+            let got = invoke_checked(&mut os, ids::CRC8, input).unwrap();
+            if got != [aaod_algos::netlists::crc8_reference(input)] {
+                changed += 1;
+            }
+        }
+        assert!(changed > 0, "the AND LUT changed no output");
+        let table = &os.netlist_tables[&ids::CRC8];
+        assert!(!table.affine(), "an AND LUT was taken as affine");
+        assert!(table.filled_blocks() > 0, "the table chain filled nothing");
     }
 
     #[test]

@@ -536,8 +536,10 @@ fn rom_rot_of_one_algorithm_leaves_the_others_replayable() {
 }
 
 /// A scrub on the memo must report and repair exactly what a scrub
-/// that reads every function back does, on a clean card, after an SEU
-/// and after a torn configuration.
+/// that reads every function back and repairs from ROM does, on a
+/// clean card, after an SEU and after a torn configuration, under every
+/// codec. Each repair replays the verified image, except for a DeltaV2
+/// bitstream probing an enabled frame store, which never does.
 #[test]
 fn memo_aware_scrub_matches_a_full_readback() {
     let fault = |os: &mut MiniOs, what: &str, id: u16| match what {
@@ -546,36 +548,63 @@ fn memo_aware_scrub_matches_a_full_readback() {
         _ => {}
     };
     let input = vec![0xa7; 48];
-    let mut card = MiniOs::new(MiniOsConfig::default());
-    for id in ALGOS {
-        card.install(id).unwrap();
-        card.invoke(id, &input).unwrap();
-    }
-    card.set_trace(true);
-    take_details(&mut card);
-    for what in ["clean", "seu", "torn"] {
-        for target in ALGOS {
-            let (mut memoized, mut uncached) = (card.clone(), card.clone());
-            assert_eq!(memoized.resident().len(), ALGOS.len());
-            for id in ALGOS {
-                assert!(memoized.images[&id].resident.is_some(), "algo {id}");
-            }
-            fault(&mut memoized, what, target);
-            fault(&mut uncached, what, target);
-            uncached.images.clear();
-            let got = memoized.scrub().unwrap();
-            assert_eq!(Ok(got.clone()), uncached.scrub(), "{what} on {target}");
-            let repaired: &[u16] = if what == "clean" { &[] } else { &[target] };
-            assert_eq!(got.repaired, repaired, "{what} on {target}");
-            assert_eq!(observe(&mut memoized), observe(&mut uncached));
-            for id in ALGOS {
+    let cases = CodecId::ALL
+        .into_iter()
+        .map(|codec| (codec, true))
+        .chain([(CodecId::DeltaV2, false)]);
+    for (codec, store) in cases {
+        let case = format!("{codec} store={store}");
+        let mut card = MiniOs::new(MiniOsConfig {
+            codec,
+            frame_store_bytes: if store { 256 * 1024 } else { 0 },
+            ..MiniOsConfig::default()
+        });
+        for id in ALGOS {
+            card.install(id).unwrap();
+            card.invoke(id, &input).unwrap();
+        }
+        card.set_trace(true);
+        take_details(&mut card);
+        let replayable = !(codec == CodecId::DeltaV2 && store);
+        let mut replays = 0;
+        for what in ["clean", "seu", "torn"] {
+            for target in ALGOS {
+                let (mut memoized, mut uncached) = (card.clone(), card.clone());
+                assert_eq!(memoized.resident().len(), ALGOS.len());
+                for id in ALGOS {
+                    assert!(memoized.images[&id].resident.is_some(), "{case}: algo {id}");
+                }
+                fault(&mut memoized, what, target);
+                fault(&mut uncached, what, target);
+                uncached.images.clear();
+                let before = memoized.image_replays;
+                let got = memoized.scrub().unwrap();
                 assert_eq!(
-                    memoized.invoke(id, &input),
-                    uncached.invoke(id, &input),
-                    "{what} on {target}: algo {id}"
+                    uncached.image_replays, 0,
+                    "{case}: the uncached twin replayed"
                 );
+                assert_eq!(
+                    Ok(got.clone()),
+                    uncached.scrub(),
+                    "{case}: {what} on {target}"
+                );
+                let repaired: &[u16] = if what == "clean" { &[] } else { &[target] };
+                assert_eq!(got.repaired, repaired, "{case}: {what} on {target}");
+                let replayed = memoized.image_replays - before;
+                let want = if replayable { repaired.len() } else { 0 };
+                assert_eq!(replayed as usize, want, "{case}: {what} on {target}");
+                replays += replayed;
+                assert_eq!(observe(&mut memoized), observe(&mut uncached), "{case}");
+                for id in ALGOS {
+                    assert_eq!(
+                        memoized.invoke(id, &input),
+                        uncached.invoke(id, &input),
+                        "{case}: {what} on {target}: algo {id}"
+                    );
+                }
             }
         }
+        assert_eq!(replays > 0, replayable, "{case}: {replays} replays");
     }
 }
 
