@@ -787,18 +787,6 @@ impl AffineStep {
     }
 }
 
-/// How a [`NetlistTable`] runs streaming inputs; decided on the first
-/// streaming batch.
-#[derive(Debug, Clone)]
-enum StreamingStep {
-    /// No streaming batch has run yet.
-    Undecided,
-    /// Every LUT is affine: eight bytes per dependent lookup.
-    Affine(Box<AffineStep>),
-    /// One table lookup per byte.
-    Table,
-}
-
 /// A decoded netlist with a lazily filled truth table,
 /// `input pattern → output pattern`, for netlists of at most 16 inputs
 /// and 16 outputs.
@@ -816,11 +804,11 @@ enum StreamingStep {
 /// one "filled" bit per block.
 ///
 /// A streaming step whose every LUT is affine over GF(2) (CRC-8's)
-/// never touches the table: on the first streaming batch the table
-/// derives 256-entry maps of the step and of eight steps at once from
-/// one walk of the netlist, and then runs eight bytes per dependent
-/// lookup (see [`NetlistTable::affine`]). Any other streaming step is
-/// one lookup of `byte | state << 8` per byte.
+/// never touches the table: when the table is built it derives
+/// 256-entry maps of the step and of eight steps at once from one walk
+/// of the netlist, and streaming inputs then run eight bytes per
+/// dependent lookup (see [`NetlistTable::affine`]). Any other
+/// streaming step is one lookup of `byte | state << 8` per byte.
 ///
 /// The table is a pure function of the netlist's value: it stays valid
 /// for any netlist `==` to [`NetlistTable::netlist`], whichever frames
@@ -849,7 +837,9 @@ pub struct NetlistTable {
     entries: Vec<u8>,
     entry_bytes: usize,
     filled: Vec<u64>,
-    streaming: StreamingStep,
+    /// The maps of an affine streaming step, which streaming inputs run
+    /// from instead of the table.
+    affine: Option<Box<AffineStep>>,
     in_words: Vec<u64>,
     out_words: Vec<u64>,
     nets: Vec<u64>,
@@ -867,7 +857,7 @@ impl NetlistTable {
             entries: Vec::new(),
             entry_bytes: netlist.n_outputs().div_ceil(8),
             filled: vec![0; n_entries.div_ceil(64).div_ceil(64)],
-            streaming: StreamingStep::Undecided,
+            affine: AffineStep::derive(&netlist).map(Box::new),
             in_words: vec![0; netlist.n_inputs()],
             out_words: vec![0; netlist.n_outputs()],
             nets: Vec::new(),
@@ -885,11 +875,11 @@ impl NetlistTable {
         self.filled.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Whether streaming inputs run from the affine step's maps: true
-    /// once a streaming batch has found every LUT affine, false before
-    /// the first streaming batch and for any other netlist.
+    /// Whether streaming inputs run from the affine step's maps: the
+    /// netlist has 8 data and `w ≤ 8` state inputs, `w` outputs, and
+    /// every LUT is affine.
     pub fn affine(&self) -> bool {
-        matches!(self.streaming, StreamingStep::Affine(_))
+        self.affine.is_some()
     }
 
     /// The output pattern of `pattern`, filling its block on first use.
@@ -955,16 +945,8 @@ impl NetlistTable {
         inputs: &[&[u8]],
     ) -> Result<Vec<Vec<u8>>, FabricError> {
         let (in_bytes, out_bytes) = netlist_io_bytes(&self.netlist, mode)?;
-        if mode == NetlistMode::Streaming {
-            if let StreamingStep::Undecided = self.streaming {
-                self.streaming = match AffineStep::derive(&self.netlist) {
-                    Some(step) => StreamingStep::Affine(Box::new(step)),
-                    None => StreamingStep::Table,
-                };
-            }
-            if let StreamingStep::Affine(step) = &self.streaming {
-                return Ok(inputs.iter().map(|input| vec![step.run(input)]).collect());
-            }
+        if let (NetlistMode::Streaming, Some(step)) = (mode, &self.affine) {
+            return Ok(inputs.iter().map(|input| vec![step.run(input)]).collect());
         }
         let eager = self.netlist.n_inputs() <= EAGER_TABLE_INPUTS;
         if eager {
